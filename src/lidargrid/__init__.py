@@ -35,7 +35,6 @@ from .grid import (
 from .cluster import (
     DimensionMismatch,
     LabelGrid,
-    UnionFind,
     extract_obstacles,
     label_components,
 )
@@ -75,7 +74,7 @@ from .synth import (
     generate_frame,
 )
 from .pcd import ParseError, UnsupportedLayout, read_frame_pcd, write_frame_pcd
-from .config import PipelineConfig, default_config_yaml, load_config
+from .config import ConfigError, PipelineConfig, default_config_yaml, load_config
 from .pipeline import BenchReport, PipelineResult, bench, run_bev, run_geometric, run_pipeline
 
 __version__ = "0.1.0"

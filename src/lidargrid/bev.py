@@ -5,8 +5,8 @@ image (height/intensity peaks and means, a bounded log density, and a
 binary occupancy bit).  The detector that would consume that image is
 abstracted behind a callable; ``cluster_output_grid`` and
 ``postprocess_clusters`` turn a detector's per-cell attribute grid back
-into discrete obstacle estimates via union-find grouping and confidence
-filtering.
+into discrete obstacle estimates by grouping connected cells and the
+components their centre offsets link, then confidence filtering.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .core import LidarGridError, ObstacleEstimate, as_point_array
-from .cluster import UnionFind, label_components
+from .cluster import component_ids, label_components
 
 PLANE_NAMES = ("max_height", "mean_height", "max_intensity",
                "mean_intensity", "density", "occupancy")
@@ -250,10 +250,11 @@ def cluster_output_grid(attr: OutputAttributeGrid, objectness_threshold: float,
     """Group above-threshold cells by adjacency plus center-offset links.
 
     Cells with objectness >= threshold are first joined by grid
-    connectivity; each cell is additionally unioned with the cell its
+    connectivity; each cell is additionally joined with the cell its
     center-offset vector points into (skipped when that cell is outside
     the grid or below threshold).  With all offsets zero this reduces to
-    plain connected-component labeling.
+    plain connected-component labeling.  Clusters come out in raster
+    order of their first cell.
     """
     if not 0.0 <= objectness_threshold <= 1.0:
         raise ValueError("objectness_threshold outside [0, 1]")
@@ -276,17 +277,8 @@ def cluster_output_grid(attr: OutputAttributeGrid, objectness_threshold: float,
     valid[in_grid] &= mask[t_i[in_grid], t_j[in_grid]]
 
     src_comp = base.labels[ii, jj] - 1
-    uf = UnionFind()
-    for _ in range(k):
-        uf.make_set()
-    if valid.any():
-        dst_comp = base.labels[t_i[valid], t_j[valid]] - 1
-        pairs = np.unique(src_comp[valid] * k + dst_comp)
-        for p in pairs:
-            uf.union(int(p) // k, int(p) % k)
-
-    roots = np.array([uf.find(c) for c in range(k)])
-    _, group = np.unique(roots, return_inverse=True)
+    dst_comp = base.labels[t_i[valid], t_j[valid]] - 1
+    group = component_ids(k, src_comp[valid], dst_comp)
     cell_group = group[src_comp]
 
     conf = attr.confidence[ii, jj]

@@ -1,10 +1,10 @@
 """Connected-component labeling and obstacle extraction.
 
-Labeling is the classic two-pass raster scan: the first pass hands out
-provisional labels and records merges in a union-find, the second pass
-flattens them to dense final labels.  Obstacles are then read off each
-component as a count-weighted centroid plus axis-aligned footprint
-extents.
+Labeling builds the graph of adjacent occupied cells and finds its
+components with one vectorized kernel, ``component_ids``, which the BEV
+route also uses to merge components joined by centre-offset links.
+Obstacles are then read off each component as a count-weighted centroid
+plus axis-aligned footprint extents.
 """
 
 from __future__ import annotations
@@ -24,38 +24,6 @@ class DimensionMismatch(LidarGridError):
     category = "dimension-mismatch"
 
 
-class UnionFind:
-    """Array-based disjoint sets with path compression and union by rank."""
-
-    def __init__(self):
-        self.parent: list[int] = []
-        self.rank: list[int] = []
-
-    def make_set(self) -> int:
-        self.parent.append(len(self.parent))
-        self.rank.append(0)
-        return len(self.parent) - 1
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return ra
-
-
 @dataclass(frozen=True, eq=False)
 class LabelGrid:
     """Per-cell component ids: 0 = free, 1..num_components occupied."""
@@ -72,8 +40,32 @@ class LabelGrid:
         return self.labels.shape[1]
 
 
-_NEIGHBORS_4 = ((-1, 0), (0, -1))
-_NEIGHBORS_8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1))
+# forward half of each neighbourhood: every undirected adjacency once
+_FORWARD_4 = ((0, 1), (1, 0))
+_FORWARD_8 = ((0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def component_ids(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Connected components of the undirected graph on nodes ``0..n-1``.
+
+    ``u`` and ``v`` list the edges.  Returns one dense component id per
+    node, numbered in order of each component's smallest node.  Each
+    round hooks the larger root of every edge whose ends still differ
+    onto the smaller one, then pointer-jumps until every node points at
+    its root; roots only ever decrease, so a component's final root is
+    its smallest node.
+    """
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        if not split.any():
+            return np.unique(root, return_inverse=True)[1]
+        u, v, ru, rv = u[split], v[split], ru[split], rv[split]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
 
 
 def label_components(grid, connectivity: int = 8) -> LabelGrid:
@@ -86,40 +78,25 @@ def label_components(grid, connectivity: int = 8) -> LabelGrid:
     cells = grid.cells if isinstance(grid, OccupancyGrid) else np.asarray(grid, dtype=bool)
     if connectivity not in (4, 8):
         raise ValueError("connectivity must be 4 or 8")
-    offsets = _NEIGHBORS_4 if connectivity == 4 else _NEIGHBORS_8
+    offsets = _FORWARD_4 if connectivity == 4 else _FORWARD_8
     ni, nj = cells.shape
 
-    provisional = np.zeros((ni, nj), dtype=np.int64)
-    uf = UnionFind()
-    uf.make_set()  # index 0 reserved for free space
+    ii, jj = np.nonzero(cells)  # raster order, so ``flat`` is sorted
+    flat = ii * nj + jj
+    u, v = [], []
+    for di, dj in offsets:
+        src = np.flatnonzero((ii + di < ni) & (jj + dj >= 0) & (jj + dj < nj))
+        target = flat[src] + (di * nj + dj)
+        dst = np.searchsorted(flat, target)
+        hit = dst < flat.size
+        hit[hit] = flat[dst[hit]] == target[hit]
+        u.append(src[hit])
+        v.append(dst[hit])
+    ids = component_ids(flat.size, np.concatenate(u), np.concatenate(v))
 
-    occupied = np.argwhere(cells)  # raster order
-    for i, j in occupied:
-        best = 0
-        for di, dj in offsets:
-            a, b = i + di, j + dj
-            if 0 <= a < ni and 0 <= b < nj:
-                lab = provisional[a, b]
-                if lab:
-                    if best:
-                        uf.union(best, lab)
-                    else:
-                        best = lab
-        if not best:
-            best = uf.make_set()
-        provisional[i, j] = best
-
-    # second pass: resolve equivalences to dense ids in first-seen order
-    n_prov = len(uf.parent)
-    dense = np.zeros(n_prov, dtype=np.int64)
-    next_id = 0
-    for p in range(1, n_prov):
-        root = uf.find(p)
-        if dense[root] == 0:
-            next_id += 1
-            dense[root] = next_id
-        dense[p] = dense[root]
-    return LabelGrid(labels=dense[provisional], num_components=next_id)
+    labels = np.zeros((ni, nj), dtype=np.int64)
+    labels[ii, jj] = ids + 1
+    return LabelGrid(labels=labels, num_components=int(ids.max(initial=-1)) + 1)
 
 
 def extract_obstacles(labels: LabelGrid, hist: CellHistogram, cfg: GridConfig,

@@ -13,9 +13,16 @@ from dataclasses import dataclass, field, fields
 import yaml
 
 from .bev import BevConfig
+from .core import LidarGridError
 from .grid import GridConfig, ThresholdProfile
 from .ground import RansacParams
 from .synth import BoxSpec, SceneSpec
+
+
+class ConfigError(LidarGridError, ValueError):
+    """A configuration value or file that cannot be used."""
+
+    category = "config"
 
 
 @dataclass(frozen=True)
@@ -74,7 +81,17 @@ def _build(cls, data: dict):
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
-    """Build a PipelineConfig from a nested plain dict (parsed YAML)."""
+    """Build a PipelineConfig from a nested plain dict (parsed YAML).
+
+    Any malformed section or out-of-range value raises ConfigError.
+    """
+    try:
+        return _config_from_dict(data)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _config_from_dict(data: dict) -> PipelineConfig:
     data = dict(data or {})
     kwargs = {}
     if "pipeline" in data:
@@ -121,7 +138,11 @@ def config_from_dict(data: dict) -> PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     with open(path) as fh:
-        return config_from_dict(yaml.safe_load(fh) or {})
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    return config_from_dict(data or {})
 
 
 def default_config_yaml() -> str:

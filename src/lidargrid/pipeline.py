@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bev as bev_mod
 from .cluster import extract_obstacles, label_components
-from .config import PipelineConfig
+from .config import ConfigError, PipelineConfig
 from .core import ObstacleEstimate, PointCloudFrame, validate_frame
 from .grid import morph_open_close, occupancy_from_counts, project_to_grid
 from .ground import PlaneModel, fit_plane_ransac, split_ground
@@ -66,7 +66,7 @@ def run_geometric(frame: PointCloudFrame, cfg: PipelineConfig) -> PipelineResult
     # project with z replaced by height above the fitted plane so the
     # grid's z crop tracks the road surface on slopes
     projected = non_ground.copy()
-    projected[:, 2] = non_ground[:, :3] @ plane.normal + plane.offset
+    projected[:, 2] = plane.signed_distance(non_ground)
     hist = project_to_grid(projected, cfg.grid)
     clock.lap("project")
 
@@ -167,7 +167,7 @@ def bench(cfg: PipelineConfig, n_frames: int, seed: int = 0) -> BenchReport:
     once untimed to warm caches.
     """
     if n_frames < 1:
-        raise ValueError("n_frames must be >= 1")
+        raise ConfigError("n_frames must be >= 1")
     frames = [generate_frame(bench_scene(seed + i), frame_id=i, timestamp=i / 20.0).frame
               for i in range(n_frames)]
     runner = run_bev if cfg.pipeline == "bev" else run_geometric

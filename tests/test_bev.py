@@ -163,6 +163,30 @@ class TestClusterOutputGrid:
         clusters = cluster_output_grid(attr, 0.5)
         assert len(clusters) == 1
 
+    def test_offset_chain_merges_in_raster_order(self):
+        cfg = BevConfig(image_size=40, range=6.0)
+        centers = cfg.cell_centers()
+        obj = np.zeros((40, 40))
+        off_x = np.zeros((40, 40))
+        off_y = np.zeros((40, 40))
+        # raster order of the blobs' first cells: B, D, A, C
+        blobs = {"B": (2, 30), "D": (10, 5), "A": (20, 20), "C": (30, 10)}
+        for i, j in blobs.values():
+            obj[i:i + 2, j:j + 2] = 1.0
+        # A -> B and C -> B join three blobs through B; D stays alone
+        ti, tj = blobs["B"]
+        for src in ("A", "C"):
+            si, sj = blobs[src]
+            off_x[si:si + 2, sj:sj + 2] = centers[ti] - centers[si:si + 2, None]
+            off_y[si:si + 2, sj:sj + 2] = centers[tj] - centers[None, sj:sj + 2]
+        attr = zero_attr(cfg=cfg, objectness=obj, center_offset_x=off_x,
+                         center_offset_y=off_y)
+        clusters = cluster_output_grid(attr, 0.5)
+        assert [c.size for c in clusters] == [12, 4]
+        merged = {tuple(cell) for cell in clusters[0].cells}
+        assert {blobs["A"], blobs["B"], blobs["C"]} <= merged
+        assert tuple(clusters[1].cells[0]) == blobs["D"]
+
     def test_offset_outside_grid_skipped(self):
         obj = np.zeros((40, 40))
         obj[0, 0] = 1.0

@@ -5,7 +5,6 @@ from helpers import flood_fill_labels, same_partition
 from lidargrid.cluster import (
     DimensionMismatch,
     LabelGrid,
-    UnionFind,
     extract_obstacles,
     label_components,
 )
@@ -14,24 +13,6 @@ from lidargrid.grid import CellHistogram, GridConfig, OccupancyGrid
 
 def grid_of(cells):
     return OccupancyGrid(cells=np.array(cells, dtype=bool))
-
-
-class TestUnionFind:
-    def test_union_and_find(self):
-        uf = UnionFind()
-        a, b, c = uf.make_set(), uf.make_set(), uf.make_set()
-        uf.union(a, b)
-        assert uf.find(a) == uf.find(b)
-        assert uf.find(c) != uf.find(a)
-
-    def test_find_idempotent_after_compression(self):
-        uf = UnionFind()
-        ids = [uf.make_set() for _ in range(10)]
-        for x in ids[1:]:
-            uf.union(ids[0], x)
-        root = uf.find(ids[-1])
-        assert uf.find(ids[-1]) == root
-        assert all(uf.find(x) == root for x in ids)
 
 
 class TestLabelComponents:
@@ -66,12 +47,31 @@ class TestLabelComponents:
     @pytest.mark.parametrize("connectivity", [4, 8])
     def test_matches_flood_fill_on_random_grids(self, connectivity):
         rng = np.random.default_rng(7)
-        for _ in range(100):
-            cells = rng.random((20, 20)) < 0.4
+        thin = [(0, 5), (5, 0), (1, 1), (1, 9), (9, 1)]
+        for shape in [(20, 20)] * 100 + thin * 10:
+            cells = rng.random(shape) < 0.4
             mine = label_components(cells, connectivity)
             ref = flood_fill_labels(cells, connectivity)
             assert same_partition(mine.labels, ref)
-            assert mine.num_components == ref.max()
+            assert np.array_equal(mine.labels, ref)
+            assert mine.num_components == ref.max(initial=0)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_serpentine_chain_is_one_component(self, connectivity):
+        # rows joined alternately at the right and left ends: one long path
+        cells = np.zeros((41, 41), dtype=bool)
+        cells[::2] = True
+        for r in range(1, 41, 2):
+            cells[r, -1 if r % 4 == 1 else 0] = True
+        out = label_components(cells, connectivity)
+        assert out.num_components == 1
+        assert np.array_equal(out.labels, cells.astype(np.int64))
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_fully_occupied_grid(self, connectivity):
+        out = label_components(np.ones((13, 7), dtype=bool), connectivity)
+        assert out.num_components == 1
+        assert (out.labels == 1).all()
 
 
 def make_hist(counts, cfg):

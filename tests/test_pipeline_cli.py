@@ -217,6 +217,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error[")
 
+    @pytest.mark.parametrize("text", [
+        "grid: {cell_size: -1}",
+        "grid: [1, 2]",
+        "cluster: {connectivity: 6}",
+        "grid: {cell_size: [",
+    ], ids=["negative-cell-size", "section-not-a-mapping",
+            "bad-connectivity", "yaml-syntax"])
+    def test_bad_config_is_config_error(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(text + "\n")
+        rc = main(["detect", "--synth", "1", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error[config]")
+
+    def test_bench_zero_frames_is_config_error(self, tmp_path, capsys):
+        rc = main(["bench", "--frames", "0", "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error[config]")
+
     def test_eval_schema_error_category(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
