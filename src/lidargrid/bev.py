@@ -103,7 +103,11 @@ def load_channel_image(path, half_range: float = 30.0) -> ChannelImage:
 
 
 def extract_channels(points, cfg: BevConfig) -> ChannelImage:
-    """Build the 6-channel BEV image; points outside ±range are dropped."""
+    """Build the 6-channel BEV image; points outside ±range are dropped.
+
+    Statistics are taken over the occupied cells only and scattered into
+    one zeroed image, so a frame makes no raster-sized temporaries.
+    """
     pts = as_point_array(points)
     n = cfg.image_size
     x, y, z, inten = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
@@ -115,26 +119,24 @@ def extract_channels(points, cfg: BevConfig) -> ChannelImage:
     flat = ix[ok] * n + iy[ok]
     z, inten = z[ok], inten[ok]
 
-    counts = np.bincount(flat, minlength=n * n).astype(np.float64)
-    nonempty = counts > 0
-    sum_z = np.bincount(flat, weights=z, minlength=n * n)
-    sum_i = np.bincount(flat, weights=inten, minlength=n * n)
-    max_z = np.full(n * n, -np.inf)
-    max_i = np.full(n * n, -np.inf)
-    np.maximum.at(max_z, flat, z)
-    np.maximum.at(max_i, flat, inten)
+    cells, slot = np.unique(flat, return_inverse=True)
+    m = cells.size
+    counts = np.bincount(slot, minlength=m).astype(np.float64)
+    max_z = np.full(m, -np.inf)
+    max_i = np.full(m, -np.inf)
+    np.maximum.at(max_z, slot, z)
+    np.maximum.at(max_i, slot, inten)
 
-    mean_z = np.divide(sum_z, counts, out=np.zeros(n * n), where=nonempty)
-    mean_i = np.divide(sum_i, counts, out=np.zeros(n * n), where=nonempty)
-    max_z = np.where(nonempty, max_z, 0.0)
-    max_i = np.where(nonempty, max_i, 0.0)
-    density = np.clip(np.log1p(counts) / _DENSITY_NORM, 0.0, 1.0)
-    occupancy = nonempty.astype(np.float64)
-
-    planes = np.stack([
-        max_z, mean_z, max_i, mean_i, density, occupancy,
-    ]).reshape(len(PLANE_NAMES), n, n)
-    return ChannelImage(planes=planes.astype(np.float32), config=cfg)
+    planes = np.zeros((len(PLANE_NAMES), n * n), dtype=np.float32)
+    planes[:, cells] = np.stack([
+        max_z,
+        np.bincount(slot, weights=z, minlength=m) / counts,
+        max_i,
+        np.bincount(slot, weights=inten, minlength=m) / counts,
+        np.clip(np.log1p(counts) / _DENSITY_NORM, 0.0, 1.0),
+        np.ones(m),
+    ])
+    return ChannelImage(planes=planes.reshape(len(PLANE_NAMES), n, n), config=cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,19 +213,23 @@ def height_gap_detector(channels: ChannelImage,
     reported relative to that ground estimate.
     """
     n = channels.config.image_size
-    occ = channels.plane("occupancy") > 0
-    mean_h = channels.plane("mean_height").astype(np.float64)
-    max_h = channels.plane("max_height").astype(np.float64)
-    ground = float(np.median(mean_h[occ])) if occ.any() else 0.0
-    hit = occ & (max_h - ground >= min_height)
-    score = hit.astype(np.float64)
+    occ = np.flatnonzero(channels.plane("occupancy") > 0)
+    mean_h = channels.plane("mean_height").ravel()[occ].astype(np.float64)
+    ground = float(np.median(mean_h)) if occ.size else 0.0
+    rise = channels.plane("max_height").ravel()[occ].astype(np.float64) - ground
+    hit = rise >= min_height
+    score = np.zeros((n, n))
+    score.flat[occ[hit]] = 1.0
+    height = np.zeros((n, n))
+    height.flat[occ[hit]] = rise[hit]
+    no_offset = np.broadcast_to(0.0, (n, n))  # read-only, takes no memory
     return OutputAttributeGrid(
         config=channels.config,
         objectness=score,
-        center_offset_x=np.zeros((n, n)),
-        center_offset_y=np.zeros((n, n)),
+        center_offset_x=no_offset,
+        center_offset_y=no_offset,
         confidence=score,
-        height=np.where(hit, max_h - ground, 0.0),
+        height=height,
     )
 
 

@@ -8,6 +8,7 @@ from lidargrid.bev import (
     OutputAttributeGrid,
     cluster_output_grid,
     extract_channels,
+    height_gap_detector,
     load_channel_image,
     occupancy_detector,
     postprocess_clusters,
@@ -29,7 +30,43 @@ def zero_attr(cfg=CFG, **overrides):
     return OutputAttributeGrid(config=cfg, **fields)
 
 
+def dense_channels(pts, cfg):
+    """Reference image with every statistic taken over the whole raster."""
+    n = cfg.image_size
+    x, y, z, inten = pts.T
+    keep = (x >= -cfg.range) & (x < cfg.range) & (y >= -cfg.range) & (y < cfg.range)
+    ix = ((x[keep] + cfg.range) / cfg.cell_size).astype(np.int64)
+    iy = ((y[keep] + cfg.range) / cfg.cell_size).astype(np.int64)
+    ok = (ix < n) & (iy < n)
+    flat, z, inten = ix[ok] * n + iy[ok], z[keep][ok], inten[keep][ok]
+    counts = np.bincount(flat, minlength=n * n).astype(np.float64)
+    peaks = np.full((2, n * n), -np.inf)
+    np.maximum.at(peaks[0], flat, z)
+    np.maximum.at(peaks[1], flat, inten)
+    sums = [np.bincount(flat, weights=w, minlength=n * n) for w in (z, inten)]
+    planes = np.stack([peaks[0], sums[0] / np.maximum(counts, 1.0),
+                       peaks[1], sums[1] / np.maximum(counts, 1.0),
+                       np.clip(np.log1p(counts) / np.log(64.0), 0.0, 1.0),
+                       (counts > 0).astype(np.float64)])
+    planes[:, counts == 0] = 0.0
+    return planes.reshape(6, n, n).astype(np.float32)
+
+
+def random_points(rng, n):
+    return np.column_stack([rng.uniform(-8, 8, n), rng.uniform(-8, 8, n),
+                            rng.normal(0, 2, n), rng.uniform(0, 1, n)])
+
+
 class TestExtractChannels:
+    def test_matches_dense_reference(self):
+        rng = np.random.default_rng(11)
+        for k in range(100):
+            pts = random_points(rng, int(rng.integers(0, 400)))
+            if k % 2:
+                pts[:, :2] = np.round(pts[:, :2], 1)  # many points per cell
+            img = extract_channels(pts, CFG)
+            assert img.planes.tobytes() == dense_channels(pts, CFG).tobytes()
+
     def test_singleton_statistics(self):
         pts = np.array([[0.1, 0.1, 1.2, 0.5]])
         img = extract_channels(pts, CFG)
@@ -82,6 +119,24 @@ class TestExtractChannels:
         assert img.plane("density").max() == pytest.approx(1.0, abs=1e-6)
         big = np.tile([0.1, 0.1, 1.0, 0.5], (500, 1))
         assert extract_channels(big, CFG).plane("density").max() == pytest.approx(1.0)
+
+
+class TestHeightGapDetector:
+    def test_matches_dense_reference(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            img = extract_channels(random_points(rng, int(rng.integers(0, 400))), CFG)
+            attr = height_gap_detector(img, min_height=0.5)
+            occ = img.plane("occupancy") > 0
+            mean_h = img.plane("mean_height").astype(np.float64)
+            max_h = img.plane("max_height").astype(np.float64)
+            ground = float(np.median(mean_h[occ])) if occ.any() else 0.0
+            hit = occ & (max_h - ground >= 0.5)
+            np.testing.assert_array_equal(attr.objectness, hit.astype(np.float64))
+            np.testing.assert_array_equal(attr.confidence, attr.objectness)
+            np.testing.assert_array_equal(attr.height, np.where(hit, max_h - ground, 0.0))
+            for off in (attr.center_offset_x, attr.center_offset_y):
+                assert off.shape == (CFG.image_size, CFG.image_size) and not off.any()
 
 
 class TestSerialization:
