@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -176,12 +176,6 @@ class OutputAttributeGrid:
             object.__setattr__(self, "class_scores", cs)
 
 
-class Detector(Protocol):
-    """Anything that maps a ChannelImage to an OutputAttributeGrid."""
-
-    def __call__(self, channels: ChannelImage) -> OutputAttributeGrid: ...
-
-
 DetectorFn = Callable[[ChannelImage], OutputAttributeGrid]
 
 
@@ -193,11 +187,12 @@ def occupancy_detector(channels: ChannelImage) -> OutputAttributeGrid:
     """
     n = channels.config.image_size
     occ = channels.plane("occupancy").astype(np.float64)
+    no_offset = np.broadcast_to(0.0, (n, n))  # read-only, takes no memory
     return OutputAttributeGrid(
         config=channels.config,
         objectness=occ,
-        center_offset_x=np.zeros((n, n)),
-        center_offset_y=np.zeros((n, n)),
+        center_offset_x=no_offset,
+        center_offset_y=no_offset,
         confidence=occ,
         height=channels.plane("max_height").astype(np.float64),
     )

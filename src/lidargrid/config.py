@@ -1,14 +1,17 @@
 """Pipeline configuration: one YAML tree with a section per module.
 
-Every tunable that the processing stages expose lives here with its
-documented default; ``default_config_yaml`` emits a commented template
-that round-trips through ``PipelineConfig.from_dict``.
+The dataclasses are the only place that holds a default.  ``_build``
+walks their fields to read a YAML mapping, and ``default_config_yaml``
+walks ``PipelineConfig()`` with the same fields to write the commented
+template, so the template always loads back to ``PipelineConfig()``.
+Angles named in ``_DEGREES`` are radians in the dataclasses and appear
+in YAML as ``<name>_deg`` keys.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import yaml
 
@@ -63,7 +66,9 @@ class PipelineConfig:
     bev: BevConfig = field(default_factory=BevConfig)
     bev_post: BevPipelineParams = field(default_factory=BevPipelineParams)
     eval: EvalParams = field(default_factory=EvalParams)
-    synth: SceneSpec = field(default_factory=SceneSpec)
+    # one van ahead, so that ``detect --synth N`` alone has something to find
+    synth: SceneSpec = field(default_factory=lambda: SceneSpec(
+        obstacles=(BoxSpec(center_x=10.05, center_y=0.15),)))
 
     def __post_init__(self):
         if self.pipeline not in ("geometric", "bev"):
@@ -72,141 +77,135 @@ class PipelineConfig:
             raise ValueError("kernel_radius must be >= 1")
 
 
-def _build(cls, data: dict):
-    names = {f.name for f in fields(cls)}
-    unknown = set(data) - names
+# fields held in radians and written in YAML as ``<name>_deg``
+_DEGREES = ("max_plane_tilt", "ground_slope")
+
+# template comments, keyed by dotted field path
+_NOTES = {
+    "pipeline": "geometric | bev",
+    "ransac": "ground-plane fit",
+    "ransac.distance_threshold": "m, point-to-plane inlier band",
+    "ransac.max_plane_tilt": "reject planes tilted further from +z",
+    "grid": "occupancy-grid projection",
+    "grid.cell_size": "m, square cells",
+    "grid.z_min": "m above the fitted ground plane",
+    "profile": "occupancy count thresholds vs radial distance",
+    "profile.breakpoints": "[range_start_m, min_count]; first must start at 0",
+    "profile.noise_min_count": "global floor applied after the profile",
+    "kernel_radius": "morphology: square element side 2r+1",
+    "cluster.connectivity": "4 | 8",
+    "cluster.min_cells": "drop components smaller than this",
+    "bev": "channel-feature raster",
+    "bev.image_size": "cells per side",
+    "bev.range": "m half-extent",
+    "bev_post": "output-grid post-processing",
+    "eval.gate": "m, association gate",
+    "eval.lever_arm_x": "m, GT antenna offset applied in the local frame",
+    "eval.ref_lat": "geodetic reference; null = first GT row",
+    "synth": "scene of synth and of detect/bev-export --synth",
+    "synth.ground_z": "m; null = -sensor_height",
+    "synth.noise_sigma": "m, Gaussian range noise",
+    "synth.obstacle_density": "box returns per m^2 of footprint",
+}
+
+
+def _build(cls, mapping):
+    """Build ``cls`` from a YAML mapping; keys not given keep their defaults.
+
+    Sections recurse, lists become tuples and scalars are coerced through
+    the type of their default.
+    """
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{cls.__name__} section is not a mapping: {mapping!r}")
+    known = {f.name: f for f in fields(cls)}
+    data = dict(mapping)
+    for name in _DEGREES:
+        if name in known and f"{name}_deg" in data:
+            data[name] = math.radians(data.pop(f"{name}_deg"))
+    unknown = set(data) - set(known)
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {cls.__name__} keys: "
+                         f"{sorted(map(str, unknown))}")
+    for name, value in data.items():
+        f = known[name]
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        if name == "obstacles":
+            data[name] = tuple(_build(BoxSpec, box) for box in value)
+        elif is_dataclass(default):
+            data[name] = _build(type(default), value)
+        elif (isinstance(default, int) and isinstance(value, float)
+              and not value.is_integer()):
+            raise ValueError(f"{name} must be a whole number, got {value}")
+        elif default is not None and default is not MISSING:
+            data[name] = type(default)(value)
     return cls(**data)
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
     """Build a PipelineConfig from a nested plain dict (parsed YAML).
 
-    Any malformed section or out-of-range value raises ConfigError.
+    Any unknown key, malformed section or out-of-range value raises
+    ConfigError.
     """
     try:
-        return _config_from_dict(data)
+        return _build(PipelineConfig, data or {})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _config_from_dict(data: dict) -> PipelineConfig:
-    data = dict(data or {})
-    kwargs = {}
-    if "pipeline" in data:
-        kwargs["pipeline"] = data.pop("pipeline")
-    if "kernel_radius" in data:
-        kwargs["kernel_radius"] = int(data.pop("kernel_radius"))
-
-    section_types = {
-        "ransac": RansacParams,
-        "grid": GridConfig,
-        "cluster": ClusterParams,
-        "bev": BevConfig,
-        "bev_post": BevPipelineParams,
-        "eval": EvalParams,
-    }
-    for name, cls in section_types.items():
-        if name in data:
-            sec = dict(data.pop(name))
-            if name == "ransac" and "max_plane_tilt_deg" in sec:
-                sec["max_plane_tilt"] = math.radians(sec.pop("max_plane_tilt_deg"))
-            kwargs[name] = _build(cls, sec)
-
-    if "profile" in data:
-        sec = dict(data.pop("profile"))
-        kwargs["profile"] = ThresholdProfile(
-            breakpoints=tuple((float(r), int(c)) for r, c in sec.get(
-                "breakpoints", ThresholdProfile().breakpoints)),
-            noise_min_count=int(sec.get("noise_min_count",
-                                        ThresholdProfile().noise_min_count)),
-        )
-    if "synth" in data:
-        sec = dict(data.pop("synth"))
-        boxes = tuple(_build(BoxSpec, dict(b)) for b in sec.pop("obstacles", ()))
-        sec["obstacles"] = boxes
-        if "vertical_fov_deg" in sec:
-            sec["vertical_fov_deg"] = tuple(sec["vertical_fov_deg"])
-        if "ground_slope_deg" in sec:
-            sec["ground_slope"] = math.radians(sec.pop("ground_slope_deg"))
-        kwargs["synth"] = _build(SceneSpec, sec)
-    if data:
-        raise ValueError(f"unknown config sections: {sorted(data)}")
-    return PipelineConfig(**kwargs)
-
-
 def load_config(path) -> PipelineConfig:
-    with open(path) as fh:
-        try:
+    """Read a YAML config file; a file that cannot be read raises ConfigError."""
+    try:
+        with open(path) as fh:
             data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    return config_from_dict(data or {})
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return config_from_dict(data)
+
+
+def _degrees(rad: float) -> float:
+    """The shortest decimal of degrees that reads back as ``rad`` exactly."""
+    deg = math.degrees(rad)
+    return next((d for d in (round(deg, p) for p in range(17))
+                 if math.radians(d) == rad), deg)
+
+
+def _flow(value) -> str:
+    """A value as one line of YAML flow style."""
+    if value is None:
+        return "null"
+    if isinstance(value, tuple):
+        return "[" + ", ".join(_flow(v) for v in value) + "]"
+    if is_dataclass(value):
+        return "{" + ", ".join(f"{f.name}: {_flow(getattr(value, f.name))}"
+                               for f in fields(value)) + "}"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _emit(obj, prefix: str, lines: list) -> None:
+    indent = "  " * prefix.count(".")
+    for f in fields(obj):
+        path, key, value = prefix + f.name, f.name, getattr(obj, f.name)
+        if f.name in _DEGREES:
+            key, value = f"{key}_deg", _degrees(value)
+        # a list of lists or of boxes is written one item per line
+        rows = isinstance(value, tuple) and any(
+            isinstance(v, tuple) or is_dataclass(v) for v in value)
+        head = f"{indent}{key}:"
+        if not (rows or is_dataclass(value)):
+            head += f" {_flow(value)}"
+        note = _NOTES.get(path)
+        if not prefix:
+            lines.append("")
+        lines.append(f"{head:<26} # {note}" if note else head)
+        if is_dataclass(value):
+            _emit(value, path + ".", lines)
+        elif rows:
+            lines.extend(f"{indent}  - {_flow(v)}" for v in value)
 
 
 def default_config_yaml() -> str:
     """A commented template of every parameter at its default value."""
-    return """\
-# lidargrid pipeline configuration (all values shown are the defaults)
-
-pipeline: geometric        # geometric | bev
-
-ransac:                    # ground-plane fit
-  max_iterations: 100
-  distance_threshold: 0.15 # m, point-to-plane inlier band
-  min_inlier_ratio: 0.2
-  rng_seed: 0
-  max_plane_tilt_deg: 15.0 # reject planes tilted further from +z
-
-grid:                      # occupancy-grid projection
-  cell_size: 0.3           # m, square cells
-  x_min: -30.0
-  x_max: 30.0
-  y_min: -30.0
-  y_max: 30.0
-  z_min: 0.1               # m above the fitted ground plane
-  z_max: 3.0
-
-profile:                   # occupancy count thresholds vs radial distance
-  breakpoints:             # [range_start_m, min_count]; first must start at 0
-    - [0.0, 5]
-    - [10.0, 3]
-    - [20.0, 2]
-  noise_min_count: 2       # global floor applied after the profile
-
-kernel_radius: 1           # morphology: square element side 2r+1
-
-cluster:
-  connectivity: 8          # 4 | 8
-  min_cells: 2             # drop components smaller than this
-
-bev:                       # channel-feature raster
-  image_size: 672          # cells per side
-  range: 30.0              # m half-extent
-
-bev_post:                  # output-grid post-processing
-  objectness_threshold: 0.5
-  min_confidence: 0.5
-
-eval:
-  gate: 5.0                # m, association gate
-  lever_arm_x: 0.0         # m, GT antenna offset applied in the local frame
-  lever_arm_y: 0.0
-  ref_lat: null            # geodetic reference; null = first GT row
-  ref_lon: null
-
-synth:                     # synthetic scene for detect --synth / bench
-  ground_z: null           # m; null = -sensor_height
-  ground_slope_deg: 0.0
-  noise_sigma: 0.02        # m, Gaussian range noise
-  beam_count: 16
-  vertical_fov_deg: [-15.0, 15.0]
-  azimuth_resolution_deg: 0.2
-  max_range: 100.0
-  sensor_height: 1.8
-  rng_seed: 0
-  obstacle_density: 150.0  # box returns per m^2 of footprint
-  obstacles:
-    - {center_x: 10.05, center_y: 0.15, length: 5.0, width: 2.0, height: 2.0, yaw: 0.0, clearance: 0.3}
-"""
+    lines = ["# lidargrid pipeline configuration (all values shown are the defaults)"]
+    _emit(PipelineConfig(), "", lines)
+    return "\n".join(lines) + "\n"

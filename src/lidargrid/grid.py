@@ -182,6 +182,8 @@ def occupancy_from_counts(hist: CellHistogram, profile: ThresholdProfile) -> Occ
 def _shifted(cells: np.ndarray, di: int, dj: int) -> np.ndarray:
     """Shift a boolean grid by (di, dj), filling exposed borders with False."""
     out = np.zeros_like(cells)
+    if abs(di) >= cells.shape[0] or abs(dj) >= cells.shape[1]:
+        return out  # shifted wholly off the grid
     src_i = slice(max(0, -di), cells.shape[0] - max(0, di))
     src_j = slice(max(0, -dj), cells.shape[1] - max(0, dj))
     dst_i = slice(max(0, di), cells.shape[0] - max(0, -di))
@@ -190,32 +192,27 @@ def _shifted(cells: np.ndarray, di: int, dj: int) -> np.ndarray:
     return out
 
 
-def binary_erode(grid: OccupancyGrid, kernel_radius: int = 1) -> OccupancyGrid:
-    """Erosion with a square element of side 2r+1; outside the grid is free."""
+def _combine_shifts(grid: OccupancyGrid, kernel_radius: int, combine) -> OccupancyGrid:
+    """Fold every shift of the grid within a square of side 2r+1 into it."""
     if kernel_radius < 1:
         raise ValueError("kernel_radius must be >= 1")
     out = grid.cells.copy()
     r = kernel_radius
     for di in range(-r, r + 1):
         for dj in range(-r, r + 1):
-            if di == 0 and dj == 0:
-                continue
-            out &= _shifted(grid.cells, di, dj)
+            if di or dj:
+                combine(out, _shifted(grid.cells, di, dj), out=out)
     return OccupancyGrid(cells=out)
+
+
+def binary_erode(grid: OccupancyGrid, kernel_radius: int = 1) -> OccupancyGrid:
+    """Erosion with a square element of side 2r+1; outside the grid is free."""
+    return _combine_shifts(grid, kernel_radius, np.logical_and)
 
 
 def binary_dilate(grid: OccupancyGrid, kernel_radius: int = 1) -> OccupancyGrid:
     """Dilation with a square element of side 2r+1."""
-    if kernel_radius < 1:
-        raise ValueError("kernel_radius must be >= 1")
-    out = grid.cells.copy()
-    r = kernel_radius
-    for di in range(-r, r + 1):
-        for dj in range(-r, r + 1):
-            if di == 0 and dj == 0:
-                continue
-            out |= _shifted(grid.cells, di, dj)
-    return OccupancyGrid(cells=out)
+    return _combine_shifts(grid, kernel_radius, np.logical_or)
 
 
 def binary_open(grid: OccupancyGrid, kernel_radius: int = 1) -> OccupancyGrid:

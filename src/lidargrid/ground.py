@@ -121,29 +121,12 @@ def _count_inliers(xyz: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
     return counts
 
 
-def _scatter_eigvals(xyz: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of the centered 3x3 scatter matrix."""
-    centered = xyz - xyz.mean(axis=0)
-    eigvals = np.linalg.eigvalsh(centered.T @ centered)
-    return np.maximum(eigvals[::-1], 0.0)
-
-
-def _least_squares_plane(xyz: np.ndarray):
-    """Orthogonal-regression plane through a point set; None if degenerate."""
-    if xyz.shape[0] < 3:
-        return None
+def _scatter(xyz: np.ndarray):
+    """Centroid, then ascending eigenvalues and eigenvectors of the 3x3 scatter."""
     centroid = xyz.mean(axis=0)
     centered = xyz - centroid
     eigvals, eigvecs = np.linalg.eigh(centered.T @ centered)
-    if eigvals[1] <= 1e-18 * max(1.0, eigvals[2]):
-        return None
-    normal = eigvecs[:, 0]
-    if normal[2] < 0.0:
-        normal = -normal
-    if normal[2] <= 0.0:
-        return None
-    norm = float(np.linalg.norm(normal))
-    return normal / norm, float(-(normal / norm) @ centroid)
+    return centroid, eigvals, eigvecs
 
 
 def fit_plane_ransac(points, params: RansacParams = RansacParams()) -> PlaneModel:
@@ -160,8 +143,8 @@ def fit_plane_ransac(points, params: RansacParams = RansacParams()) -> PlaneMode
     n = xyz.shape[0]
     if n < 3:
         raise DegenerateInput(f"plane fit needs >= 3 points, got {n}")
-    eigvals = _scatter_eigvals(xyz)
-    if eigvals[1] <= 1e-12 * max(1.0, eigvals[0]):
+    _, eigvals, _ = _scatter(xyz)
+    if eigvals[1] <= 1e-12 * max(1.0, eigvals[2]):
         raise DegenerateInput("all points collinear")
 
     rng = np.random.default_rng(params.rng_seed)
@@ -193,14 +176,18 @@ def fit_plane_ransac(points, params: RansacParams = RansacParams()) -> PlaneMode
 
     inliers = np.abs(xyz @ normal + offset) <= params.distance_threshold
     best_count = int(inliers.sum())
-    refined = _least_squares_plane(xyz[inliers])
-    if refined is not None:
-        r_normal, r_offset = refined
-        if r_normal[2] >= math.cos(params.max_plane_tilt):
-            r_count = int((np.abs(xyz @ r_normal + r_offset)
-                           <= params.distance_threshold).sum())
-            if r_count >= best_count:
-                normal, offset, best_count = r_normal, r_offset, r_count
+    # orthogonal regression on the inliers: the normal is their direction
+    # of least scatter, skipped when they are collinear
+    centroid, eigvals, eigvecs = _scatter(xyz[inliers])
+    r_normal = eigvecs[:, 0] if eigvecs[2, 0] >= 0.0 else -eigvecs[:, 0]
+    r_normal = r_normal / float(np.linalg.norm(r_normal))
+    if (eigvals[1] > 1e-18 * max(1.0, eigvals[2]) and r_normal[2] > 0.0
+            and r_normal[2] >= math.cos(params.max_plane_tilt)):
+        r_offset = float(-r_normal @ centroid)
+        r_count = int((np.abs(xyz @ r_normal + r_offset)
+                       <= params.distance_threshold).sum())
+        if r_count >= best_count:
+            normal, offset, best_count = r_normal, r_offset, r_count
 
     return PlaneModel(
         normal=normal,

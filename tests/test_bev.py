@@ -332,5 +332,7 @@ class TestOccupancyDetector:
         attr = occupancy_detector(img)
         assert attr.config == CFG
         assert attr.objectness.max() == 1.0
+        np.testing.assert_array_equal(attr.objectness, img.plane("occupancy"))
+        assert not attr.center_offset_x.any() and not attr.center_offset_y.any()
         clusters = cluster_output_grid(attr, 0.5)
         assert len(clusters) == 2

@@ -175,6 +175,15 @@ class TestMorphology:
             np.testing.assert_array_equal(out.cells,
                                           cells_to_array(closed_ref, (15, 15)))
 
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (2, 7), (3, 3)])
+    def test_kernel_wider_than_grid_matches_oracle(self, shape):
+        rng = np.random.default_rng(16)
+        for radius in (1, 2, 3):
+            cells = rng.random(shape) < 0.6
+            out = morph_open_close(OccupancyGrid(cells=cells), radius)
+            closed = open_close_cells(array_to_cells(cells), radius)
+            np.testing.assert_array_equal(out.cells, cells_to_array(closed, shape))
+
     def test_open_anti_extensive_close_extensive(self):
         rng = np.random.default_rng(14)
         for _ in range(50):

@@ -1,10 +1,18 @@
 import math
+from dataclasses import fields, is_dataclass
 
 import pytest
 import yaml
 
 from lidargrid.cli import main
-from lidargrid.config import PipelineConfig, config_from_dict, default_config_yaml
+from lidargrid.config import (
+    _DEGREES,
+    _NOTES,
+    ConfigError,
+    PipelineConfig,
+    config_from_dict,
+    default_config_yaml,
+)
 from lidargrid.pipeline import (
     BEV_STAGES,
     GEOMETRIC_STAGES,
@@ -101,8 +109,33 @@ class TestConfig:
         assert cfg.pipeline == "geometric"
         assert cfg.grid.cell_size == 0.3
         assert cfg.profile.breakpoints == ((0.0, 5), (10.0, 3), (20.0, 2))
-        assert cfg.ransac.max_plane_tilt == pytest.approx(math.radians(15))
+        assert cfg.ransac.max_plane_tilt == math.radians(15)
         assert len(cfg.synth.obstacles) == 1
+
+    def test_default_yaml_is_the_default_config(self):
+        assert config_from_dict(yaml.safe_load(default_config_yaml())) == PipelineConfig()
+
+    def test_template_lists_every_field(self):
+        def check(obj, section):
+            for f in fields(obj):
+                key = f.name + "_deg" if f.name in _DEGREES else f.name
+                assert key in section, f"{key} missing from the template"
+                if is_dataclass(getattr(obj, f.name)):
+                    check(getattr(obj, f.name), section[key])
+
+        check(PipelineConfig(), yaml.safe_load(default_config_yaml()))
+
+    def test_notes_name_real_fields(self):
+        for path in _NOTES:
+            obj = PipelineConfig()
+            for name in path.split("."):
+                assert name in {f.name for f in fields(obj)}, path
+                obj = getattr(obj, name)
+
+    def test_degree_keys_read_as_radians(self):
+        cfg = config_from_dict({"synth": {"ground_slope_deg": 2.0}})
+        assert cfg.synth.ground_slope == math.radians(2.0)
+        assert cfg.synth.obstacles == ()  # a given section starts from its class defaults
 
     def test_empty_dict_gives_defaults(self):
         assert config_from_dict({}) == PipelineConfig()
@@ -112,6 +145,8 @@ class TestConfig:
             config_from_dict({"nope": {}})
         with pytest.raises(ValueError):
             config_from_dict({"grid": {"cell": 1}})
+        with pytest.raises(ConfigError, match="noise_min_cont"):
+            config_from_dict({"profile": {"noise_min_cont": 3}})
 
     def test_pipeline_selector_validated(self):
         with pytest.raises(ValueError):
@@ -134,6 +169,12 @@ class TestCli:
         lines = (out_dir / "obstacles.csv").read_text().splitlines()
         assert lines[0] == ("frame_id,t,center_x,center_y,length,width,"
                             "height,confidence,class,range")
+        assert len(lines) == 3  # one van per frame
+
+    def test_detect_synth_without_config_finds_the_van(self, tmp_path):
+        out_dir = tmp_path / "out"
+        assert main(["detect", "--synth", "2", "--out-dir", str(out_dir)]) == 0
+        lines = (out_dir / "obstacles.csv").read_text().splitlines()
         assert len(lines) == 3  # one van per frame
 
     def test_detect_deterministic(self, tmp_path):
@@ -222,12 +263,19 @@ class TestCli:
         "grid: [1, 2]",
         "cluster: {connectivity: 6}",
         "grid: {cell_size: [",
+        "ransac: {max_iterations: 50.5}",
     ], ids=["negative-cell-size", "section-not-a-mapping",
-            "bad-connectivity", "yaml-syntax"])
+            "bad-connectivity", "yaml-syntax", "fractional-count"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(text + "\n")
         rc = main(["detect", "--synth", "1", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error[config]")
+
+    def test_missing_config_file_is_config_error(self, tmp_path, capsys):
+        rc = main(["detect", "--synth", "1", "--config", str(tmp_path / "nope.yaml"),
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error[config]")
