@@ -142,7 +142,7 @@ def validate_frame(frame: PointCloudFrame, eight_bit_intensity: bool = False) ->
     """
     pts = frame.points
     keep = np.isfinite(pts).all(axis=1)
-    kept = pts[keep].copy()
+    kept = pts.copy() if keep.all() else pts[keep]  # boolean indexing copies
     if kept.shape[0] == 0:
         raise EmptyFrame(f"frame {frame.frame_id}: no finite points")
     if eight_bit_intensity:

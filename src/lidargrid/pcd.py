@@ -1,11 +1,19 @@
-"""Minimal ASCII PCD reader/writer.
+"""ASCII PCD reader/writer.
 
 Supports the subset this project emits: FIELDS x y z [intensity] with
 DATA ascii.  Anything else is rejected with a clear error rather than
 guessed at.
+
+Both directions work in bulk.  The reader takes the header line by line
+and the whole body in one ``np.loadtxt`` call.  Only when that call
+fails or returns the wrong shape does it walk the body line by line, and
+that walk is what names a bad line in a ``ParseError``.  The writer
+formats ``_BLOCK_ROWS`` rows per write with one %-format.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
@@ -27,6 +35,17 @@ class UnsupportedLayout(LidarGridError):
 _HEADER_KEYS = ("VERSION", "FIELDS", "SIZE", "TYPE", "COUNT", "WIDTH",
                 "HEIGHT", "VIEWPOINT", "POINTS", "DATA")
 
+# Characters that str.splitlines() breaks lines at but text-mode readline
+# and np.loadtxt do not (loadtxt takes them for whitespace).  A file that
+# holds one is read by splitlines() and the line walk alone, so every file
+# is split into the same lines whichever path reads it.
+_INLINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+# Rows formatted per write.  A block's format string and value tuple stay
+# under glibc's 128 KiB mmap threshold; blocks past it are mmapped, the
+# threshold then moves up and the process keeps a larger heap.
+_BLOCK_ROWS = 256
+
 
 def read_frame_pcd(path, frame_id: int = 0, timestamp: float = 0.0,
                    validate: bool = True) -> PointCloudFrame:
@@ -34,11 +53,46 @@ def read_frame_pcd(path, frame_id: int = 0, timestamp: float = 0.0,
 
     A missing intensity field defaults to 0.  Intensities above 1 are
     taken to be 8-bit and normalized.  With ``validate`` the frame is
-    also cleaned via validate_frame.
+    also cleaned via validate_frame.  An unreadable file and a malformed
+    header or row raise ``ParseError``; a byte that is not UTF-8 fails
+    the line it sits in.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        # surrogateescape keeps a stray byte in its line, to fail there
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            rows = _read_rows(path, fh)
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
+    frame = PointCloudFrame(points=rows, timestamp=timestamp, frame_id=frame_id)
+    if validate:
+        eight_bit = bool(np.nanmax(frame.intensity, initial=0.0) > 1.0)
+        return validate_frame(frame, eight_bit_intensity=eight_bit)
+    return frame
+
+
+def _read_rows(path, fh) -> np.ndarray:
+    """The data rows of an open PCD file, (POINTS, fields) or (POINTS, 4)."""
+    plain = not any(c in chunk for chunk in iter(lambda: fh.read(1 << 16), "")
+                    for c in _INLINE_BREAKS)
+    fh.seek(0)
+    lines = iter(fh.readline, "") if plain else iter(fh.read().splitlines())
+    n_points, n_fields, data_start = _read_header(path, lines)
+    if plain:
+        body = fh.tell()
+        rows = _parse_bulk(fh, n_points, n_fields)
+        if rows is not None:
+            return rows
+        fh.seek(body)
+        lines = iter(fh.read().splitlines())
+    return _walk_rows(path, list(lines), data_start, n_points, n_fields)
+
+
+def _read_header(path, lines) -> tuple[int, int, int]:
+    """Consume header lines through DATA.
+
+    Returns POINTS, the number of fields and the line number of DATA.
+    """
     header: dict[str, list[str]] = {}
     data_start = None
     for lineno, line in enumerate(lines, start=1):
@@ -53,7 +107,7 @@ def read_frame_pcd(path, frame_id: int = 0, timestamp: float = 0.0,
         if key == "DATA":
             data_start = lineno
             break
-    if data_start is None or "DATA" not in header:
+    if data_start is None:
         raise ParseError(f"{path}: missing DATA declaration")
     for key in ("FIELDS", "POINTS"):
         if key not in header:
@@ -70,52 +124,65 @@ def read_frame_pcd(path, frame_id: int = 0, timestamp: float = 0.0,
     try:
         n_points = int(header["POINTS"][0])
     except (IndexError, ValueError):
-        raise ParseError(f"{path}: invalid POINTS declaration") from None
+        n_points = -1
+    if n_points < 0:
+        raise ParseError(f"{path}: invalid POINTS declaration")
+    return n_points, len(fields), data_start
 
-    rows = np.zeros((n_points, 4))
+
+def _parse_bulk(fh, n_points: int, n_fields: int) -> np.ndarray | None:
+    """The rest of ``fh`` parsed in one step, or None if that fails.
+
+    ``np.loadtxt`` accepts a subset of what ``float()`` does (no
+    underscores, ASCII only) and converts it the same way, so a result of
+    the declared shape equals the line walk's.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body
+            rows = np.loadtxt(fh, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    return rows if rows.shape == (n_points, n_fields) else None
+
+
+def _walk_rows(path, lines: list[str], data_start: int, n_points: int,
+               n_fields: int) -> np.ndarray:
+    """Parse the body line by line; ``lines`` follow line ``data_start``."""
+    # there cannot be more rows than lines, whatever POINTS claims
+    rows = np.zeros((min(n_points, len(lines)), 4))
     row = 0
-    for lineno in range(data_start, len(lines)):
-        stripped = lines[lineno].strip()
+    for lineno, line in enumerate(lines, start=data_start + 1):
+        stripped = line.strip()
         if not stripped:
             continue
         if row >= n_points:
-            raise ParseError(f"{path}: line {lineno + 1}: more rows than POINTS {n_points}")
+            raise ParseError(f"{path}: line {lineno}: more rows than POINTS {n_points}")
         values = stripped.split()
-        if len(values) != len(fields):
+        if len(values) != n_fields:
             raise ParseError(
-                f"{path}: line {lineno + 1}: expected {len(fields)} values, got {len(values)}"
+                f"{path}: line {lineno}: expected {n_fields} values, got {len(values)}"
             )
         try:
             parsed = [float(v) for v in values]
         except ValueError:
-            raise ParseError(f"{path}: line {lineno + 1}: non-numeric value") from None
+            raise ParseError(f"{path}: line {lineno}: non-numeric value") from None
         rows[row, :len(parsed)] = parsed
         row += 1
     if row != n_points:
         raise ParseError(
-            f"{path}: line {len(lines)}: data truncated, {row} of {n_points} rows"
+            f"{path}: line {data_start + len(lines)}: data truncated, {row} of {n_points} rows"
         )
-
-    frame = PointCloudFrame(points=rows, timestamp=timestamp, frame_id=frame_id)
-    if validate:
-        eight_bit = bool(np.nanmax(rows[:, 3], initial=0.0) > 1.0)
-        return validate_frame(frame, eight_bit_intensity=eight_bit)
-    return frame
+    return rows
 
 
 def write_frame_pcd(frame: PointCloudFrame, path) -> None:
-    """Write a frame as ASCII PCD with x y z intensity fields."""
+    """Write a frame as ASCII PCD with x y z intensity fields (%.9g)."""
     n = len(frame)
     with open(path, "w") as fh:
-        fh.write("VERSION 0.7\n")
-        fh.write("FIELDS x y z intensity\n")
-        fh.write("SIZE 4 4 4 4\n")
-        fh.write("TYPE F F F F\n")
-        fh.write("COUNT 1 1 1 1\n")
-        fh.write(f"WIDTH {n}\n")
-        fh.write("HEIGHT 1\n")
-        fh.write("VIEWPOINT 0 0 0 1 0 0 0\n")
-        fh.write(f"POINTS {n}\n")
-        fh.write("DATA ascii\n")
-        for x, y, z, i in frame.points:
-            fh.write(f"{x:.9g} {y:.9g} {z:.9g} {i:.9g}\n")
+        fh.write("VERSION 0.7\nFIELDS x y z intensity\nSIZE 4 4 4 4\nTYPE F F F F\n"
+                 f"COUNT 1 1 1 1\nWIDTH {n}\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\n"
+                 f"POINTS {n}\nDATA ascii\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            block = frame.points[start:start + _BLOCK_ROWS]
+            fh.write(("%.9g %.9g %.9g %.9g\n" * len(block)) % tuple(block.ravel().tolist()))

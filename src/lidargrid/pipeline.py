@@ -18,7 +18,7 @@ import numpy as np
 from . import bev as bev_mod
 from .cluster import extract_obstacles, label_components
 from .config import ConfigError, PipelineConfig
-from .core import ObstacleEstimate, PointCloudFrame, validate_frame
+from .core import ObstacleEstimate, PointCloudFrame, ValidatedFrame, validate_frame
 from .grid import morph_open_close, occupancy_from_counts, project_to_grid
 from .ground import PlaneModel, fit_plane_ransac, split_ground
 from .synth import BoxSpec, SceneSpec, generate_frame
@@ -51,10 +51,16 @@ class _StageClock:
         self._last = now
 
 
+def _validated(frame: PointCloudFrame) -> ValidatedFrame:
+    """``frame`` as is when it was validated already (``read_frame_pcd``
+    validates), so its ``dropped_points`` reaches the result."""
+    return frame if isinstance(frame, ValidatedFrame) else validate_frame(frame)
+
+
 def run_geometric(frame: PointCloudFrame, cfg: PipelineConfig) -> PipelineResult:
     """Run the full geometric detection pipeline on one frame."""
     clock = _StageClock()
-    valid = validate_frame(frame)
+    valid = _validated(frame)
     clock.lap("validate")
 
     plane = fit_plane_ransac(valid.xyz, cfg.ransac)
@@ -95,7 +101,7 @@ def run_bev(frame: PointCloudFrame, cfg: PipelineConfig,
     """
     detector = detector or bev_mod.height_gap_detector
     clock = _StageClock()
-    valid = validate_frame(frame)
+    valid = _validated(frame)
     clock.lap("validate")
 
     channels = bev_mod.extract_channels(valid.points, cfg.bev)

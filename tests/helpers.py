@@ -1,8 +1,8 @@
 """Independent oracles shared across the test suite.
 
 Everything here is deliberately naive (flood fill, explicit set
-morphology, plain-loop statistics) so it cannot share a bug with the
-implementations it checks.
+morphology, plain-loop statistics, row-by-row PCD I/O) so it cannot
+share a bug with the implementations it checks.
 """
 
 from __future__ import annotations
@@ -10,6 +10,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from lidargrid.core import PointCloudFrame, validate_frame
+from lidargrid.pcd import ParseError, UnsupportedLayout
 
 
 def flood_fill_labels(cells: np.ndarray, connectivity: int) -> np.ndarray:
@@ -114,3 +117,96 @@ def least_squares_plane(xyz: np.ndarray) -> tuple:
     if normal[2] < 0:
         normal = -normal
     return normal, float(-normal @ centroid)
+
+
+_PCD_HEADER_KEYS = ("VERSION", "FIELDS", "SIZE", "TYPE", "COUNT", "WIDTH",
+                    "HEIGHT", "VIEWPOINT", "POINTS", "DATA")
+
+
+def read_pcd_by_lines(path, frame_id: int = 0, timestamp: float = 0.0,
+                      validate: bool = True) -> PointCloudFrame:
+    """Reference ASCII PCD reader: split the text into lines, then parse
+    every value with float() one row at a time."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+
+    header: dict[str, list[str]] = {}
+    data_start = None
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        key = parts[0].upper()
+        if key not in _PCD_HEADER_KEYS:
+            raise ParseError(f"{path}: line {lineno}: unexpected header field {parts[0]!r}")
+        header[key] = parts[1:]
+        if key == "DATA":
+            data_start = lineno
+            break
+    if data_start is None or "DATA" not in header:
+        raise ParseError(f"{path}: missing DATA declaration")
+    for key in ("FIELDS", "POINTS"):
+        if key not in header:
+            raise ParseError(f"{path}: missing {key} declaration")
+
+    if [f.lower() for f in header["DATA"]] != ["ascii"]:
+        raise UnsupportedLayout(f"{path}: only DATA ascii is supported")
+    fields = [f.lower() for f in header["FIELDS"]]
+    if fields not in (["x", "y", "z"], ["x", "y", "z", "intensity"]):
+        raise UnsupportedLayout(f"{path}: unsupported FIELDS {fields}")
+    if "COUNT" in header and any(c != "1" for c in header["COUNT"]):
+        raise UnsupportedLayout(f"{path}: multi-count fields are not supported")
+
+    try:
+        n_points = int(header["POINTS"][0])
+    except (IndexError, ValueError):
+        raise ParseError(f"{path}: invalid POINTS declaration") from None
+
+    rows = np.zeros((n_points, 4))
+    row = 0
+    for lineno in range(data_start, len(lines)):
+        stripped = lines[lineno].strip()
+        if not stripped:
+            continue
+        if row >= n_points:
+            raise ParseError(f"{path}: line {lineno + 1}: more rows than POINTS {n_points}")
+        values = stripped.split()
+        if len(values) != len(fields):
+            raise ParseError(
+                f"{path}: line {lineno + 1}: expected {len(fields)} values, got {len(values)}"
+            )
+        try:
+            parsed = [float(v) for v in values]
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno + 1}: non-numeric value") from None
+        rows[row, :len(parsed)] = parsed
+        row += 1
+    if row != n_points:
+        raise ParseError(
+            f"{path}: line {len(lines)}: data truncated, {row} of {n_points} rows"
+        )
+
+    frame = PointCloudFrame(points=rows, timestamp=timestamp, frame_id=frame_id)
+    if validate:
+        eight_bit = bool(np.nanmax(rows[:, 3], initial=0.0) > 1.0)
+        return validate_frame(frame, eight_bit_intensity=eight_bit)
+    return frame
+
+
+def write_pcd_by_rows(frame: PointCloudFrame, path) -> None:
+    """Reference ASCII PCD writer: one f-string per row."""
+    n = len(frame)
+    with open(path, "w") as fh:
+        fh.write("VERSION 0.7\n")
+        fh.write("FIELDS x y z intensity\n")
+        fh.write("SIZE 4 4 4 4\n")
+        fh.write("TYPE F F F F\n")
+        fh.write("COUNT 1 1 1 1\n")
+        fh.write(f"WIDTH {n}\n")
+        fh.write("HEIGHT 1\n")
+        fh.write("VIEWPOINT 0 0 0 1 0 0 0\n")
+        fh.write(f"POINTS {n}\n")
+        fh.write("DATA ascii\n")
+        for x, y, z, i in frame.points:
+            fh.write(f"{x:.9g} {y:.9g} {z:.9g} {i:.9g}\n")

@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the PASS lines.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -227,6 +228,15 @@ def test_criterion_7_throughput():
     assert [row[0] for row in report.rows][-1] == "total"
     assert report.total_mean_ms <= 50.0, f"mean {report.total_mean_ms:.1f} ms"
     passed(7, f"throughput: {report.total_mean_ms:.1f} ms mean "
+              f"({report.achieved_hz:.0f} Hz) on ~{report.mean_points:.0f}-point frames")
+
+
+def test_criterion_7_throughput_bev():
+    report = bench(replace(PipelineConfig(), pipeline="bev"), n_frames=15, seed=0)
+    assert report.mean_points >= 20_000, f"frame size {report.mean_points:.0f}"
+    assert [row[0] for row in report.rows][-1] == "total"
+    assert report.total_mean_ms <= 50.0, f"mean {report.total_mean_ms:.1f} ms"
+    passed(7, f"BEV throughput: {report.total_mean_ms:.1f} ms mean "
               f"({report.achieved_hz:.0f} Hz) on ~{report.mean_points:.0f}-point frames")
 
 

@@ -54,6 +54,17 @@ class TestValidateFrame:
         assert twice.frame_id == once.frame_id
         np.testing.assert_array_equal(twice.points, once.points)
 
+    @pytest.mark.parametrize("eight_bit", [False, True])
+    @pytest.mark.parametrize("bad_row", [None, 1])
+    def test_input_not_mutated(self, eight_bit, bad_row):
+        rows = np.array([[1, 2, 3, 255.0], [4, 5, 6, -0.5], [7, 8, 9, 0.5]])
+        if bad_row is not None:
+            rows[bad_row, 0] = np.nan
+        before = rows.copy()
+        out = validate_frame(make_frame(rows), eight_bit_intensity=eight_bit)
+        np.testing.assert_array_equal(rows, before)
+        assert not np.shares_memory(out.points, rows)
+
     def test_metadata_preserved(self):
         out = validate_frame(make_frame([[1, 2, 3, 0]], timestamp=4.2, frame_id=9))
         assert out.timestamp == 4.2

@@ -1,6 +1,7 @@
 import math
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
+import numpy as np
 import pytest
 import yaml
 
@@ -13,12 +14,15 @@ from lidargrid.config import (
     config_from_dict,
     default_config_yaml,
 )
+from lidargrid.core import PointCloudFrame
+from lidargrid.pcd import read_frame_pcd, write_frame_pcd
 from lidargrid.pipeline import (
     BEV_STAGES,
     GEOMETRIC_STAGES,
     bench,
     run_bev,
     run_geometric,
+    run_pipeline,
 )
 from lidargrid.synth import BoxSpec, SceneSpec, generate_frame
 
@@ -85,6 +89,18 @@ class TestRunBev:
         for other in result.obstacles:
             if other is not main:
                 assert other.length * other.width < 0.1
+
+
+@pytest.mark.parametrize("route", ["geometric", "bev"])
+def test_reader_drops_reach_the_result(tmp_path, route):
+    points = generate_frame(van_scene()).frame.points.copy()
+    points[5, 2] = np.nan
+    path = tmp_path / "nan.pcd"
+    write_frame_pcd(PointCloudFrame(points=points), path)
+    frame = read_frame_pcd(path)
+    assert frame.dropped_points == 1
+    cfg = replace(PipelineConfig(), pipeline=route)
+    assert run_pipeline(frame, cfg).dropped_points == 1
 
 
 class TestBench:
@@ -257,6 +273,23 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error[")
+
+    @pytest.mark.parametrize("entry", [
+        ("frame_0000.pcd", b"VERSION 0.7\nFIELDS x y z\nPOINTS -1\nDATA ascii\n"),
+        ("frame_0000.pcd", b"FIELDS x y z\nPOINTS 2\nDATA ascii\n1 2 3\n4 \xff 6\n"),
+        ("frame_0000.pcd", None),
+    ], ids=["negative-points", "non-utf8-row", "directory"])
+    def test_bad_pcd_is_pcd_parse_error(self, tmp_path, capsys, entry):
+        name, data = entry
+        scene = tmp_path / "scene"
+        scene.mkdir()
+        if data is None:
+            (scene / name).mkdir()
+        else:
+            (scene / name).write_bytes(data)
+        rc = main(["detect", "--input", str(scene), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error[pcd-parse]")
 
     @pytest.mark.parametrize("text", [
         "grid: {cell_size: -1}",
