@@ -85,7 +85,7 @@ _NOTES = {
     "pipeline": "geometric | bev",
     "ransac": "ground-plane fit",
     "ransac.distance_threshold": "m, point-to-plane inlier band",
-    "ransac.max_plane_tilt": "reject planes tilted further from +z",
+    "ransac.max_plane_tilt": "reject planes tilted further from +z, 0-90",
     "grid": "occupancy-grid projection",
     "grid.cell_size": "m, square cells",
     "grid.z_min": "m above the fitted ground plane",

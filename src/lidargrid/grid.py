@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,9 +80,6 @@ class CellHistogram:
     @property
     def height(self) -> int:
         return self.counts.shape[1]
-
-    def cell_ranges(self) -> np.ndarray:
-        return self.config.cell_ranges()
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,13 +168,18 @@ def threshold_for_range(r: float, profile: ThresholdProfile) -> int:
     return int(profile.breakpoints[idx][1])
 
 
+@lru_cache(maxsize=8)
+def _threshold_map(cfg: GridConfig, profile: ThresholdProfile) -> np.ndarray:
+    """Read-only per-cell max(profile threshold at cell range, noise floor)."""
+    idx = np.searchsorted(profile.range_starts(), cfg.cell_ranges(), side="right") - 1
+    thr = np.maximum(profile.count_thresholds()[idx], profile.noise_min_count)
+    thr.flags.writeable = False
+    return thr
+
+
 def occupancy_from_counts(hist: CellHistogram, profile: ThresholdProfile) -> OccupancyGrid:
     """Occupied iff count >= max(profile threshold at cell range, noise floor)."""
-    ranges = hist.config.cell_ranges()
-    idx = np.searchsorted(profile.range_starts(), ranges, side="right") - 1
-    thr = profile.count_thresholds()[idx]
-    thr = np.maximum(thr, profile.noise_min_count)
-    return OccupancyGrid(cells=hist.counts >= thr)
+    return OccupancyGrid(cells=hist.counts >= _threshold_map(hist.config, profile))
 
 
 def _shifted(cells: np.ndarray, di: int, dj: int) -> np.ndarray:

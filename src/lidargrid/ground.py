@@ -43,6 +43,8 @@ class RansacParams:
             raise ValueError("distance_threshold must be > 0")
         if not 0.0 <= self.min_inlier_ratio <= 1.0:
             raise ValueError("min_inlier_ratio outside [0, 1]")
+        if not 0.0 <= self.max_plane_tilt <= math.pi / 2:
+            raise ValueError("max_plane_tilt outside [0, pi/2]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,18 +75,25 @@ class PlaneModel:
         return float(math.acos(min(1.0, self.normal[2])))
 
 
+def _sample_triples(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """(m, 3) ordered triples of distinct indices in [0, n), uniform over all
+    n(n-1)(n-2): one draw, then j steps past i and k past both."""
+    idx = rng.integers(0, [n, n - 1, n - 2], size=(m, 3))
+    i, j, k = idx.T  # views: the shifts below write into idx
+    j += j >= i
+    k += k >= np.minimum(i, j)
+    k += k >= np.maximum(i, j)
+    return idx
+
+
 def _candidate_planes(xyz: np.ndarray, params: RansacParams, rng: np.random.Generator):
-    """Sample point triples and derive canonical candidate planes.
+    """Sample point triples of the (3, n) cloud and derive canonical planes.
 
     Returns (normals (M,3), offsets (M,), valid (M,) bool).  Degenerate
     triples and candidates beyond the tilt limit are flagged invalid.
     """
-    n = xyz.shape[0]
-    m = params.max_iterations
-    idx = np.empty((m, 3), dtype=np.int64)
-    for i in range(m):
-        idx[i] = rng.choice(n, size=3, replace=False)
-    p1, p2, p3 = xyz[idx[:, 0]], xyz[idx[:, 1]], xyz[idx[:, 2]]
+    idx = _sample_triples(xyz.shape[1], params.max_iterations, rng)
+    p1, p2, p3 = xyz[:, idx.T].transpose(1, 2, 0)
     normals = np.cross(p2 - p1, p3 - p1)
     norms = np.linalg.norm(normals, axis=1)
     valid = norms > 1e-12
@@ -97,50 +106,52 @@ def _candidate_planes(xyz: np.ndarray, params: RansacParams, rng: np.random.Gene
     return normals, offsets, valid
 
 
-def _count_inliers(xyz: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
+def _count_inliers(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
                    threshold: float) -> np.ndarray:
-    """Inlier counts for a batch of candidate planes, chunked for cache.
+    """Inlier counts of a (3, n) float32 cloud per candidate plane, chunked for cache.
 
     Scoring runs in float32: the precision loss (~1e-5 m at typical
     ranges) is negligible against metric thresholds and the winner is
     recounted in float64 afterwards.
     """
-    pts = xyz.astype(np.float32)
     nrm = normals.astype(np.float32)
-    off = offsets.astype(np.float32)
-    n = pts.shape[0]
-    m = nrm.shape[0]
-    counts = np.empty(m, dtype=np.int64)
-    chunk = max(1, int(4e6 // max(n, 1)))
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        d = pts @ nrm[lo:hi].T
-        d += off[lo:hi]
+    off = offsets.astype(np.float32)[:, None]
+    counts = np.empty(len(nrm), dtype=np.int64)
+    chunk = max(1, int(4e6 // max(pts.shape[1], 1)))
+    for lo in range(0, len(nrm), chunk):
+        d = nrm[lo:lo + chunk] @ pts
+        d += off[lo:lo + chunk]
         np.abs(d, out=d)
-        counts[lo:hi] = (d <= np.float32(threshold)).sum(axis=0)
+        counts[lo:lo + chunk] = (d <= np.float32(threshold)).sum(axis=1)
     return counts
 
 
 def _scatter(xyz: np.ndarray):
-    """Centroid, then ascending eigenvalues and eigenvectors of the 3x3 scatter."""
-    centroid = xyz.mean(axis=0)
-    centered = xyz - centroid
-    eigvals, eigvecs = np.linalg.eigh(centered.T @ centered)
+    """Centroid, ascending eigenvalues and eigenvectors of a (3, n) cloud's scatter."""
+    centroid = xyz.mean(axis=1)
+    centered = xyz - centroid[:, None]
+    eigvals, eigvecs = np.linalg.eigh(np.einsum("in,jn->ij", centered, centered))
     return centroid, eigvals, eigvecs
 
 
 def fit_plane_ransac(points, params: RansacParams = RansacParams()) -> PlaneModel:
     """Fit the dominant near-horizontal plane by random sample consensus.
 
-    Deterministic for a given ``params.rng_seed``.  The winning sampled
+    Deterministic per ``params.rng_seed``, though a seed now gives other
+    planes than the per-sample ``rng.choice`` of earlier versions.  The
+    cloud is held as one (3, n) float64 copy and a float32 copy for
+    scoring, so every reduction runs along a row.  The winning sampled
     plane is refined by a least-squares fit on its inliers when that does
     not reduce the inlier count or violate the tilt limit.
 
     Raises DegenerateInput for < 3 or collinear points and NoPlaneFound
     when no candidate reaches ``min_inlier_ratio``.
     """
-    xyz = as_point_array(points)[:, :3]
-    n = xyz.shape[0]
+    if not (isinstance(points, np.ndarray) and points.ndim == 2
+            and points.shape[1] in (3, 4)):
+        points = as_point_array(points)
+    xyz = np.ascontiguousarray(points[:, :3].T, dtype=float)
+    n = xyz.shape[1]
     if n < 3:
         raise DegenerateInput(f"plane fit needs >= 3 points, got {n}")
     _, eigvals, _ = _scatter(xyz)
@@ -149,13 +160,14 @@ def fit_plane_ransac(points, params: RansacParams = RansacParams()) -> PlaneMode
 
     rng = np.random.default_rng(params.rng_seed)
     normals, offsets, valid = _candidate_planes(xyz, params, rng)
+    xyz32 = xyz.astype(np.float32)
 
     # two-stage scoring: rank all candidates on a strided subsample, then
     # count exactly only for the leaders (identical result in practice,
     # an order of magnitude less memory traffic)
     finalists = np.flatnonzero(valid)
     if finalists.size > 8 and n > 2000:
-        sub = xyz[::8]
+        sub = xyz32[:, ::8]
         sub_counts = _count_inliers(sub, normals[finalists], offsets[finalists],
                                     params.distance_threshold)
         order = np.argsort(-sub_counts, kind="stable")
@@ -163,7 +175,7 @@ def fit_plane_ransac(points, params: RansacParams = RansacParams()) -> PlaneMode
     if finalists.size == 0:
         raise NoPlaneFound("no candidate plane within the tilt limit")
 
-    counts = _count_inliers(xyz, normals[finalists], offsets[finalists],
+    counts = _count_inliers(xyz32, normals[finalists], offsets[finalists],
                             params.distance_threshold)
     best = int(finalists[int(np.argmax(counts))])
     best_count = int(counts.max())
@@ -174,17 +186,17 @@ def fit_plane_ransac(points, params: RansacParams = RansacParams()) -> PlaneMode
         )
     normal, offset = normals[best], float(offsets[best])
 
-    inliers = np.abs(xyz @ normal + offset) <= params.distance_threshold
+    inliers = np.abs(normal @ xyz + offset) <= params.distance_threshold
     best_count = int(inliers.sum())
     # orthogonal regression on the inliers: the normal is their direction
     # of least scatter, skipped when they are collinear
-    centroid, eigvals, eigvecs = _scatter(xyz[inliers])
+    centroid, eigvals, eigvecs = _scatter(np.compress(inliers, xyz, axis=1))
     r_normal = eigvecs[:, 0] if eigvecs[2, 0] >= 0.0 else -eigvecs[:, 0]
     r_normal = r_normal / float(np.linalg.norm(r_normal))
     if (eigvals[1] > 1e-18 * max(1.0, eigvals[2]) and r_normal[2] > 0.0
             and r_normal[2] >= math.cos(params.max_plane_tilt)):
         r_offset = float(-r_normal @ centroid)
-        r_count = int((np.abs(xyz @ r_normal + r_offset)
+        r_count = int((np.abs(r_normal @ xyz + r_offset)
                        <= params.distance_threshold).sum())
         if r_count >= best_count:
             normal, offset, best_count = r_normal, r_offset, r_count

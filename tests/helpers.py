@@ -1,8 +1,9 @@
 """Independent oracles shared across the test suite.
 
 Everything here is deliberately naive (flood fill, explicit set
-morphology, plain-loop statistics, row-by-row PCD I/O) so it cannot
-share a bug with the implementations it checks.
+morphology, plain-loop statistics, row-by-row PCD I/O, per-sample
+RANSAC draws) so it cannot share a bug with the implementations it
+checks.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import math
 
 import numpy as np
 
-from lidargrid.core import PointCloudFrame, validate_frame
+from lidargrid.core import PointCloudFrame, as_point_array, validate_frame
+from lidargrid.ground import DegenerateInput, NoPlaneFound, PlaneModel, RansacParams
 from lidargrid.pcd import ParseError, UnsupportedLayout
 
 
@@ -117,6 +119,76 @@ def least_squares_plane(xyz: np.ndarray) -> tuple:
     if normal[2] < 0:
         normal = -normal
     return normal, float(-normal @ centroid)
+
+
+def _scatter_rows(xyz: np.ndarray):
+    """Centroid, ascending eigenvalues and eigenvectors of an (n, 3) cloud."""
+    centroid = xyz.mean(axis=0)
+    centered = xyz - centroid
+    eigvals, eigvecs = np.linalg.eigh(centered.T @ centered)
+    return centroid, eigvals, eigvecs
+
+
+def _count_inliers_rows(xyz, normals, offsets, threshold):
+    """float32 inlier counts of an (n, 3) cloud, one column per plane."""
+    d = np.abs(xyz.astype(np.float32) @ normals.astype(np.float32).T
+               + offsets.astype(np.float32))
+    return (d <= np.float32(threshold)).sum(axis=0)
+
+
+def fit_plane_by_choice(points, params: RansacParams = RansacParams()) -> PlaneModel:
+    """Reference RANSAC ground fit: one ``rng.choice(n, 3, replace=False)``
+    per sample and scoring on the (n, 3) row layout, with the same
+    checks, subsample ranking, 8 finalists, float64 recount and guarded
+    least-squares refit as ``fit_plane_ransac``."""
+    xyz = as_point_array(points)[:, :3]
+    n = xyz.shape[0]
+    if n < 3:
+        raise DegenerateInput(f"plane fit needs >= 3 points, got {n}")
+    _, eigvals, _ = _scatter_rows(xyz)
+    if eigvals[1] <= 1e-12 * max(1.0, eigvals[2]):
+        raise DegenerateInput("all points collinear")
+
+    rng = np.random.default_rng(params.rng_seed)
+    idx = np.array([rng.choice(n, size=3, replace=False)
+                    for _ in range(params.max_iterations)])
+    p1, p2, p3 = xyz[idx[:, 0]], xyz[idx[:, 1]], xyz[idx[:, 2]]
+    normals = np.cross(p2 - p1, p3 - p1)
+    norms = np.linalg.norm(normals, axis=1)
+    valid = norms > 1e-12
+    normals = normals / np.where(valid, norms, 1.0)[:, None]
+    normals[normals[:, 2] < 0.0] *= -1.0
+    valid &= normals[:, 2] >= math.cos(params.max_plane_tilt)
+    offsets = -np.einsum("ij,ij->i", normals, p1)
+
+    finalists = np.flatnonzero(valid)
+    if finalists.size > 8 and n > 2000:
+        sub_counts = _count_inliers_rows(xyz[::8], normals[finalists],
+                                         offsets[finalists], params.distance_threshold)
+        finalists = finalists[np.argsort(-sub_counts, kind="stable")[:8]]
+    if finalists.size == 0:
+        raise NoPlaneFound("no candidate plane within the tilt limit")
+    counts = _count_inliers_rows(xyz, normals[finalists], offsets[finalists],
+                                 params.distance_threshold)
+    best = int(finalists[int(np.argmax(counts))])
+    if int(counts.max()) < params.min_inlier_ratio * n:
+        raise NoPlaneFound("best inlier ratio below minimum")
+    normal, offset = normals[best], float(offsets[best])
+
+    inliers = np.abs(xyz @ normal + offset) <= params.distance_threshold
+    best_count = int(inliers.sum())
+    centroid, eigvals, eigvecs = _scatter_rows(xyz[inliers])
+    r_normal = eigvecs[:, 0] if eigvecs[2, 0] >= 0.0 else -eigvecs[:, 0]
+    r_normal = r_normal / float(np.linalg.norm(r_normal))
+    if (eigvals[1] > 1e-18 * max(1.0, eigvals[2]) and r_normal[2] > 0.0
+            and r_normal[2] >= math.cos(params.max_plane_tilt)):
+        r_offset = float(-r_normal @ centroid)
+        r_count = int((np.abs(xyz @ r_normal + r_offset)
+                       <= params.distance_threshold).sum())
+        if r_count >= best_count:
+            normal, offset, best_count = r_normal, r_offset, r_count
+    return PlaneModel(normal=normal, offset=offset, inlier_count=best_count,
+                      inlier_ratio=best_count / n)
 
 
 _PCD_HEADER_KEYS = ("VERSION", "FIELDS", "SIZE", "TYPE", "COUNT", "WIDTH",

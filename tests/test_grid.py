@@ -7,6 +7,7 @@ from lidargrid.grid import (
     GridConfig,
     OccupancyGrid,
     ThresholdProfile,
+    _threshold_map,
     binary_close,
     binary_open,
     morph_open_close,
@@ -126,6 +127,36 @@ class TestOccupancyFromCounts:
         bumped[i, j] += 3
         after = occupancy_from_counts(CellHistogram(counts=bumped, config=CFG), profile)
         assert (base.cells <= after.cells).all()
+
+
+class TestThresholdMap:
+    GRIDS = (CFG, GridConfig(cell_size=1.0, x_min=-12, x_max=30, y_min=-25, y_max=7),
+             GridConfig(cell_size=2.5, x_min=0, x_max=5, y_min=0, y_max=2.5))
+    PROFILES = (ThresholdProfile(),
+                ThresholdProfile(breakpoints=((0.0, 9), (4.0, 4), (12.5, 1)),
+                                 noise_min_count=3),
+                ThresholdProfile(breakpoints=((0.0, 1),), noise_min_count=0))
+
+    @pytest.mark.parametrize("cfg", GRIDS)
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_cached_map_matches_per_cell_formula(self, cfg, profile):
+        ref = np.array([[max(threshold_for_range(r, profile), profile.noise_min_count)
+                         for r in row] for row in cfg.cell_ranges()])
+        for _ in range(2):  # the miss and the hit
+            thr = _threshold_map(cfg, profile)
+            np.testing.assert_array_equal(thr, ref)
+            assert not thr.flags.writeable
+        counts = np.random.default_rng(3).integers(0, 8, size=ref.shape)
+        occ = occupancy_from_counts(CellHistogram(counts=counts, config=cfg), profile)
+        np.testing.assert_array_equal(occ.cells, counts >= ref)
+
+    def test_profiles_do_not_share_an_entry(self):
+        a, b = self.PROFILES[0], self.PROFILES[1]
+        assert _threshold_map(CFG, a) is _threshold_map(CFG, ThresholdProfile())
+        assert _threshold_map(CFG, a) is not _threshold_map(CFG, b)
+        assert not np.array_equal(_threshold_map(CFG, a), _threshold_map(CFG, b))
+        with pytest.raises(ValueError):
+            _threshold_map(CFG, a)[0, 0] = 0
 
 
 def self_profile():

@@ -3,16 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import least_squares_plane
+from helpers import fit_plane_by_choice, least_squares_plane
 from lidargrid.ground import (
     DegenerateInput,
     NoPlaneFound,
     PlaneModel,
     RansacParams,
+    _sample_triples,
     fit_plane_ransac,
     split_ground,
 )
+from lidargrid.synth import generate_frame
+from test_acceptance import random_scene
 
 
 def flat_cloud(n, z, rng, spread=20.0, noise=0.0):
@@ -109,6 +114,56 @@ class TestFitPlane:
                 count = int((np.abs(pts @ n + d) <= params.distance_threshold).sum())
                 best = max(best, count)
             assert plane.inlier_count >= 0.95 * best
+
+    @pytest.mark.parametrize("tilt", [-math.radians(15), math.radians(120),
+                                      math.nan, math.pi / 2 + 1e-9])
+    def test_max_plane_tilt_outside_quarter_turn_rejected(self, tilt):
+        with pytest.raises(ValueError, match="max_plane_tilt"):
+            RansacParams(max_plane_tilt=tilt)
+
+    def test_max_plane_tilt_bounds_accepted(self):
+        assert RansacParams(max_plane_tilt=0.0).max_plane_tilt == 0.0
+        assert RansacParams(max_plane_tilt=math.radians(90)).max_plane_tilt == math.pi / 2
+
+    def test_agrees_with_per_sample_choice_oracle(self):
+        # the criterion-1 scenes: flat and 0.5-5 degree slopes, 1-3 boxes
+        rng = np.random.default_rng(2024)
+        params = RansacParams()
+        for seed in range(60):
+            pts = generate_frame(random_scene(rng, seed)).frame.points[:, :3]
+            mine = fit_plane_ransac(pts, params)
+            ref = fit_plane_by_choice(pts, params)
+            angle = math.degrees(math.acos(min(1.0, float(mine.normal @ ref.normal))))
+            assert angle <= 0.25, f"scene {seed}: planes {angle:.3f} deg apart"
+            assert abs(mine.offset - ref.offset) <= 0.02, f"scene {seed}"
+            assert mine.inlier_ratio >= ref.inlier_ratio - 0.005, f"scene {seed}"
+
+
+class TestSampleTriples:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(3, 10**6), m=st.integers(1, 500), seed=st.integers(0, 2**32))
+    def test_distinct_in_range_and_deterministic(self, n, m, seed):
+        idx = _sample_triples(n, m, np.random.default_rng(seed))
+        assert idx.shape == (m, 3)
+        assert idx.min() >= 0 and idx.max() < n
+        assert np.all((idx[:, 0] != idx[:, 1]) & (idx[:, 0] != idx[:, 2])
+                      & (idx[:, 1] != idx[:, 2]))
+        np.testing.assert_array_equal(idx, _sample_triples(n, m, np.random.default_rng(seed)))
+
+    def test_three_points_give_permutations(self):
+        idx = _sample_triples(3, 500, np.random.default_rng(0))
+        assert {tuple(row) for row in idx} == set(itertools.permutations(range(3)))
+
+    def test_uniform_over_ordered_triples(self):
+        draws = 200_000
+        idx = _sample_triples(5, draws, np.random.default_rng(11))
+        counts = np.bincount(idx @ np.array([25, 5, 1]), minlength=125)
+        cells = [25 * i + 5 * j + k for i, j, k in itertools.permutations(range(5), 3)]
+        assert counts[cells].sum() == draws
+        expected = draws / 60
+        chi2 = float(((counts[cells] - expected) ** 2 / expected).sum())
+        # chi-square quantile at p = 1e-3 for 59 degrees of freedom
+        assert chi2 < 98.32, f"chi-square {chi2:.1f} over 60 triples"
 
 
 class TestSplitGround:

@@ -307,6 +307,16 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error[config]")
 
+    @pytest.mark.parametrize("tilt", ["-15", "120"])
+    def test_plane_tilt_outside_quarter_turn_is_config_error(self, tmp_path, capsys,
+                                                             tilt):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(f"ransac: {{max_plane_tilt_deg: {tilt}}}\n")
+        rc = main(["detect", "--synth", "1", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error[config]: max_plane_tilt")
+
     def test_missing_config_file_is_config_error(self, tmp_path, capsys):
         rc = main(["detect", "--synth", "1", "--config", str(tmp_path / "nope.yaml"),
                    "--out-dir", str(tmp_path / "o")])
