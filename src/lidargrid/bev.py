@@ -7,6 +7,8 @@ abstracted behind a callable; ``cluster_output_grid`` and
 ``postprocess_clusters`` turn a detector's per-cell attribute grid back
 into discrete obstacle estimates by grouping connected cells and the
 components their centre offsets link, then confidence filtering.
+Clustering reads that grid at the flat indices of its above-threshold
+cells and builds no dense label raster.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from typing import Callable
 import numpy as np
 
 from .core import LidarGridError, ObstacleEstimate, as_point_array
-from .cluster import component_ids, label_components
+# label_components is not called here, but perfbench/tracing.py wraps it
+# under this module's name
+from .cluster import component_ids, find_cells, label_components, label_flat  # noqa: F401
 
 PLANE_NAMES = ("max_height", "mean_height", "max_intensity",
                "mean_intensity", "density", "occupancy")
@@ -261,54 +265,37 @@ def cluster_output_grid(attr: OutputAttributeGrid, objectness_threshold: float,
         raise ValueError("objectness_threshold outside [0, 1]")
     cfg = attr.config
     n = cfg.image_size
-    mask = attr.objectness >= objectness_threshold
-    base = label_components(mask, connectivity)
-    k = base.num_components
-    if k == 0:
+    flat = np.flatnonzero(attr.objectness >= objectness_threshold)
+    if flat.size == 0:
         return []
-
-    ii, jj = np.nonzero(mask)
+    base = label_flat(flat, (n, n), connectivity)
+    ii, jj = np.divmod(flat, n)
     centers = cfg.cell_centers()
-    tx = centers[ii] + attr.center_offset_x[ii, jj]
-    ty = centers[jj] + attr.center_offset_y[ii, jj]
-    t_i = np.floor((tx + cfg.range) / cfg.cell_size).astype(np.int64)
-    t_j = np.floor((ty + cfg.range) / cfg.cell_size).astype(np.int64)
-    in_grid = (t_i >= 0) & (t_i < n) & (t_j >= 0) & (t_j < n)
-    valid = in_grid.copy()
-    valid[in_grid] &= mask[t_i[in_grid], t_j[in_grid]]
+    cx, cy = centers[ii], centers[jj]
+    offx, offy = attr.center_offset_x[ii, jj], attr.center_offset_y[ii, jj]
 
-    src_comp = base.labels[ii, jj] - 1
-    dst_comp = base.labels[t_i[valid], t_j[valid]] - 1
-    group = component_ids(k, src_comp[valid], dst_comp)
-    cell_group = group[src_comp]
+    t_i = np.floor((cx + offx + cfg.range) / cfg.cell_size).astype(np.int64)
+    t_j = np.floor((cy + offy + cfg.range) / cfg.cell_size).astype(np.int64)
+    src = np.flatnonzero((t_i >= 0) & (t_i < n) & (t_j >= 0) & (t_j < n))
+    dst, hit = find_cells(flat, t_i[src] * n + t_j[src])
+    group = component_ids(int(base.max()) + 1, base[src[hit]], base[dst[hit]])
 
-    conf = attr.confidence[ii, jj]
-    height = attr.height[ii, jj]
-    offx = attr.center_offset_x[ii, jj]
-    offy = attr.center_offset_y[ii, jj]
-    cx = centers[ii]
-    cy = centers[jj]
-
-    clusters = []
+    # one stable sort puts each cluster's cells in a contiguous run, in
+    # raster order.  Each row of a run's slice is then summed pairwise over
+    # the same values in the same order as a per-cluster gather, so means
+    # are bit-exact; np.add.reduceat and bincount sum in another order.
+    cell_group = group[base]
     order = np.argsort(cell_group, kind="stable")
-    bounds = np.searchsorted(cell_group[order], np.arange(group.max() + 2))
-    for g in range(group.max() + 1):
-        sel = order[bounds[g]:bounds[g + 1]]
-        cells = np.stack([ii[sel], jj[sel]], axis=1)
-        mean_cs = None
-        if attr.class_scores is not None:
-            mean_cs = attr.class_scores[ii[sel], jj[sel]].mean(axis=0)
-        clusters.append(RawCluster(
-            cells=cells,
-            mean_confidence=float(conf[sel].mean()),
-            mean_height=float(height[sel].mean()),
-            cell_center_x=float(cx[sel].mean()),
-            cell_center_y=float(cy[sel].mean()),
-            mean_offset_x=float(offx[sel].mean()),
-            mean_offset_y=float(offy[sel].mean()),
-            mean_class_scores=mean_cs,
-        ))
-    return clusters
+    bounds = np.searchsorted(cell_group[order], np.arange(group.max() + 2)).tolist()
+    ii, jj = ii[order], jj[order]
+    cells = np.stack([ii, jj], axis=1)
+    # rows in the order of RawCluster's fields after ``cells``
+    means = np.stack([attr.confidence[ii, jj], attr.height[ii, jj],
+                      cx[order], cy[order], offx[order], offy[order]])
+    scores = None if attr.class_scores is None else attr.class_scores[ii, jj]
+    return [RawCluster(cells[lo:hi], *means[:, lo:hi].mean(axis=1).tolist(),
+                       None if scores is None else scores[lo:hi].mean(axis=0))
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def postprocess_clusters(clusters, min_confidence: float,

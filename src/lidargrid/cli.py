@@ -10,7 +10,6 @@ to stderr and exit 1.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 from . import evaluate as ev
 from .bev import extract_channels
 from .config import PipelineConfig, default_config_yaml, load_config
-from .core import LidarGridError
+from .core import ConfigError, LidarGridError
 from .pcd import read_frame_pcd, write_frame_pcd
 from .pipeline import bench, run_pipeline
 from .synth import generate_frame
@@ -33,6 +32,11 @@ class InputError(LidarGridError):
 
 
 def _load_cfg(args) -> PipelineConfig:
+    """The --config file with the command's overrides; checks counts and seeds."""
+    for name, low in (("frames", 1), ("synth", 1), ("total_frames", 1), ("seed", 0)):
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if getattr(args, "pipeline", None):
         cfg = replace(cfg, pipeline=args.pipeline)
@@ -45,7 +49,10 @@ def _load_cfg(args) -> PipelineConfig:
 
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out-dir {out}: {exc.strerror or exc}") from exc
     return out
 
 
@@ -93,16 +100,10 @@ def cmd_synth(args) -> int:
         if spec.obstacles:
             box = spec.obstacles[0]
             gt_rows.append((i / FRAME_RATE_HZ, box.center_x, box.center_y))
-    with open(out / "gt.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "X", "Y"])
-        for t, x, y in gt_rows:
-            writer.writerow([repr(t), repr(float(x)), repr(float(y))])
-    with open(out / "ego.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "X", "Y", "psi"])
-        for i in range(args.frames):
-            writer.writerow([repr(i / FRAME_RATE_HZ), "0.0", "0.0", "0.0"])
+    ev.write_csv(out / "gt.csv", ["t", "X", "Y"],
+                 [[repr(t), repr(float(x)), repr(float(y))] for t, x, y in gt_rows])
+    ev.write_csv(out / "ego.csv", ["t", "X", "Y", "psi"],
+                 [[repr(i / FRAME_RATE_HZ), "0.0", "0.0", "0.0"] for i in range(args.frames)])
     print(f"wrote {args.frames} frames + gt.csv + ego.csv to {out}")
     return 0
 
@@ -136,12 +137,9 @@ def cmd_bench(args) -> int:
     report = bench(cfg, args.frames, seed=args.seed or 0)
     print(report.table())
     path = out / "bench.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "mean_ms", "p95_ms"])
-        for stage, mean_ms, p95_ms in report.rows:
-            writer.writerow([stage, repr(mean_ms), repr(p95_ms)])
-        writer.writerow(["achieved_hz", repr(report.achieved_hz), ""])
+    ev.write_csv(path, ["stage", "mean_ms", "p95_ms"],
+                 [[stage, repr(mean_ms), repr(p95_ms)] for stage, mean_ms, p95_ms in report.rows]
+                 + [["achieved_hz", repr(report.achieved_hz), ""]])
     print(f"wrote {path}")
     return 0
 

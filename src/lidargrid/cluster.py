@@ -1,10 +1,10 @@
 """Connected-component labeling and obstacle extraction.
 
-Labeling builds the graph of adjacent occupied cells and finds its
-components with one vectorized kernel, ``component_ids``, which the BEV
-route also uses to merge components joined by centre-offset links.
-Obstacles are then read off each component as a count-weighted centroid
-plus axis-aligned footprint extents.
+``label_flat`` labels occupied cells given by sorted flat indices: it
+finds neighbours by binary search in them and hands the edges to one
+vectorized kernel, ``component_ids``, which the BEV route also uses to
+merge components joined by centre-offset links.  Obstacles are read off
+each component as a count-weighted centroid plus footprint extents.
 """
 
 from __future__ import annotations
@@ -30,14 +30,6 @@ class LabelGrid:
 
     labels: np.ndarray
     num_components: int
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.labels.shape[1]
 
 
 # forward half of each neighbourhood: every undirected adjacency once
@@ -68,6 +60,36 @@ def component_ids(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             root, jumped = jumped, jumped[jumped]
 
 
+def find_cells(flat: np.ndarray, target: np.ndarray):
+    """Position of each ``target`` in sorted ``flat``, and whether it is there."""
+    pos = np.searchsorted(flat, target)
+    found = pos < flat.size
+    found[found] = flat[pos[found]] == target[found]
+    return pos, found
+
+
+def label_flat(flat: np.ndarray, shape: tuple, connectivity: int = 8) -> np.ndarray:
+    """Component ids of the occupied cells of a grid of ``shape``.
+
+    ``flat`` holds their row-major indices in ascending order.  Ids are
+    dense, numbered in raster order of each component's first cell.
+    """
+    if connectivity not in (4, 8):
+        raise ValueError("connectivity must be 4 or 8")
+    nj = shape[1]
+    jj = flat % nj
+    u, v = [], []
+    for di, dj in _FORWARD_4 if connectivity == 4 else _FORWARD_8:
+        # a step past the last row lands beyond every index in ``flat``
+        dst, hit = find_cells(flat, flat + (di * nj + dj))
+        if dj:
+            hit &= (jj + dj >= 0) & (jj + dj < nj)
+        src = np.flatnonzero(hit)
+        u.append(src)
+        v.append(dst[src])
+    return component_ids(flat.size, np.concatenate(u), np.concatenate(v))
+
+
 def label_components(grid, connectivity: int = 8) -> LabelGrid:
     """Label connected components of a boolean grid (4- or 8-connectivity).
 
@@ -76,27 +98,12 @@ def label_components(grid, connectivity: int = 8) -> LabelGrid:
     order of first appearance.
     """
     cells = grid.cells if isinstance(grid, OccupancyGrid) else np.asarray(grid, dtype=bool)
-    if connectivity not in (4, 8):
-        raise ValueError("connectivity must be 4 or 8")
-    offsets = _FORWARD_4 if connectivity == 4 else _FORWARD_8
-    ni, nj = cells.shape
-
-    ii, jj = np.nonzero(cells)  # raster order, so ``flat`` is sorted
-    flat = ii * nj + jj
-    u, v = [], []
-    for di, dj in offsets:
-        src = np.flatnonzero((ii + di < ni) & (jj + dj >= 0) & (jj + dj < nj))
-        target = flat[src] + (di * nj + dj)
-        dst = np.searchsorted(flat, target)
-        hit = dst < flat.size
-        hit[hit] = flat[dst[hit]] == target[hit]
-        u.append(src[hit])
-        v.append(dst[hit])
-    ids = component_ids(flat.size, np.concatenate(u), np.concatenate(v))
-
-    labels = np.zeros((ni, nj), dtype=np.int64)
-    labels[ii, jj] = ids + 1
-    return LabelGrid(labels=labels, num_components=int(ids.max(initial=-1)) + 1)
+    flat = np.flatnonzero(cells)
+    ids = label_flat(flat, cells.shape, connectivity)
+    labels = np.zeros(cells.size, dtype=np.int64)
+    labels[flat] = ids + 1
+    return LabelGrid(labels=labels.reshape(cells.shape),
+                     num_components=int(ids.max(initial=-1)) + 1)
 
 
 def extract_obstacles(labels: LabelGrid, hist: CellHistogram, cfg: GridConfig,
@@ -129,9 +136,9 @@ def extract_obstacles(labels: LabelGrid, hist: CellHistogram, cfg: GridConfig,
     ux = np.bincount(comp, weights=cx, minlength=k)
     uy = np.bincount(comp, weights=cy, minlength=k)
 
-    min_i = np.full(k, labels.width, dtype=np.int64)
+    min_i = np.full(k, labels.labels.shape[0], dtype=np.int64)
     max_i = np.full(k, -1, dtype=np.int64)
-    min_j = np.full(k, labels.height, dtype=np.int64)
+    min_j = np.full(k, labels.labels.shape[1], dtype=np.int64)
     max_j = np.full(k, -1, dtype=np.int64)
     np.minimum.at(min_i, comp, ii)
     np.maximum.at(max_i, comp, ii)

@@ -16,16 +16,10 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 import yaml
 
 from .bev import BevConfig
-from .core import LidarGridError
+from .core import ConfigError
 from .grid import GridConfig, ThresholdProfile
 from .ground import RansacParams
 from .synth import BoxSpec, SceneSpec
-
-
-class ConfigError(LidarGridError, ValueError):
-    """A configuration value or file that cannot be used."""
-
-    category = "config"
 
 
 @dataclass(frozen=True)

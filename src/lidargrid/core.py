@@ -23,6 +23,12 @@ class LidarGridError(Exception):
     category = "error"
 
 
+class ConfigError(LidarGridError, ValueError):
+    """A configuration value, file or command-line argument that cannot be used."""
+
+    category = "config"
+
+
 class EmptyFrame(LidarGridError):
     """Raised when a frame has no usable points left after validation."""
 

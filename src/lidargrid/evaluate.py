@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import LidarGridError, ObstacleEstimate
+from .core import ConfigError, LidarGridError, ObstacleEstimate
 
 EARTH_RADIUS_M = 6_378_137.0
 
@@ -135,7 +135,8 @@ def offset_stats(matched, axis: str, total_frames: int) -> OffsetStats:
     if not pairs:
         raise EmptySeries("no matched estimate/truth pairs")
     if total_frames < len(pairs):
-        raise ValueError("total_frames smaller than the matched count")
+        raise ConfigError(f"total_frames {total_frames} is below the "
+                          f"{len(pairs)} matched frames")
     if axis == "longitudinal":
         errors = np.array([est.center_x - gt.x_loc for est, gt in pairs])
     else:
@@ -167,13 +168,31 @@ def dimension_stats(estimates) -> DimensionStats:
 # CSV series I/O
 
 
-def _read_csv_rows(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty file")
-        return [h.strip() for h in header], list(reader)
+def _read_csv(path, headers, parse=lambda row: [float(v) for v in row]):
+    """Header and parsed rows of a CSV whose header is one of ``headers``.
+
+    An unreadable file, another header, a row of another width or a value
+    ``parse`` rejects raises SchemaError.
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = [h.strip() for h in next(reader, [])]
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"{path}: cannot read: {exc}") from exc
+    if header not in headers:
+        expected = " or ".join(",".join(h) for h in headers)
+        raise SchemaError(f"{path}: expected header {expected}, got {header}")
+    out = []
+    for line, row in enumerate(rows, start=2):
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, header has {len(header)}")
+            out.append(parse(row))
+        except ValueError as exc:
+            raise SchemaError(f"{path}: line {line}: {exc}") from exc
+    return header, out
 
 
 def read_ground_truth_csv(path, ref_lat: float | None = None,
@@ -183,28 +202,22 @@ def read_ground_truth_csv(path, ref_lat: float | None = None,
     Geodetic input is converted to plane meters around (ref_lat, ref_lon),
     defaulting to the first row.  Returns (t, X, Y) float arrays.
     """
-    header, rows = _read_csv_rows(path)
-    t = np.array([float(r[0]) for r in rows])
-    a = np.array([float(r[1]) for r in rows])
-    b = np.array([float(r[2]) for r in rows])
+    header, rows = _read_csv(path, (["t", "X", "Y"], ["t", "lat", "lon"]))
+    t, a, b = np.array(rows).reshape(-1, 3).T
     if header == ["t", "X", "Y"]:
         return t, a, b
-    if header == ["t", "lat", "lon"]:
-        if t.size == 0:
-            raise SchemaError(f"{path}: no ground-truth rows")
-        rlat = ref_lat if ref_lat is not None else float(a[0])
-        rlon = ref_lon if ref_lon is not None else float(b[0])
-        xy = np.array([geodetic_to_plane(la, lo, rlat, rlon) for la, lo in zip(a, b)])
-        return t, xy[:, 0], xy[:, 1]
-    raise SchemaError(f"{path}: expected header t,lat,lon or t,X,Y, got {header}")
+    if t.size == 0:
+        raise SchemaError(f"{path}: no ground-truth rows")
+    rlat = ref_lat if ref_lat is not None else float(a[0])
+    rlon = ref_lon if ref_lon is not None else float(b[0])
+    xy = np.array([geodetic_to_plane(la, lo, rlat, rlon) for la, lo in zip(a, b)])
+    return t, xy[:, 0], xy[:, 1]
 
 
 def read_ego_csv(path):
     """Read ego poses: header ``t,X,Y,psi``. Returns (t, X, Y, psi) arrays."""
-    header, rows = _read_csv_rows(path)
-    if header != ["t", "X", "Y", "psi"]:
-        raise SchemaError(f"{path}: expected header t,X,Y,psi, got {header}")
-    cols = np.array([[float(v) for v in r] for r in rows]).reshape(-1, 4)
+    _, rows = _read_csv(path, (["t", "X", "Y", "psi"],))
+    cols = np.array(rows).reshape(-1, 4)
     return cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]
 
 
@@ -212,36 +225,38 @@ OBSTACLE_CSV_HEADER = ["frame_id", "t", "center_x", "center_y", "length",
                        "width", "height", "confidence", "class", "range"]
 
 
-def write_obstacles_csv(path, rows) -> None:
-    """Write (frame_id, t, ObstacleEstimate) triples to the flat schema."""
+def write_csv(path, header, rows) -> None:
+    """Write a header line, then ``rows``, in the csv module's default dialect."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(OBSTACLE_CSV_HEADER)
-        for frame_id, t, est in rows:
-            writer.writerow([
-                int(frame_id), repr(float(t)),
-                repr(float(est.center_x)), repr(float(est.center_y)),
-                repr(float(est.length)), repr(float(est.width)),
-                "" if est.height is None else repr(float(est.height)),
-                repr(float(est.confidence)), est.class_tag, repr(float(est.range)),
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_obstacles_csv(path, rows) -> None:
+    """Write (frame_id, t, ObstacleEstimate) triples to the flat schema."""
+    write_csv(path, OBSTACLE_CSV_HEADER, ([
+        int(frame_id), repr(float(t)),
+        repr(float(est.center_x)), repr(float(est.center_y)),
+        repr(float(est.length)), repr(float(est.width)),
+        "" if est.height is None else repr(float(est.height)),
+        repr(float(est.confidence)), est.class_tag, repr(float(est.range)),
+    ] for frame_id, t, est in rows))
 
 
 def read_obstacles_csv(path):
     """Read the obstacle CSV back into (frame_id, t, ObstacleEstimate) triples."""
-    header, rows = _read_csv_rows(path)
-    if header != OBSTACLE_CSV_HEADER:
-        raise SchemaError(f"{path}: unexpected obstacle header {header}")
-    out = []
-    for r in rows:
-        est = ObstacleEstimate(
-            center_x=float(r[2]), center_y=float(r[3]),
-            length=float(r[4]), width=float(r[5]),
-            height=None if r[6] == "" else float(r[6]),
-            confidence=float(r[7]), class_tag=r[8], range=float(r[9]),
-        )
-        out.append((int(r[0]), float(r[1]), est))
-    return out
+    return _read_csv(path, (OBSTACLE_CSV_HEADER,), _obstacle_row)[1]
+
+
+def _obstacle_row(r):
+    est = ObstacleEstimate(
+        center_x=float(r[2]), center_y=float(r[3]),
+        length=float(r[4]), width=float(r[5]),
+        height=None if r[6] == "" else float(r[6]),
+        confidence=float(r[7]), class_tag=r[8], range=float(r[9]),
+    )
+    return int(r[0]), float(r[1]), est
 
 
 # ---------------------------------------------------------------------------
@@ -313,28 +328,20 @@ def evaluate_detections(estimate_rows, gt_t, gt_x, gt_y, ego_t, ego_x, ego_y,
 
 
 def write_offset_stats_csv(path, result: EvalResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "delta", "sigma", "availability"])
+    write_csv(path, ["axis", "delta", "sigma", "availability"], [
+        [axis, repr(stats.mean_offset), repr(stats.std), repr(stats.availability)]
         for axis, stats in (("longitudinal", result.longitudinal),
-                            ("lateral", result.lateral)):
-            writer.writerow([axis, repr(stats.mean_offset), repr(stats.std),
-                             repr(stats.availability)])
+                            ("lateral", result.lateral))])
 
 
 def write_dimension_stats_csv(path, dims: DimensionStats) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["E_l", "sigma_l", "E_w", "sigma_w"])
-        writer.writerow([repr(dims.mean_length), repr(dims.std_length),
-                         repr(dims.mean_width), repr(dims.std_width)])
+    write_csv(path, ["E_l", "sigma_l", "E_w", "sigma_w"], [[
+        repr(dims.mean_length), repr(dims.std_length),
+        repr(dims.mean_width), repr(dims.std_width)]])
 
 
 def write_comparison_csv(path, result: EvalResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x_loc_gt", "y_loc_gt", "x_loc_est", "y_loc_est"])
-        for t, xg, yg, xe, ye in result.comparison_rows:
-            writer.writerow([repr(t), repr(xg), repr(yg),
-                             "" if xe is None else repr(xe),
-                             "" if ye is None else repr(ye)])
+    write_csv(path, ["t", "x_loc_gt", "y_loc_gt", "x_loc_est", "y_loc_est"], [
+        [repr(t), repr(xg), repr(yg), "" if xe is None else repr(xe),
+         "" if ye is None else repr(ye)]
+        for t, xg, yg, xe, ye in result.comparison_rows])

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import bev as bev_mod
 from .cluster import extract_obstacles, label_components
-from .config import ConfigError, PipelineConfig
-from .core import ObstacleEstimate, PointCloudFrame, ValidatedFrame, validate_frame
+from .config import PipelineConfig
+from .core import ConfigError, ObstacleEstimate, PointCloudFrame, ValidatedFrame, validate_frame
 from .grid import morph_open_close, occupancy_from_counts, project_to_grid
 from .ground import PlaneModel, fit_plane_ransac, split_ground
 from .synth import BoxSpec, SceneSpec, generate_frame

@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive (flood fill, explicit set
 morphology, plain-loop statistics, row-by-row PCD I/O, per-sample
-RANSAC draws) so it cannot share a bug with the implementations it
-checks.
+RANSAC draws, a per-cluster gather loop) so it cannot share a bug with
+the implementations it checks.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from lidargrid.bev import OutputAttributeGrid, RawCluster
 from lidargrid.core import PointCloudFrame, as_point_array, validate_frame
 from lidargrid.ground import DegenerateInput, NoPlaneFound, PlaneModel, RansacParams
 from lidargrid.pcd import ParseError, UnsupportedLayout
@@ -282,3 +283,77 @@ def write_pcd_by_rows(frame: PointCloudFrame, path) -> None:
         fh.write("DATA ascii\n")
         for x, y, z, i in frame.points:
             fh.write(f"{x:.9g} {y:.9g} {z:.9g} {i:.9g}\n")
+
+
+def cluster_output_grid_by_loop(attr: OutputAttributeGrid, objectness_threshold: float,
+                                connectivity: int = 8) -> list:
+    """BEV clustering on a dense label grid, one gather per cluster.
+
+    Labels the above-threshold mask by flood fill, joins components along
+    centre-offset links (target cells looked up in the mask and the label
+    grid) with a plain union-find that keeps each set's smallest member as
+    its root, then gathers each cluster's cells and averages them.
+    """
+    if not 0.0 <= objectness_threshold <= 1.0:
+        raise ValueError("objectness_threshold outside [0, 1]")
+    cfg = attr.config
+    n = cfg.image_size
+    mask = attr.objectness >= objectness_threshold
+    labels = flood_fill_labels(mask, connectivity)
+    k = int(labels.max())
+    if k == 0:
+        return []
+
+    ii, jj = np.nonzero(mask)
+    centers = cfg.cell_centers()
+    tx = centers[ii] + attr.center_offset_x[ii, jj]
+    ty = centers[jj] + attr.center_offset_y[ii, jj]
+    t_i = np.floor((tx + cfg.range) / cfg.cell_size).astype(np.int64)
+    t_j = np.floor((ty + cfg.range) / cfg.cell_size).astype(np.int64)
+    in_grid = (t_i >= 0) & (t_i < n) & (t_j >= 0) & (t_j < n)
+    valid = in_grid.copy()
+    valid[in_grid] &= mask[t_i[in_grid], t_j[in_grid]]
+
+    src_comp = labels[ii, jj] - 1
+    dst_comp = labels[t_i[valid], t_j[valid]] - 1
+    root = list(range(k))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for a, b in zip(src_comp[valid].tolist(), dst_comp.tolist()):
+        ra, rb = find(a), find(b)
+        root[max(ra, rb)] = min(ra, rb)
+    # groups numbered in order of their smallest component, as component_ids does
+    group = np.unique([find(a) for a in range(k)], return_inverse=True)[1]
+    cell_group = group[src_comp]
+
+    conf = attr.confidence[ii, jj]
+    height = attr.height[ii, jj]
+    offx = attr.center_offset_x[ii, jj]
+    offy = attr.center_offset_y[ii, jj]
+    cx = centers[ii]
+    cy = centers[jj]
+
+    clusters = []
+    order = np.argsort(cell_group, kind="stable")
+    bounds = np.searchsorted(cell_group[order], np.arange(group.max() + 2))
+    for g in range(group.max() + 1):
+        sel = order[bounds[g]:bounds[g + 1]]
+        cells = np.stack([ii[sel], jj[sel]], axis=1)
+        mean_cs = None
+        if attr.class_scores is not None:
+            mean_cs = attr.class_scores[ii[sel], jj[sel]].mean(axis=0)
+        clusters.append(RawCluster(
+            cells=cells,
+            mean_confidence=float(conf[sel].mean()),
+            mean_height=float(height[sel].mean()),
+            cell_center_x=float(cx[sel].mean()),
+            cell_center_y=float(cy[sel].mean()),
+            mean_offset_x=float(offx[sel].mean()),
+            mean_offset_y=float(offy[sel].mean()),
+            mean_class_scores=mean_cs,
+        ))
+    return clusters

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import flood_fill_labels, same_partition
+from helpers import cluster_output_grid_by_loop, flood_fill_labels, same_partition
 from lidargrid.bev import (
     BevConfig,
     GeometryMismatch,
@@ -266,6 +268,63 @@ class TestClusterOutputGrid:
             zero_attr(objectness=np.full((40, 40), 1.5))
         with pytest.raises(ValueError):
             cluster_output_grid(zero_attr(), 1.5)
+
+
+@st.composite
+def attribute_grids(draw):
+    """Random detector output with its threshold and connectivity.
+
+    Objectness is random, sparse, all zero or all one.  Each cell's
+    centre offset is zero, a few cells long (often into a below-threshold
+    cell), up to a grid width long (often just past an edge) or far off
+    the grid.
+    """
+    n = draw(st.integers(1, 14))
+    cfg = BevConfig(image_size=n, range=draw(st.sampled_from([0.5, 3.0, 7.5])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    obj = {
+        "random": lambda: rng.random((n, n)),
+        "sparse": lambda: np.where(rng.random((n, n)) < 0.2, rng.random((n, n)), 0.0),
+        "empty": lambda: np.zeros((n, n)),
+        "full": lambda: np.ones((n, n)),
+    }[draw(st.sampled_from(["random", "sparse", "empty", "full"]))]()
+    offset = np.zeros((2, n, n))
+    if draw(st.booleans()):
+        near = rng.uniform(-3.0, 3.0, (2, n, n)) * cfg.cell_size
+        across = rng.uniform(-2.0, 2.0, (2, n, n)) * cfg.range
+        far = rng.choice([-1.0, 1.0], (2, n, n)) * rng.uniform(2.0, 50.0, (2, n, n)) * cfg.range
+        offset = np.choose(rng.integers(0, 4, (2, n, n)), [offset, near, across, far])
+    classes = draw(st.sampled_from([None, 0, 1, 3]))
+    attr = OutputAttributeGrid(
+        config=cfg, objectness=obj,
+        center_offset_x=offset[0], center_offset_y=offset[1],
+        confidence=rng.random((n, n)), height=rng.normal(0.0, 2.0, (n, n)),
+        class_scores=None if classes is None else rng.random((n, n, classes)))
+    threshold = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+    return attr, threshold, draw(st.sampled_from([4, 8]))
+
+
+class TestClusterMatchesLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(attribute_grids())
+    def test_every_field_equals_the_loop(self, case):
+        attr, threshold, connectivity = case
+        got = cluster_output_grid(attr, threshold, connectivity)
+        want = cluster_output_grid_by_loop(attr, threshold, connectivity)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.cells.dtype == b.cells.dtype
+            assert a.cells.shape == b.cells.shape
+            assert np.array_equal(a.cells, b.cells)
+            for name in ("mean_confidence", "mean_height", "cell_center_x",
+                         "cell_center_y", "mean_offset_x", "mean_offset_y"):
+                assert type(getattr(a, name)) is float
+                assert getattr(a, name) == getattr(b, name), name
+            if b.mean_class_scores is None:
+                assert a.mean_class_scores is None
+            else:
+                assert a.mean_class_scores.shape == b.mean_class_scores.shape
+                assert np.array_equal(a.mean_class_scores, b.mean_class_scores)
 
 
 class TestPostprocess:

@@ -14,7 +14,8 @@ from lidargrid.config import (
     config_from_dict,
     default_config_yaml,
 )
-from lidargrid.core import PointCloudFrame
+from lidargrid.core import ObstacleEstimate, PointCloudFrame
+from lidargrid.evaluate import write_obstacles_csv
 from lidargrid.pcd import read_frame_pcd, write_frame_pcd
 from lidargrid.pipeline import (
     BEV_STAGES,
@@ -339,3 +340,69 @@ class TestCli:
                    "--ego", str(ego), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
         assert "error[schema]" in capsys.readouterr().err
+
+    @staticmethod
+    def eval_inputs(tmp_path):
+        """A two-frame detection run and its truth, written as CSVs."""
+        rows = [(i, i / 20.0, ObstacleEstimate(center_x=10.0, center_y=0.0,
+                                               length=5.0, width=2.0)) for i in range(2)]
+        write_obstacles_csv(tmp_path / "obstacles.csv", rows)
+        (tmp_path / "gt.csv").write_text("t,X,Y\n0.0,10.0,0.0\n0.05,10.0,0.0\n")
+        (tmp_path / "ego.csv").write_text("t,X,Y,psi\n0.0,0,0,0\n0.05,0,0,0\n")
+        return {"--estimates": tmp_path / "obstacles.csv",
+                "--ground-truth": tmp_path / "gt.csv", "--ego": tmp_path / "ego.csv"}
+
+    @pytest.mark.parametrize("flag, fault", [
+        ("--estimates", "missing"),
+        ("--ground-truth", "directory"),
+        ("--ego", "non-numeric"),
+        ("--ground-truth", "short-row"),
+        ("--estimates", "non-numeric"),
+    ])
+    def test_bad_eval_csv_is_schema_error(self, tmp_path, capsys, flag, fault):
+        paths = self.eval_inputs(tmp_path)
+        path = paths[flag]
+        if fault == "missing":
+            path.unlink()
+        elif fault == "directory":
+            path.unlink()
+            path.mkdir()
+        elif fault == "non-numeric":
+            lines = path.read_text().splitlines()
+            lines[1] = "abc" + lines[1][lines[1].index(","):]
+            path.write_text("\n".join(lines) + "\n")
+        else:
+            path.write_text(path.read_text() + "0.1,10.0\n")
+        argv = ["eval", "--out-dir", str(tmp_path / "o")]
+        for name, p in paths.items():
+            argv += [name, str(p)]
+        rc = main(argv)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error[schema]: {path}")
+
+    def test_eval_of_good_csvs_passes(self, tmp_path):
+        argv = ["eval", "--out-dir", str(tmp_path / "o")]
+        for name, p in self.eval_inputs(tmp_path).items():
+            argv += [name, str(p)]
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--frames", "2", "--out-dir", "{file}"],
+        ["detect", "--synth", "1", "--seed", "-1", "--out-dir", "{dir}"],
+        ["bench", "--frames", "1", "--seed", "-1", "--out-dir", "{dir}"],
+        ["synth", "--frames", "-1", "--out-dir", "{dir}"],
+        ["detect", "--synth", "0", "--out-dir", "{dir}"],
+        ["eval", "--total-frames", "1", "--out-dir", "{dir}"],
+        ["eval", "--total-frames", "0", "--out-dir", "{dir}"],
+    ], ids=["out-dir-is-a-file", "negative-seed", "bench-negative-seed",
+            "negative-frames", "zero-synth-frames", "total-frames-below-matches",
+            "zero-total-frames"])
+    def test_bad_argument_is_config_error(self, tmp_path, capsys, argv):
+        (tmp_path / "file").write_text("")
+        argv = [a.format(file=tmp_path / "file", dir=tmp_path / "o") for a in argv]
+        if argv[0] == "eval":
+            for name, p in self.eval_inputs(tmp_path).items():
+                argv += [name, str(p)]
+        rc = main(argv)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error[config]")
