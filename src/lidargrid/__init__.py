@@ -48,7 +48,6 @@ from .bev import (
     extract_channels,
     height_gap_detector,
     load_channel_image,
-    occupancy_detector,
     postprocess_clusters,
 )
 from .evaluate import (

@@ -6,7 +6,7 @@ binary occupancy bit).  The detector that would consume that image is
 abstracted behind a callable; ``cluster_output_grid`` and
 ``postprocess_clusters`` turn a detector's per-cell attribute grid back
 into discrete obstacle estimates by grouping connected cells and the
-components their centre offsets link, then confidence filtering.
+components their centre offsets link, then confidence and size filters.
 Clustering reads that grid at the flat indices of its above-threshold
 cells and builds no dense label raster.
 """
@@ -183,33 +183,15 @@ class OutputAttributeGrid:
 DetectorFn = Callable[[ChannelImage], OutputAttributeGrid]
 
 
-def occupancy_detector(channels: ChannelImage) -> OutputAttributeGrid:
-    """Trivial plug-in predictor: objectness and confidence from occupancy.
-
-    Stands in for an external network so the post-processing route can be
-    exercised end to end.
-    """
-    n = channels.config.image_size
-    occ = channels.plane("occupancy").astype(np.float64)
-    no_offset = np.broadcast_to(0.0, (n, n))  # read-only, takes no memory
-    return OutputAttributeGrid(
-        config=channels.config,
-        objectness=occ,
-        center_offset_x=no_offset,
-        center_offset_y=no_offset,
-        confidence=occ,
-        height=channels.plane("max_height").astype(np.float64),
-    )
-
-
 def height_gap_detector(channels: ChannelImage,
                         min_height: float = 0.25) -> OutputAttributeGrid:
     """Heuristic stand-in predictor that suppresses the road surface.
 
-    The median mean-height over occupied cells approximates the ground
-    level (ground returns dominate a road scene); cells rising at least
-    ``min_height`` above it score as objects.  The height attribute is
-    reported relative to that ground estimate.
+    The pipeline builds ``channels`` from heights above the fitted ground
+    plane, so the road lies near 0 on slopes too; the median mean-height
+    over occupied cells (ground returns dominate a road scene) takes up
+    what offset is left.  Cells rising at least ``min_height`` above it
+    score as objects, and the height attribute is reported relative to it.
     """
     n = channels.config.image_size
     occ = np.flatnonzero(channels.plane("occupancy") > 0)
@@ -298,9 +280,10 @@ def cluster_output_grid(attr: OutputAttributeGrid, objectness_threshold: float,
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def postprocess_clusters(clusters, min_confidence: float,
-                         cfg: BevConfig) -> list[ObstacleEstimate]:
-    """Drop low-confidence clusters and convert survivors to estimates.
+def postprocess_clusters(clusters, min_confidence: float, cfg: BevConfig,
+                         min_cells: int = 1) -> list[ObstacleEstimate]:
+    """Drop low-confidence clusters and those of fewer than ``min_cells``
+    cells, and convert survivors to estimates.
 
     Center is the mean member cell center displaced by the mean predicted
     offset; footprint dimensions come from the cluster's axis-aligned
@@ -308,7 +291,7 @@ def postprocess_clusters(clusters, min_confidence: float,
     """
     out = []
     for c in clusters:
-        if c.mean_confidence < min_confidence:
+        if c.mean_confidence < min_confidence or c.size < min_cells:
             continue
         center_x = c.cell_center_x + c.mean_offset_x
         center_y = c.cell_center_y + c.mean_offset_y

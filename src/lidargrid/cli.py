@@ -19,7 +19,7 @@ from .bev import extract_channels
 from .config import PipelineConfig, default_config_yaml, load_config
 from .core import ConfigError, LidarGridError
 from .pcd import read_frame_pcd, write_frame_pcd
-from .pipeline import bench, run_pipeline
+from .pipeline import bench, front_half, run_pipeline
 from .synth import generate_frame
 
 FRAME_RATE_HZ = 20.0
@@ -149,7 +149,8 @@ def cmd_bev_export(args) -> int:
     out = _out_dir(args)
     count = 0
     for frame in _input_frames(args, cfg):
-        channels = extract_channels(frame.points, cfg.bev)
+        _, _, levelled = front_half(frame, cfg)
+        channels = extract_channels(levelled, cfg.bev)
         channels.save(out / f"frame_{frame.frame_id:04d}.bev")
         count += 1
     print(f"wrote {count} channel images to {out}")

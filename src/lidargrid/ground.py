@@ -45,6 +45,8 @@ class RansacParams:
             raise ValueError("min_inlier_ratio outside [0, 1]")
         if not 0.0 <= self.max_plane_tilt <= math.pi / 2:
             raise ValueError("max_plane_tilt outside [0, pi/2]")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)

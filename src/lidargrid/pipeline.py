@@ -1,11 +1,12 @@
 """Stage composition for the two detection routes, plus the benchmark.
 
-The geometric route: validate -> RANSAC ground fit -> ground split ->
-project to grid (height above plane) -> occupancy thresholds ->
-morphology -> connected components -> obstacle extraction.
-
-The BEV route: validate -> channel extraction -> detector (pluggable) ->
-output-grid clustering -> confidence post-processing.
+Both routes share one front half: validate -> RANSAC ground fit -> level
+(z becomes the signed height above the plane, computed once).  The
+geometric route keeps the levelled rows outside the ground band ->
+project to grid -> occupancy thresholds -> morphology -> connected
+components -> obstacle extraction.  The BEV route feeds all of them to
+channel extraction -> detector (pluggable) -> output-grid clustering ->
+confidence and size post-processing.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from .cluster import extract_obstacles, label_components
 from .config import PipelineConfig
 from .core import ConfigError, ObstacleEstimate, PointCloudFrame, ValidatedFrame, validate_frame
 from .grid import morph_open_close, occupancy_from_counts, project_to_grid
-from .ground import PlaneModel, fit_plane_ransac, split_ground
+# split_ground is not called here, but perfbench/tracing.py wraps it
+# under this module's name
+from .ground import PlaneModel, fit_plane_ransac, split_ground  # noqa: F401
 from .synth import BoxSpec, SceneSpec, generate_frame
 
 GEOMETRIC_STAGES = ("validate", "fit_plane", "split_ground", "project",
                     "occupancy", "morphology", "label", "extract")
-BEV_STAGES = ("validate", "channels", "detector", "cluster", "postprocess")
+BEV_STAGES = ("validate", "fit_plane", "channels", "detector", "cluster", "postprocess")
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,29 +54,38 @@ class _StageClock:
         self._last = now
 
 
-def _validated(frame: PointCloudFrame) -> ValidatedFrame:
-    """``frame`` as is when it was validated already (``read_frame_pcd``
-    validates), so its ``dropped_points`` reaches the result."""
-    return frame if isinstance(frame, ValidatedFrame) else validate_frame(frame)
+def front_half(frame: PointCloudFrame, cfg: PipelineConfig,
+               clock: _StageClock | None = None):
+    """Validate ``frame``, fit the ground plane and level the heights.
+
+    Returns ``(valid, plane, levelled)``: ``levelled`` is one copy of the
+    validated points with z replaced by the signed height above ``plane``.
+    A frame validated already (``read_frame_pcd`` validates) is taken as
+    is, so its ``dropped_points`` reaches the result.  The ``fit_plane``
+    lap includes the levelling.
+    """
+    clock = clock or _StageClock()
+    valid = frame if isinstance(frame, ValidatedFrame) else validate_frame(frame)
+    clock.lap("validate")
+
+    plane = fit_plane_ransac(valid.xyz, cfg.ransac)
+    levelled = valid.points.copy()
+    levelled[:, 2] = plane.signed_distance(valid.points)
+    clock.lap("fit_plane")
+    return valid, plane, levelled
 
 
 def run_geometric(frame: PointCloudFrame, cfg: PipelineConfig) -> PipelineResult:
     """Run the full geometric detection pipeline on one frame."""
     clock = _StageClock()
-    valid = _validated(frame)
-    clock.lap("validate")
+    valid, plane, levelled = front_half(frame, cfg, clock)
 
-    plane = fit_plane_ransac(valid.xyz, cfg.ransac)
-    clock.lap("fit_plane")
-
-    _, non_ground = split_ground(valid.points, plane, cfg.ransac.distance_threshold)
+    # the non-ground rows of split_ground, projected by height above the
+    # plane so the grid's z crop tracks the road surface on slopes
+    non_ground = levelled[np.abs(levelled[:, 2]) > cfg.ransac.distance_threshold]
     clock.lap("split_ground")
 
-    # project with z replaced by height above the fitted plane so the
-    # grid's z crop tracks the road surface on slopes
-    projected = non_ground.copy()
-    projected[:, 2] = plane.signed_distance(non_ground)
-    hist = project_to_grid(projected, cfg.grid)
+    hist = project_to_grid(non_ground, cfg.grid)
     clock.lap("project")
 
     occ = occupancy_from_counts(hist, cfg.profile)
@@ -101,10 +113,9 @@ def run_bev(frame: PointCloudFrame, cfg: PipelineConfig,
     """
     detector = detector or bev_mod.height_gap_detector
     clock = _StageClock()
-    valid = _validated(frame)
-    clock.lap("validate")
+    valid, plane, levelled = front_half(frame, cfg, clock)
 
-    channels = bev_mod.extract_channels(valid.points, cfg.bev)
+    channels = bev_mod.extract_channels(levelled, cfg.bev)
     clock.lap("channels")
 
     attr = detector(channels)
@@ -116,11 +127,11 @@ def run_bev(frame: PointCloudFrame, cfg: PipelineConfig,
     clock.lap("cluster")
 
     obstacles = bev_mod.postprocess_clusters(clusters, cfg.bev_post.min_confidence,
-                                             cfg.bev)
+                                             cfg.bev, cfg.cluster.min_cells)
     clock.lap("postprocess")
 
     return PipelineResult(obstacles=obstacles, timings=clock.timings,
-                          dropped_points=valid.dropped_points)
+                          plane=plane, dropped_points=valid.dropped_points)
 
 
 def run_pipeline(frame: PointCloudFrame, cfg: PipelineConfig) -> PipelineResult:

@@ -73,6 +73,8 @@ class SceneSpec:
             raise ValueError("beam_count must be >= 1")
         if self.azimuth_resolution_deg <= 0.0:
             raise ValueError("azimuth_resolution_deg must be > 0")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
 
     @property

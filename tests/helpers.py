@@ -3,7 +3,8 @@
 Everything here is deliberately naive (flood fill, explicit set
 morphology, plain-loop statistics, row-by-row PCD I/O, per-sample
 RANSAC draws, a per-cluster gather loop) so it cannot share a bug with
-the implementations it checks.
+the implementations it checks.  ``occupancy_detector`` is a fixture: a
+trivial BEV detector that exercises the post-processing end to end.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from lidargrid.bev import OutputAttributeGrid, RawCluster
+from lidargrid.bev import ChannelImage, OutputAttributeGrid, RawCluster
 from lidargrid.core import PointCloudFrame, as_point_array, validate_frame
 from lidargrid.ground import DegenerateInput, NoPlaneFound, PlaneModel, RansacParams
 from lidargrid.pcd import ParseError, UnsupportedLayout
@@ -357,3 +358,18 @@ def cluster_output_grid_by_loop(attr: OutputAttributeGrid, objectness_threshold:
             mean_class_scores=mean_cs,
         ))
     return clusters
+
+
+def occupancy_detector(channels: ChannelImage) -> OutputAttributeGrid:
+    """Trivial plug-in predictor: objectness and confidence from occupancy."""
+    n = channels.config.image_size
+    occ = channels.plane("occupancy").astype(np.float64)
+    no_offset = np.broadcast_to(0.0, (n, n))  # read-only, takes no memory
+    return OutputAttributeGrid(
+        config=channels.config,
+        objectness=occ,
+        center_offset_x=no_offset,
+        center_offset_y=no_offset,
+        confidence=occ,
+        height=channels.plane("max_height").astype(np.float64),
+    )

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cluster_output_grid_by_loop, flood_fill_labels, same_partition
+from helpers import (
+    cluster_output_grid_by_loop,
+    flood_fill_labels,
+    occupancy_detector,
+    same_partition,
+)
 from lidargrid.bev import (
     BevConfig,
     GeometryMismatch,
@@ -12,7 +17,6 @@ from lidargrid.bev import (
     extract_channels,
     height_gap_detector,
     load_channel_image,
-    occupancy_detector,
     postprocess_clusters,
 )
 
@@ -337,6 +341,19 @@ class TestPostprocess:
         lo = cluster_output_grid(zero_attr(objectness=obj, confidence=conf_lo), 0.5)
         assert len(postprocess_clusters(hi, 0.5, CFG)) == 1
         assert len(postprocess_clusters(lo, 0.5, CFG)) == 0
+
+    def test_min_cells_filter(self):
+        obj = np.zeros((40, 40))
+        obj[5:7, 5:7] = 1.0  # 4 cells
+        obj[20, 20] = 1.0  # 1 cell
+        clusters = cluster_output_grid(zero_attr(objectness=obj, confidence=obj), 0.5)
+        assert sorted(c.size for c in clusters) == [1, 4]
+        assert len(postprocess_clusters(clusters, 0.5, CFG)) == 2
+        for min_cells in (2, 4):
+            kept = postprocess_clusters(clusters, 0.5, CFG, min_cells)
+            assert len(kept) == 1
+            assert kept[0].length == pytest.approx(2 * CFG.cell_size)
+        assert postprocess_clusters(clusters, 0.5, CFG, 5) == []
 
     def test_center_includes_mean_offset(self):
         obj = np.zeros((40, 40))

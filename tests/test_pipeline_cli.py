@@ -14,13 +14,17 @@ from lidargrid.config import (
     config_from_dict,
     default_config_yaml,
 )
-from lidargrid.core import ObstacleEstimate, PointCloudFrame
+from lidargrid.core import ObstacleEstimate, PointCloudFrame, validate_frame
 from lidargrid.evaluate import write_obstacles_csv
+from lidargrid.grid import project_to_grid
+from lidargrid.ground import split_ground
 from lidargrid.pcd import read_frame_pcd, write_frame_pcd
 from lidargrid.pipeline import (
+    BENCH_BOXES,
     BEV_STAGES,
     GEOMETRIC_STAGES,
     bench,
+    bench_scene,
     run_bev,
     run_geometric,
     run_pipeline,
@@ -28,6 +32,7 @@ from lidargrid.pipeline import (
 from lidargrid.synth import BoxSpec, SceneSpec, generate_frame
 
 VAN = BoxSpec(center_x=10.05, center_y=0.15, length=5.0, width=2.0, height=2.0)
+SLOPES_DEG = (0.0, 2.0, 4.0, 6.0)
 
 
 def van_scene(seed=0, **kwargs):
@@ -90,6 +95,49 @@ class TestRunBev:
         for other in result.obstacles:
             if other is not main:
                 assert other.length * other.width < 0.1
+
+
+class TestSlopes:
+    """Both routes level heights against the same fitted plane."""
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    @pytest.mark.parametrize("deg", SLOPES_DEG)
+    def test_bev_van_scene(self, deg, seed):
+        # the scene of acceptance criterion 3, with its bounds, on a slope
+        frame = generate_frame(van_scene(seed, ground_slope=math.radians(deg))).frame
+        obstacles = run_bev(frame, PipelineConfig()).obstacles
+        near = [o for o in obstacles
+                if math.hypot(o.center_x - 10.05, o.center_y - 0.15) <= 0.45]
+        assert len(near) == 1, [(o.center_x, o.center_y, o.length) for o in obstacles]
+        assert 4.5 <= near[0].length <= 5.7
+        assert 1.8 <= near[0].width <= 2.4
+        assert all(o.length <= 0.5 for o in obstacles if o is not near[0])
+
+    @pytest.mark.parametrize("deg", SLOPES_DEG)
+    def test_bev_bench_scene_finds_every_box(self, deg):
+        scene = replace(bench_scene(0), ground_slope=math.radians(deg))
+        obstacles = run_bev(generate_frame(scene).frame, PipelineConfig()).obstacles
+        for box in BENCH_BOXES:
+            assert min(math.hypot(o.center_x - box.center_x, o.center_y - box.center_y)
+                       for o in obstacles) <= 0.45, box
+
+    @pytest.mark.parametrize("deg", SLOPES_DEG)
+    def test_geometric_projects_the_non_ground_rows(self, monkeypatch, deg):
+        projected = []
+
+        def spy(points, grid):
+            projected.append(points)
+            return project_to_grid(points, grid)
+
+        monkeypatch.setattr("lidargrid.pipeline.project_to_grid", spy)
+        scene = replace(bench_scene(3), ground_slope=math.radians(deg))
+        frame = validate_frame(generate_frame(scene).frame)
+        cfg = PipelineConfig()
+        plane = run_geometric(frame, cfg).plane
+        _, non_ground = split_ground(frame.points, plane, cfg.ransac.distance_threshold)
+        (rows,) = projected
+        assert np.array_equal(rows[:, [0, 1, 3]], non_ground[:, [0, 1, 3]])
+        assert np.array_equal(rows[:, 2], plane.signed_distance(non_ground))
 
 
 @pytest.mark.parametrize("route", ["geometric", "bev"])
@@ -307,6 +355,15 @@ class TestCli:
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error[config]")
+
+    @pytest.mark.parametrize("section", ["ransac", "synth"])
+    def test_negative_rng_seed_is_config_error(self, tmp_path, capsys, section):
+        cfg_path = tmp_path / "neg.yaml"
+        cfg_path.write_text(f"{section}: {{rng_seed: -1}}\n")
+        rc = main(["detect", "--synth", "1", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error[config]: rng_seed")
 
     @pytest.mark.parametrize("tilt", ["-15", "120"])
     def test_plane_tilt_outside_quarter_turn_is_config_error(self, tmp_path, capsys,
