@@ -281,7 +281,7 @@ def cluster_output_grid(attr: OutputAttributeGrid, objectness_threshold: float,
 
 
 def postprocess_clusters(clusters, min_confidence: float, cfg: BevConfig,
-                         min_cells: int = 1) -> list[ObstacleEstimate]:
+                         min_cells: int = 2) -> list[ObstacleEstimate]:
     """Drop low-confidence clusters and those of fewer than ``min_cells``
     cells, and convert survivors to estimates.
 

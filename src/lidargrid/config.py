@@ -88,7 +88,7 @@ _NOTES = {
     "profile.noise_min_count": "global floor applied after the profile",
     "kernel_radius": "morphology: square element side 2r+1",
     "cluster.connectivity": "4 | 8",
-    "cluster.min_cells": "drop components smaller than this",
+    "cluster.min_cells": "both routes: drop clusters of fewer cells of the route's own grid",
     "bev": "channel-feature raster",
     "bev.image_size": "cells per side",
     "bev.range": "m half-extent",

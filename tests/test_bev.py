@@ -348,7 +348,8 @@ class TestPostprocess:
         obj[20, 20] = 1.0  # 1 cell
         clusters = cluster_output_grid(zero_attr(objectness=obj, confidence=obj), 0.5)
         assert sorted(c.size for c in clusters) == [1, 4]
-        assert len(postprocess_clusters(clusters, 0.5, CFG)) == 2
+        assert len(postprocess_clusters(clusters, 0.5, CFG, 1)) == 2
+        assert len(postprocess_clusters(clusters, 0.5, CFG)) == 1  # default 2
         for min_cells in (2, 4):
             kept = postprocess_clusters(clusters, 0.5, CFG, min_cells)
             assert len(kept) == 1
@@ -362,7 +363,7 @@ class TestPostprocess:
         off_x = np.where(obj > 0, 0.25, 0.0)
         clusters = cluster_output_grid(
             zero_attr(objectness=obj, confidence=conf, center_offset_x=off_x), 0.5)
-        est = postprocess_clusters(clusters, 0.5, CFG)[0]
+        est = postprocess_clusters(clusters, 0.5, CFG, min_cells=1)[0]
         centers = CFG.cell_centers()
         assert est.center_x == pytest.approx(centers[10] + 0.25)
         assert est.center_y == pytest.approx(centers[10])
@@ -397,7 +398,8 @@ class TestPostprocess:
             config=cfg, objectness=obj, center_offset_x=np.zeros((n, n)),
             center_offset_y=np.zeros((n, n)), confidence=obj.copy(),
             height=np.zeros((n, n)), class_scores=scores)
-        est = postprocess_clusters(cluster_output_grid(attr, 0.5), 0.5, cfg)[0]
+        est = postprocess_clusters(cluster_output_grid(attr, 0.5), 0.5, cfg,
+                                   min_cells=1)[0]
         assert est.class_tag == "class_1"
 
 

@@ -314,6 +314,20 @@ class TestCli:
         with open(files[0], "rb") as fh:
             assert fh.readline() == b"BEV v1 6 672 672\n"
 
+    def test_bev_export_stops_at_frame_without_ground(self, tmp_path, capsys):
+        in_dir, out_dir = tmp_path / "pcd", tmp_path / "bev"
+        in_dir.mkdir()
+        write_frame_pcd(generate_frame(SceneSpec(rng_seed=0)).frame,
+                        in_dir / "frame_0000.pcd")
+        rng = np.random.default_rng(0)
+        wall = np.column_stack([np.full(300, 5.0), rng.uniform(-3, 3, 300),
+                                rng.uniform(-1, 1, 300), np.zeros(300)])
+        write_frame_pcd(PointCloudFrame(wall), in_dir / "frame_0001.pcd")
+        rc = main(["bev-export", "--input", str(in_dir), "--out-dir", str(out_dir)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error[no-plane]")
+        assert [p.name for p in out_dir.glob("*.bev")] == ["frame_0000.bev"]
+
     def test_module_error_exit_code_and_category(self, tmp_path, capsys):
         missing = tmp_path / "empty"
         missing.mkdir()
