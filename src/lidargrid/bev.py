@@ -22,7 +22,7 @@ import numpy as np
 from .core import LidarGridError, ObstacleEstimate, as_point_array
 # label_components is not called here, but perfbench/tracing.py wraps it
 # under this module's name
-from .cluster import component_ids, find_cells, label_components, label_flat  # noqa: F401
+from .cluster import component_ids, label_components, label_flat  # noqa: F401
 
 PLANE_NAMES = ("max_height", "mean_height", "max_intensity",
                "mean_intensity", "density", "occupancy")
@@ -169,7 +169,9 @@ class OutputAttributeGrid:
             if arr.shape != (n, n):
                 raise GeometryMismatch(f"{name} shape {arr.shape}, expected ({n}, {n})")
             object.__setattr__(self, name, arr)
-        for name in ("objectness", "confidence"):
+        # a detector may pass one array as both scores; check it once
+        shared = self.confidence is self.objectness
+        for name in ("objectness",) if shared else ("objectness", "confidence"):
             arr = getattr(self, name)
             if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
                 raise ValueError(f"{name} scores outside [0, 1]")
@@ -259,7 +261,9 @@ def cluster_output_grid(attr: OutputAttributeGrid, objectness_threshold: float,
     t_i = np.floor((cx + offx + cfg.range) / cfg.cell_size).astype(np.int64)
     t_j = np.floor((cy + offy + cfg.range) / cfg.cell_size).astype(np.int64)
     src = np.flatnonzero((t_i >= 0) & (t_i < n) & (t_j >= 0) & (t_j < n))
-    dst, hit = find_cells(flat, t_i[src] * n + t_j[src])
+    target = t_i[src] * n + t_j[src]
+    dst = np.searchsorted(flat, target).clip(max=flat.size - 1)
+    hit = flat[dst] == target
     group = component_ids(int(base.max()) + 1, base[src[hit]], base[dst[hit]])
 
     # one stable sort puts each cluster's cells in a contiguous run, in

@@ -273,6 +273,17 @@ class TestClusterOutputGrid:
         with pytest.raises(ValueError):
             cluster_output_grid(zero_attr(), 1.5)
 
+    @pytest.mark.parametrize("bad", [-0.5, 1.5])
+    def test_shared_and_separate_scores_checked(self, bad):
+        # one array passed as both scores is checked once, under the
+        # objectness name; a separate confidence array is checked on its own
+        scores = np.zeros((40, 40))
+        scores[3, 4] = bad
+        with pytest.raises(ValueError, match="^objectness scores outside"):
+            zero_attr(objectness=scores, confidence=scores)
+        with pytest.raises(ValueError, match="^confidence scores outside"):
+            zero_attr(confidence=scores)
+
 
 @st.composite
 def attribute_grids(draw):

@@ -68,6 +68,42 @@ class TestLabelComponents:
         assert np.array_equal(out.labels, cells.astype(np.int64))
 
     @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_row_wrap_is_not_adjacency(self, connectivity):
+        # (r, w-1) and (r+1, 0) follow each other in flat order; so do the
+        # runs (2, 3..4) and (3, 0..1), whose nearest cells are two columns apart
+        cells = np.zeros((5, 5), dtype=bool)
+        cells[0, 4] = cells[1, 0] = True
+        cells[2, 3:] = cells[3, :2] = True
+        out = label_components(cells, connectivity)
+        assert out.num_components == 4
+        assert np.array_equal(out.labels, flood_fill_labels(cells, connectivity))
+
+    @pytest.mark.parametrize("connectivity, components", [(4, 3), (8, 1)])
+    def test_long_run_fans_out(self, connectivity, components):
+        # one run over columns 1..10 touches five runs above and five below;
+        # (0, 0) and (2, 0) touch it only diagonally, (0, 10) straight above
+        # its last cell
+        cells = np.zeros((3, 12), dtype=bool)
+        for j in (0, 2, 3, 5, 7, 8, 10, 11):
+            cells[0, j] = True
+        cells[1, 1:11] = True
+        for j in (0, 2, 4, 5, 8, 10, 11):
+            cells[2, j] = True
+        out = label_components(cells, connectivity)
+        assert out.num_components == components
+        assert np.array_equal(out.labels, flood_fill_labels(cells, connectivity))
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_matches_flood_fill_across_densities(self, connectivity):
+        rng = np.random.default_rng(19)
+        shapes = [(1, 40), (40, 1), (3, 300), (9, 17), (25, 25)]
+        for density in np.linspace(0.05, 0.95, 19):
+            for shape in shapes * 2:
+                cells = rng.random(shape) < density
+                ref = flood_fill_labels(cells, connectivity)
+                assert np.array_equal(label_components(cells, connectivity).labels, ref)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
     def test_fully_occupied_grid(self, connectivity):
         out = label_components(np.ones((13, 7), dtype=bool), connectivity)
         assert out.num_components == 1

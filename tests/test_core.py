@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidargrid.core import (
     EmptyFrame,
@@ -36,6 +38,33 @@ class TestValidateFrame:
         frame = make_frame([[np.nan, 0, 0, 0], [np.inf, 1, 1, 0]])
         with pytest.raises(EmptyFrame):
             validate_frame(frame)
+
+    @pytest.mark.parametrize("col", range(4))
+    def test_non_finite_in_every_row_raises(self, col):
+        rows = np.ones((3, 4))
+        rows[:, col] = [np.nan, np.inf, -np.inf]
+        with pytest.raises(EmptyFrame):
+            validate_frame(make_frame(rows))
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           bad=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 3),
+                                  st.sampled_from([np.nan, np.inf, -np.inf])),
+                        max_size=60))
+    def test_matches_row_wise_oracle(self, n, seed, bad):
+        rows = np.random.default_rng(seed).normal(size=(n, 4))
+        for i, col, value in bad:
+            rows[i % n, col] = value
+        keep = np.isfinite(rows).all(axis=1)
+        if not keep.any():
+            with pytest.raises(EmptyFrame):
+                validate_frame(make_frame(rows))
+            return
+        out = validate_frame(make_frame(rows))
+        expected = rows[keep]
+        expected[:, 3] = np.clip(expected[:, 3], 0.0, 1.0)
+        np.testing.assert_array_equal(out.points, expected)
+        assert out.dropped_points == n - keep.sum()
 
     def test_eight_bit_intensity_normalized(self):
         out = validate_frame(make_frame([[1, 1, 1, 255.0], [2, 2, 2, 51.0]]),
