@@ -80,9 +80,9 @@ class TestLabelComponents:
 
     @pytest.mark.parametrize("connectivity, components", [(4, 3), (8, 1)])
     def test_long_run_fans_out(self, connectivity, components):
-        # one run over columns 1..10 touches five runs above and five below;
-        # (0, 0) and (2, 0) touch it only diagonally, (0, 10) straight above
-        # its last cell
+        # one run over columns 1..10 has five runs above it and five below;
+        # (0, 0) and (2, 0) touch it only diagonally, the run at (0, 10..11)
+        # starts straight above its last cell
         cells = np.zeros((3, 12), dtype=bool)
         for j in (0, 2, 3, 5, 7, 8, 10, 11):
             cells[0, j] = True
