@@ -6,7 +6,6 @@ from .core import (
     ObstacleEstimate,
     Point3,
     PointCloudFrame,
-    ValidatedFrame,
     range_of,
     validate_frame,
 )
@@ -24,8 +23,6 @@ from .grid import (
     OccupancyGrid,
     ThresholdProfile,
     binary_close,
-    binary_dilate,
-    binary_erode,
     binary_open,
     morph_open_close,
     occupancy_from_counts,
@@ -40,10 +37,8 @@ from .cluster import (
 )
 from .bev import (
     BevConfig,
-    ChannelImage,
     GeometryMismatch,
     OutputAttributeGrid,
-    RawCluster,
     cluster_output_grid,
     extract_channels,
     height_gap_detector,
@@ -55,7 +50,6 @@ from .evaluate import (
     EgoPose,
     EmptySeries,
     InvalidLatitude,
-    OffsetStats,
     RelativePosition,
     SchemaError,
     associate,
@@ -67,7 +61,6 @@ from .evaluate import (
 from .synth import (
     GROUND_LABEL,
     BoxSpec,
-    LabeledFrame,
     SceneSpec,
     expected_obstacles,
     generate_frame,

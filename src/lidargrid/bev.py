@@ -2,13 +2,13 @@
 
 ``extract_channels`` collapses a point cloud into a 6-plane square BEV
 image (height/intensity peaks and means, a bounded log density, and a
-binary occupancy bit).  The detector that would consume that image is
-abstracted behind a callable; ``cluster_output_grid`` and
-``postprocess_clusters`` turn a detector's per-cell attribute grid back
-into discrete obstacle estimates by grouping connected cells and the
+binary occupancy bit) kept over its occupied cells.  The detector that
+would consume that image is abstracted behind a callable;
+``cluster_output_grid`` and ``postprocess_clusters`` turn a detector's
+per-cell attributes, over the raster or a list of cells, back into
+discrete obstacle estimates by grouping connected cells and the
 components their centre offsets link, then confidence and size filters.
-Clustering reads that grid at the flat indices of its above-threshold
-cells and builds no dense label raster.
+The built-in route makes no raster-sized array per frame.
 """
 
 from __future__ import annotations
@@ -58,25 +58,49 @@ class BevConfig:
         return -self.range + (np.arange(self.image_size) + 0.5) * self.cell_size
 
 
+def _support(cells, n: int) -> np.ndarray:
+    """Flat cell indices i * n + j as int64, checked 1-D, strictly increasing
+    and inside the raster: clustering's binary search needs all three."""
+    c = np.asarray(cells)
+    if (c.ndim != 1 or not np.issubdtype(c.dtype, np.integer)
+            or c.size and (c[0] < 0 or c[-1] >= n * n or (np.diff(c) <= 0).any())):
+        raise GeometryMismatch(f"cells must be 1-D strictly increasing integers in [0, {n * n})")
+    return c.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelImage:
-    """Six stacked planes over the BEV raster, float32, shape (6, n, n).
-
-    Plane order follows PLANE_NAMES.  Empty cells are zero in every plane.
+    """Six planes over the BEV raster, kept over the occupied ``cells``
+    (sorted flat indices); ``values`` is float32, shape (6, m), in
+    PLANE_NAMES order.  Every other cell is zero in every plane.
     """
 
-    planes: np.ndarray
+    cells: np.ndarray
+    values: np.ndarray
     config: BevConfig
 
     def __post_init__(self):
-        p = np.asarray(self.planes, dtype=np.float32)
+        cells = _support(self.cells, self.config.image_size)
+        v = np.asarray(self.values, dtype=np.float32)
+        if v.shape != (len(PLANE_NAMES), cells.size):
+            raise GeometryMismatch(f"values shape {v.shape}, expected (6, {cells.size})")
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "values", v)
+
+    def _dense(self, values: np.ndarray) -> np.ndarray:
         n = self.config.image_size
-        if p.shape != (len(PLANE_NAMES), n, n):
-            raise GeometryMismatch(f"planes shape {p.shape}, expected (6, {n}, {n})")
-        object.__setattr__(self, "planes", p)
+        out = np.zeros(values.shape[:-1] + (n * n,), dtype=np.float32)
+        out[..., self.cells] = values
+        return out.reshape(values.shape[:-1] + (n, n))
+
+    @property
+    def planes(self) -> np.ndarray:
+        """The dense (6, n, n) float32 raster, built on each access."""
+        return self._dense(self.values)
 
     def plane(self, name: str) -> np.ndarray:
-        return self.planes[PLANE_NAMES.index(name)]
+        """One dense (n, n) float32 plane, built on each call."""
+        return self._dense(self.values[PLANE_NAMES.index(name)])
 
     def save(self, path) -> None:
         """Write the one-line text header plus little-endian float32 planes."""
@@ -90,7 +114,8 @@ def load_channel_image(path, half_range: float = 30.0) -> ChannelImage:
     """Read a file written by ChannelImage.save.
 
     The header carries raster dimensions only; the metric half-extent is
-    supplied by the caller.
+    supplied by the caller.  Every cell with a nonzero bit in any plane
+    is kept, so saving the image again writes the same bytes.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii").split()
@@ -102,15 +127,17 @@ def load_channel_image(path, half_range: float = 30.0) -> ChannelImage:
         data = np.frombuffer(fh.read(), dtype="<f4")
     if data.size != planes * h * w:
         raise GeometryMismatch(f"truncated BEV payload in {path}")
+    data = data.reshape(planes, h * w)
+    cells = np.flatnonzero(data.view("<u4").any(axis=0))
     cfg = BevConfig(image_size=h, range=half_range)
-    return ChannelImage(planes=data.reshape(planes, h, w).copy(), config=cfg)
+    return ChannelImage(cells=cells, values=data[:, cells], config=cfg)
 
 
 def extract_channels(points, cfg: BevConfig) -> ChannelImage:
     """Build the 6-channel BEV image; points outside ±range are dropped.
 
-    Statistics are taken over the occupied cells only and scattered into
-    one zeroed image, so a frame makes no raster-sized temporaries.
+    Statistics are taken over the occupied cells only, and the image
+    keeps them there, so a frame makes no raster-sized arrays.
     """
     pts = as_point_array(points)
     n = cfg.image_size
@@ -131,16 +158,12 @@ def extract_channels(points, cfg: BevConfig) -> ChannelImage:
     np.maximum.at(max_z, slot, z)
     np.maximum.at(max_i, slot, inten)
 
-    planes = np.zeros((len(PLANE_NAMES), n * n), dtype=np.float32)
-    planes[:, cells] = np.stack([
-        max_z,
-        np.bincount(slot, weights=z, minlength=m) / counts,
-        max_i,
-        np.bincount(slot, weights=inten, minlength=m) / counts,
-        np.clip(np.log1p(counts) / _DENSITY_NORM, 0.0, 1.0),
-        np.ones(m),
-    ])
-    return ChannelImage(planes=planes.reshape(len(PLANE_NAMES), n, n), config=cfg)
+    values = np.stack([  # PLANE_NAMES order
+        max_z, np.bincount(slot, weights=z, minlength=m) / counts,
+        max_i, np.bincount(slot, weights=inten, minlength=m) / counts,
+        np.clip(np.log1p(counts) / _DENSITY_NORM, 0.0, 1.0), np.ones(m),
+    ]).astype(np.float32)
+    return ChannelImage(cells=cells, values=values, config=cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +173,10 @@ class OutputAttributeGrid:
     ``objectness`` and ``confidence`` are scores in [0, 1]; the center
     offsets are meters from the cell center to the predicted object
     center; ``class_scores`` is opaque per-cell data carried through
-    aggregation, shape (n, n, C) or None.
+    aggregation, or None.  Attributes are (n, n) rasters, or with
+    ``cells`` (sorted flat indices) one value per listed cell, shape (m,);
+    ``class_scores`` adds a trailing axis C.  Unlisted cells have no score
+    and never join a cluster.
     """
 
     config: BevConfig
@@ -160,14 +186,19 @@ class OutputAttributeGrid:
     confidence: np.ndarray
     height: np.ndarray
     class_scores: np.ndarray | None = None
+    cells: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.config.image_size
+        shape = (n, n)
+        if self.cells is not None:
+            object.__setattr__(self, "cells", _support(self.cells, n))
+            shape = self.cells.shape
         for name in ("objectness", "center_offset_x", "center_offset_y",
                      "confidence", "height"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != (n, n):
-                raise GeometryMismatch(f"{name} shape {arr.shape}, expected ({n}, {n})")
+            if arr.shape != shape:
+                raise GeometryMismatch(f"{name} shape {arr.shape}, expected {shape}")
             object.__setattr__(self, name, arr)
         # a detector may pass one array as both scores; check it once
         shared = self.confidence is self.objectness
@@ -177,7 +208,7 @@ class OutputAttributeGrid:
                 raise ValueError(f"{name} scores outside [0, 1]")
         if self.class_scores is not None:
             cs = np.asarray(self.class_scores, dtype=np.float64)
-            if cs.ndim != 3 or cs.shape[:2] != (n, n):
+            if cs.shape[:-1] != shape:
                 raise GeometryMismatch(f"class_scores shape {cs.shape}")
             object.__setattr__(self, "class_scores", cs)
 
@@ -194,26 +225,19 @@ def height_gap_detector(channels: ChannelImage,
     over occupied cells (ground returns dominate a road scene) takes up
     what offset is left.  Cells rising at least ``min_height`` above it
     score as objects, and the height attribute is reported relative to it.
+    The attributes are given over the occupied cells.
     """
-    n = channels.config.image_size
-    occ = np.flatnonzero(channels.plane("occupancy") > 0)
-    mean_h = channels.plane("mean_height").ravel()[occ].astype(np.float64)
-    ground = float(np.median(mean_h)) if occ.size else 0.0
-    rise = channels.plane("max_height").ravel()[occ].astype(np.float64) - ground
+    max_h, mean_h, *_, occupancy = channels.values  # PLANE_NAMES order
+    occ = occupancy > 0
+    ground = float(np.median(mean_h[occ].astype(np.float64))) if occ.any() else 0.0
+    rise = max_h[occ].astype(np.float64) - ground
     hit = rise >= min_height
-    score = np.zeros((n, n))
-    score.flat[occ[hit]] = 1.0
-    height = np.zeros((n, n))
-    height.flat[occ[hit]] = rise[hit]
-    no_offset = np.broadcast_to(0.0, (n, n))  # read-only, takes no memory
+    score = hit.astype(np.float64)
+    no_offset = np.broadcast_to(0.0, score.shape)  # read-only, takes no memory
     return OutputAttributeGrid(
-        config=channels.config,
-        objectness=score,
-        center_offset_x=no_offset,
-        center_offset_y=no_offset,
-        confidence=score,
-        height=height,
-    )
+        config=channels.config, objectness=score, center_offset_x=no_offset,
+        center_offset_y=no_offset, confidence=score, height=np.where(hit, rise, 0.0),
+        cells=channels.cells[occ])
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,25 +262,28 @@ def cluster_output_grid(attr: OutputAttributeGrid, objectness_threshold: float,
                         connectivity: int = 8) -> list[RawCluster]:
     """Group above-threshold cells by adjacency plus center-offset links.
 
-    Cells with objectness >= threshold are first joined by grid
-    connectivity; each cell is additionally joined with the cell its
-    center-offset vector points into (skipped when that cell is outside
-    the grid or below threshold).  With all offsets zero this reduces to
-    plain connected-component labeling.  Clusters come out in raster
-    order of their first cell.
+    Cells with objectness >= threshold (within ``attr.cells`` when the
+    grid lists them) are first joined by grid connectivity; each cell is
+    additionally joined with the cell its center-offset vector points
+    into (skipped when that cell is outside the grid or below threshold).
+    With all offsets zero this reduces to plain connected-component
+    labeling.  Clusters come out in raster order of their first cell.
     """
     if not 0.0 <= objectness_threshold <= 1.0:
         raise ValueError("objectness_threshold outside [0, 1]")
     cfg = attr.config
     n = cfg.image_size
-    flat = np.flatnonzero(attr.objectness >= objectness_threshold)
-    if flat.size == 0:
+    # positions in the flattened attributes; on a raster they are the cells
+    pos = np.flatnonzero(attr.objectness >= objectness_threshold)
+    if pos.size == 0:
         return []
+    flat = pos if attr.cells is None else attr.cells[pos]
     base = label_flat(flat, (n, n), connectivity)
     ii, jj = np.divmod(flat, n)
     centers = cfg.cell_centers()
     cx, cy = centers[ii], centers[jj]
-    offx, offy = attr.center_offset_x[ii, jj], attr.center_offset_y[ii, jj]
+    offx = attr.center_offset_x.reshape(-1)[pos]
+    offy = attr.center_offset_y.reshape(-1)[pos]
 
     t_i = np.floor((cx + offx + cfg.range) / cfg.cell_size).astype(np.int64)
     t_j = np.floor((cy + offy + cfg.range) / cfg.cell_size).astype(np.int64)
@@ -273,12 +300,13 @@ def cluster_output_grid(attr: OutputAttributeGrid, objectness_threshold: float,
     cell_group = group[base]
     order = np.argsort(cell_group, kind="stable")
     bounds = np.searchsorted(cell_group[order], np.arange(group.max() + 2)).tolist()
-    ii, jj = ii[order], jj[order]
-    cells = np.stack([ii, jj], axis=1)
+    sel = pos[order]
+    cells = np.stack([ii[order], jj[order]], axis=1)
     # rows in the order of RawCluster's fields after ``cells``
-    means = np.stack([attr.confidence[ii, jj], attr.height[ii, jj],
+    means = np.stack([attr.confidence.reshape(-1)[sel], attr.height.reshape(-1)[sel],
                       cx[order], cy[order], offx[order], offy[order]])
-    scores = None if attr.class_scores is None else attr.class_scores[ii, jj]
+    cs = attr.class_scores
+    scores = None if cs is None else cs.reshape(attr.objectness.size, cs.shape[-1])[sel]
     return [RawCluster(cells[lo:hi], *means[:, lo:hi].mean(axis=1).tolist(),
                        None if scores is None else scores[lo:hi].mean(axis=0))
             for lo, hi in zip(bounds[:-1], bounds[1:])]

@@ -119,7 +119,6 @@ def run_bev(frame: PointCloudFrame, cfg: PipelineConfig,
     clock.lap("channels")
 
     attr = detector(channels)
-    del channels  # hold one raster-sized image at a time
     clock.lap("detector")
 
     clusters = bev_mod.cluster_output_grid(attr, cfg.bev_post.objectness_threshold,

@@ -11,6 +11,7 @@ from helpers import (
 )
 from lidargrid.bev import (
     BevConfig,
+    ChannelImage,
     GeometryMismatch,
     OutputAttributeGrid,
     cluster_output_grid,
@@ -19,6 +20,10 @@ from lidargrid.bev import (
     load_channel_image,
     postprocess_clusters,
 )
+from lidargrid.cli import main
+from lidargrid.config import PipelineConfig
+from lidargrid.pipeline import front_half
+from lidargrid.synth import generate_frame
 
 CFG = BevConfig(image_size=40, range=6.0)  # 0.3 m cells
 
@@ -34,6 +39,25 @@ def zero_attr(cfg=CFG, **overrides):
     )
     fields.update(overrides)
     return OutputAttributeGrid(config=cfg, **fields)
+
+
+def dense_attr(attr):
+    """The same attributes as (n, n) rasters; cells off the support read 0."""
+    if attr.cells is None:
+        return attr
+    n = attr.config.image_size
+
+    def scatter(values):
+        out = np.zeros((n * n,) + values.shape[1:])
+        out[attr.cells] = values
+        return out.reshape((n, n) + values.shape[1:])
+
+    return OutputAttributeGrid(
+        config=attr.config, objectness=scatter(attr.objectness),
+        center_offset_x=scatter(attr.center_offset_x),
+        center_offset_y=scatter(attr.center_offset_y),
+        confidence=scatter(attr.confidence), height=scatter(attr.height),
+        class_scores=None if attr.class_scores is None else scatter(attr.class_scores))
 
 
 def dense_channels(pts, cfg):
@@ -132,7 +156,7 @@ class TestHeightGapDetector:
         rng = np.random.default_rng(12)
         for _ in range(50):
             img = extract_channels(random_points(rng, int(rng.integers(0, 400))), CFG)
-            attr = height_gap_detector(img, min_height=0.5)
+            attr = dense_attr(height_gap_detector(img, min_height=0.5))
             occ = img.plane("occupancy") > 0
             mean_h = img.plane("mean_height").astype(np.float64)
             max_h = img.plane("max_height").astype(np.float64)
@@ -165,6 +189,33 @@ class TestSerialization:
         with open(path, "rb") as fh:
             header = fh.readline().decode("ascii").rstrip("\n")
         assert header == f"BEV v1 6 {CFG.image_size} {CFG.image_size}"
+
+    def test_values_off_the_occupied_cells_round_trip(self, tmp_path):
+        # a file need not come from extract_channels: any nonzero bit
+        # pattern (-0.0 and NaN included) in any plane survives load + save
+        rng = np.random.default_rng(21)
+        n = CFG.image_size
+        planes = np.zeros((6, n * n), dtype="<f4")
+        for k in range(6):
+            cells = rng.choice(n * n, 50, replace=False)
+            planes[k, cells] = rng.normal(0.0, 3.0, 50)
+        planes[0, :3] = [-0.0, np.nan, np.inf]
+        payload = f"BEV v1 6 {n} {n}\n".encode("ascii") + planes.tobytes()
+        src, dst = tmp_path / "src.bev", tmp_path / "dst.bev"
+        src.write_bytes(payload)
+        img = load_channel_image(src, half_range=CFG.range)
+        assert img.cells.size < n * n
+        img.save(dst)
+        assert dst.read_bytes() == payload
+
+    def test_bev_export_writes_the_dense_reference(self, tmp_path):
+        assert main(["bev-export", "--synth", "1", "--out-dir", str(tmp_path)]) == 0
+        cfg = PipelineConfig()
+        _, _, levelled = front_half(generate_frame(cfg.synth, frame_id=0).frame, cfg)
+        n = cfg.bev.image_size
+        want = (f"BEV v1 6 {n} {n}\n".encode("ascii")
+                + dense_channels(levelled, cfg.bev).astype("<f4").tobytes())
+        assert (tmp_path / "frame_0000.bev").read_bytes() == want
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "bad.bev"
@@ -319,27 +370,119 @@ def attribute_grids(draw):
     return attr, threshold, draw(st.sampled_from([4, 8]))
 
 
+@st.composite
+def support_grids(draw):
+    """An ``attribute_grids`` case kept on a random support of its cells,
+    with a threshold in (0, 1], so that the scattered raster's zero cells
+    off the support never join a cluster either."""
+    attr, _, connectivity = draw(attribute_grids())
+    n = attr.config.image_size
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+    cells = np.flatnonzero(rng.random(n * n) < share)
+
+    def on(a):
+        return a.reshape((n * n,) + a.shape[2:])[cells]
+
+    support = OutputAttributeGrid(
+        config=attr.config, objectness=on(attr.objectness),
+        center_offset_x=on(attr.center_offset_x), center_offset_y=on(attr.center_offset_y),
+        confidence=on(attr.confidence), height=on(attr.height),
+        class_scores=None if attr.class_scores is None else on(attr.class_scores),
+        cells=cells)
+    threshold = draw(st.one_of(st.sampled_from([1e-9, 0.5, 1.0]),
+                               st.floats(0.0, 1.0, exclude_min=True)))
+    return support, threshold, connectivity
+
+
+def assert_same_clusters(got, want):
+    """Every RawCluster field bit-equal, types and shapes included."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.cells.dtype == b.cells.dtype
+        assert a.cells.shape == b.cells.shape
+        assert np.array_equal(a.cells, b.cells)
+        for name in ("mean_confidence", "mean_height", "cell_center_x",
+                     "cell_center_y", "mean_offset_x", "mean_offset_y"):
+            assert type(getattr(a, name)) is float
+            assert getattr(a, name) == getattr(b, name), name
+        if b.mean_class_scores is None:
+            assert a.mean_class_scores is None
+        else:
+            assert a.mean_class_scores.shape == b.mean_class_scores.shape
+            assert np.array_equal(a.mean_class_scores, b.mean_class_scores)
+
+
 class TestClusterMatchesLoop:
     @settings(max_examples=400, deadline=None)
     @given(attribute_grids())
     def test_every_field_equals_the_loop(self, case):
         attr, threshold, connectivity = case
-        got = cluster_output_grid(attr, threshold, connectivity)
-        want = cluster_output_grid_by_loop(attr, threshold, connectivity)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.cells.dtype == b.cells.dtype
-            assert a.cells.shape == b.cells.shape
-            assert np.array_equal(a.cells, b.cells)
-            for name in ("mean_confidence", "mean_height", "cell_center_x",
-                         "cell_center_y", "mean_offset_x", "mean_offset_y"):
-                assert type(getattr(a, name)) is float
-                assert getattr(a, name) == getattr(b, name), name
-            if b.mean_class_scores is None:
-                assert a.mean_class_scores is None
-            else:
-                assert a.mean_class_scores.shape == b.mean_class_scores.shape
-                assert np.array_equal(a.mean_class_scores, b.mean_class_scores)
+        assert_same_clusters(cluster_output_grid(attr, threshold, connectivity),
+                             cluster_output_grid_by_loop(attr, threshold, connectivity))
+
+    @settings(max_examples=400, deadline=None)
+    @given(support_grids())
+    def test_support_form_equals_its_raster(self, case):
+        attr, threshold, connectivity = case
+        assert_same_clusters(cluster_output_grid(attr, threshold, connectivity),
+                             cluster_output_grid(dense_attr(attr), threshold, connectivity))
+
+
+# one entry per way a support can break the sorted-unique-in-raster rule
+BAD_SUPPORTS = {
+    "two-dimensional": np.array([[1, 2]]),
+    "not integer": np.array([1.0, 2.0]),
+    "unsorted": np.array([5, 3]),
+    "duplicate": np.array([3, 3]),
+    "negative": np.array([-1, 3]),
+    "past the raster": np.array([3, CFG.image_size ** 2]),
+}
+
+
+def support_attr(cells, m=None, **overrides):
+    """A support-form grid over ``cells`` with ``m`` zero values per attribute."""
+    zeros = np.zeros(np.size(cells) if m is None else m)
+    fields = dict(objectness=zeros, center_offset_x=zeros, center_offset_y=zeros,
+                  confidence=zeros, height=zeros)
+    fields.update(overrides)
+    return OutputAttributeGrid(config=CFG, cells=cells, **fields)
+
+
+class TestSupportForm:
+    @pytest.mark.parametrize("name", BAD_SUPPORTS)
+    def test_bad_support_rejected_by_channel_image(self, name):
+        cells = BAD_SUPPORTS[name]
+        with pytest.raises(GeometryMismatch, match="cells must be"):
+            ChannelImage(cells=cells, values=np.zeros((6, cells.size)), config=CFG)
+
+    @pytest.mark.parametrize("name", BAD_SUPPORTS)
+    def test_bad_support_rejected_by_attribute_grid(self, name):
+        with pytest.raises(GeometryMismatch, match="cells must be"):
+            support_attr(BAD_SUPPORTS[name])
+
+    def test_length_mismatch_rejected(self):
+        cells = np.array([3, 7])
+        with pytest.raises(GeometryMismatch, match="values shape"):
+            ChannelImage(cells=cells, values=np.zeros((6, 3)), config=CFG)
+        with pytest.raises(GeometryMismatch, match="objectness shape"):
+            support_attr(cells, m=3)
+        with pytest.raises(GeometryMismatch, match="height shape"):
+            support_attr(cells, height=np.zeros((CFG.image_size, CFG.image_size)))
+        with pytest.raises(GeometryMismatch, match="class_scores shape"):
+            support_attr(cells, class_scores=np.zeros((3, 2)))
+
+    def test_support_cells_alone_cluster_at_threshold_zero(self):
+        # two 2 x 2 blocks with zero scores: at threshold 0 a raster puts
+        # every cell in one cluster, a support only its own cells
+        n = CFG.image_size
+        cells = np.array([5 * n + 5, 5 * n + 6, 6 * n + 5, 6 * n + 6,
+                          20 * n + 20, 20 * n + 21, 21 * n + 20, 21 * n + 21])
+        clusters = cluster_output_grid(support_attr(cells), 0.0)
+        assert [c.size for c in clusters] == [4, 4]
+        got = np.concatenate([c.cells for c in clusters])
+        assert np.array_equal(got[:, 0] * n + got[:, 1], cells)
+        assert [c.size for c in cluster_output_grid(zero_attr(), 0.0)] == [n * n]
 
 
 class TestPostprocess:

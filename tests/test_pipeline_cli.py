@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -81,6 +82,20 @@ class TestRunGeometric:
 
 
 class TestRunBev:
+    def test_frame_makes_no_raster_sized_arrays(self):
+        # the bound is two float64 672 x 672 planes; the dense channel
+        # image alone would be 10.8 MB
+        frame = generate_frame(bench_scene(0)).frame
+        cfg = PipelineConfig()
+        run_bev(frame, cfg)  # fills the plane fit's caches
+        tracemalloc.start()
+        try:
+            run_bev(frame, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 672 * 672 * 8, f"peak {peak / 1e6:.1f} MB"
+
     def test_van_scene_detected_with_default_detector(self):
         frame = generate_frame(van_scene(13)).frame
         cfg = PipelineConfig()
