@@ -27,10 +27,25 @@ class DimensionMismatch(LidarGridError):
 
 @dataclass(frozen=True, eq=False)
 class LabelGrid:
-    """Per-cell component ids: 0 = free, 1..num_components occupied."""
+    """Per-cell component ids: 0 = free, 1..num_components occupied.
+
+    ``flat`` lists the row-major indices of the occupied cells in
+    ascending order and ``ids`` their 0-based component ids, as
+    ``label_flat`` returns them; a grid built by hand gets both read off
+    ``labels``.
+    """
 
     labels: np.ndarray
     num_components: int
+    flat: np.ndarray | None = None
+    ids: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.flat is None or self.ids is None:
+            labels = np.asarray(self.labels).ravel()
+            flat = np.flatnonzero(labels)
+            object.__setattr__(self, "flat", flat)
+            object.__setattr__(self, "ids", labels[flat] - 1)
 
 
 def component_ids(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -99,7 +114,7 @@ def label_components(grid, connectivity: int = 8) -> LabelGrid:
     labels = np.zeros(cells.size, dtype=np.int64)
     labels[flat] = ids + 1
     return LabelGrid(labels=labels.reshape(cells.shape),
-                     num_components=int(ids.max(initial=-1)) + 1)
+                     num_components=int(ids.max(initial=-1)) + 1, flat=flat, ids=ids)
 
 
 def extract_obstacles(labels: LabelGrid, hist: CellHistogram, cfg: GridConfig,
@@ -118,10 +133,9 @@ def extract_obstacles(labels: LabelGrid, hist: CellHistogram, cfg: GridConfig,
     if k == 0:
         return []
 
-    flat = np.flatnonzero(labels.labels)
-    ii, jj = np.divmod(flat, labels.labels.shape[1])
-    comp = labels.labels.ravel()[flat] - 1
-    weights = hist.counts[ii, jj].astype(float)
+    ii, jj = np.divmod(labels.flat, labels.labels.shape[1])
+    comp = labels.ids
+    weights = hist.counts.ravel()[labels.flat].astype(float)
     cx = cfg.cell_centers_x()[ii]
     cy = cfg.cell_centers_y()[jj]
 

@@ -182,40 +182,39 @@ def occupancy_from_counts(hist: CellHistogram, profile: ThresholdProfile) -> Occ
     return OccupancyGrid(cells=hist.counts >= _threshold_map(hist.config, profile))
 
 
-def _shifted(cells: np.ndarray, di: int, dj: int) -> np.ndarray:
-    """Shift a boolean grid by (di, dj), filling exposed borders with False."""
-    out = np.zeros_like(cells)
-    if abs(di) >= cells.shape[0] or abs(dj) >= cells.shape[1]:
-        return out  # shifted wholly off the grid
-    src_i = slice(max(0, -di), cells.shape[0] - max(0, di))
-    src_j = slice(max(0, -dj), cells.shape[1] - max(0, dj))
-    dst_i = slice(max(0, di), cells.shape[0] - max(0, -di))
-    dst_j = slice(max(0, dj), cells.shape[1] - max(0, -dj))
-    out[dst_i, dst_j] = cells[src_i, src_j]
-    return out
+def _fold_square(grid: OccupancyGrid, kernel_radius: int, fold) -> OccupancyGrid:
+    """Fold ``fold`` over the square of side 2r+1 around every cell.
 
-
-def _combine_shifts(grid: OccupancyGrid, kernel_radius: int, combine) -> OccupancyGrid:
-    """Fold every shift of the grid within a square of side 2r+1 into it."""
+    The square is separable: a pass along each row, then one along each
+    column of its result.  A pass folds the 2r shifts of its input into a
+    copy with in-place slice ops, 4r per call in all.  Outside the grid is
+    free: the r cells at each end of a line have a partner off the grid,
+    so they are folded with False.
+    """
     if kernel_radius < 1:
         raise ValueError("kernel_radius must be >= 1")
-    out = grid.cells.copy()
     r = kernel_radius
-    for di in range(-r, r + 1):
-        for dj in range(-r, r + 1):
-            if di or dj:
-                combine(out, _shifted(grid.cells, di, dj), out=out)
+    out = grid.cells
+    for axis in (1, 0):
+        src, out = out, out.copy()
+        lead = (slice(None),) * axis
+        for d in range(1, r + 1):
+            head, tail = lead + (slice(None, -d),), lead + (slice(d, None),)
+            fold(out[head], src[tail], out=out[head])
+            fold(out[tail], src[head], out=out[tail])
+        for edge in (lead + (slice(None, r),), lead + (slice(-r, None),)):
+            fold(out[edge], False, out=out[edge])
     return OccupancyGrid(cells=out)
 
 
 def binary_erode(grid: OccupancyGrid, kernel_radius: int = 1) -> OccupancyGrid:
     """Erosion with a square element of side 2r+1; outside the grid is free."""
-    return _combine_shifts(grid, kernel_radius, np.logical_and)
+    return _fold_square(grid, kernel_radius, np.logical_and)
 
 
 def binary_dilate(grid: OccupancyGrid, kernel_radius: int = 1) -> OccupancyGrid:
     """Dilation with a square element of side 2r+1."""
-    return _combine_shifts(grid, kernel_radius, np.logical_or)
+    return _fold_square(grid, kernel_radius, np.logical_or)
 
 
 def binary_open(grid: OccupancyGrid, kernel_radius: int = 1) -> OccupancyGrid:

@@ -114,7 +114,9 @@ def _count_inliers(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
 
     Scoring runs in float32: the precision loss (~1e-5 m at typical
     ranges) is negligible against metric thresholds and the winner is
-    recounted in float64 afterwards.
+    recounted in float64 afterwards.  Each row of the inlier mask is
+    packed to bits and popcounted, which gives the same exact counts as
+    summing the bools in less time.
     """
     nrm = normals.astype(np.float32)
     off = offsets.astype(np.float32)[:, None]
@@ -124,7 +126,8 @@ def _count_inliers(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
         d = nrm[lo:lo + chunk] @ pts
         d += off[lo:lo + chunk]
         np.abs(d, out=d)
-        counts[lo:lo + chunk] = (d <= np.float32(threshold)).sum(axis=1)
+        inside = np.packbits(d <= np.float32(threshold), axis=1)
+        counts[lo:lo + chunk] = np.bitwise_count(inside).sum(axis=1)
     return counts
 
 
@@ -134,6 +137,22 @@ def _scatter(xyz: np.ndarray):
     centered = xyz - centroid[:, None]
     eigvals, eigvecs = np.linalg.eigh(np.einsum("in,jn->ij", centered, centered))
     return centroid, eigvals, eigvecs
+
+
+def _surely_not_collinear(xyz: np.ndarray) -> bool:
+    """True when a cheap test proves that the full collinearity check of a
+    (3, n) cloud would pass; False means that check must run.
+
+    The scatter of every eighth point is dominated (in the PSD order) by
+    the whole cloud's, so its middle eigenvalue is a lower bound of the
+    cloud's; the cloud's scatter trace bounds its largest eigenvalue from
+    above.  A factor of 2 covers rounding.  A NaN trace fails the test;
+    a NaN in the subsample makes ``eigh`` raise, as on the full cloud.
+    """
+    _, sub_eigvals, _ = _scatter(xyz[:, ::8])
+    centered = xyz - xyz.mean(axis=1)[:, None]
+    bound = 2e-12 * float(np.vdot(centered, centered))
+    return bool(sub_eigvals[1] > bound and sub_eigvals[1] > 2e-12)
 
 
 def fit_plane_ransac(points, params: RansacParams = RansacParams()) -> PlaneModel:
@@ -156,9 +175,10 @@ def fit_plane_ransac(points, params: RansacParams = RansacParams()) -> PlaneMode
     n = xyz.shape[1]
     if n < 3:
         raise DegenerateInput(f"plane fit needs >= 3 points, got {n}")
-    _, eigvals, _ = _scatter(xyz)
-    if eigvals[1] <= 1e-12 * max(1.0, eigvals[2]):
-        raise DegenerateInput("all points collinear")
+    if not _surely_not_collinear(xyz):
+        _, eigvals, _ = _scatter(xyz)
+        if eigvals[1] <= 1e-12 * max(1.0, eigvals[2]):
+            raise DegenerateInput("all points collinear")
 
     rng = np.random.default_rng(params.rng_seed)
     normals, offsets, valid = _candidate_planes(xyz, params, rng)

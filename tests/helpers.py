@@ -3,8 +3,11 @@
 Everything here is deliberately naive (flood fill, explicit set
 morphology, plain-loop statistics, row-by-row PCD I/O, per-sample
 RANSAC draws, a per-cluster gather loop) so it cannot share a bug with
-the implementations it checks.  ``occupancy_detector`` is a fixture: a
-trivial BEV detector that exercises the post-processing end to end.
+the implementations it checks.  A few keep the code a faster version
+replaced (shift-fold morphology, bool row-sum RANSAC scoring, the
+dense-grid obstacle scan), so the faster code can be held to exactly the
+same output.  ``occupancy_detector`` is a fixture: a trivial BEV
+detector that exercises the post-processing end to end.
 """
 
 from __future__ import annotations
@@ -14,8 +17,15 @@ import math
 import numpy as np
 
 from lidargrid.bev import ChannelImage, OutputAttributeGrid, RawCluster
-from lidargrid.core import PointCloudFrame, as_point_array, validate_frame
-from lidargrid.ground import DegenerateInput, NoPlaneFound, PlaneModel, RansacParams
+from lidargrid.core import ObstacleEstimate, PointCloudFrame, as_point_array, validate_frame
+from lidargrid.ground import (
+    DegenerateInput,
+    NoPlaneFound,
+    PlaneModel,
+    RansacParams,
+    _candidate_planes,
+    _scatter,
+)
 from lidargrid.pcd import ParseError, UnsupportedLayout
 
 
@@ -104,6 +114,39 @@ def array_to_cells(cells: np.ndarray) -> set:
     return {(int(i), int(j)) for i, j in np.argwhere(cells)}
 
 
+def _shifted(cells: np.ndarray, di: int, dj: int) -> np.ndarray:
+    """Shift a boolean grid by (di, dj), filling exposed borders with False."""
+    out = np.zeros_like(cells)
+    if abs(di) >= cells.shape[0] or abs(dj) >= cells.shape[1]:
+        return out  # shifted wholly off the grid
+    src_i = slice(max(0, -di), cells.shape[0] - max(0, di))
+    src_j = slice(max(0, -dj), cells.shape[1] - max(0, dj))
+    dst_i = slice(max(0, di), cells.shape[0] - max(0, -di))
+    dst_j = slice(max(0, dj), cells.shape[1] - max(0, -dj))
+    out[dst_i, dst_j] = cells[src_i, src_j]
+    return out
+
+
+def fold_shifts(cells: np.ndarray, radius: int, combine) -> np.ndarray:
+    """Fold all (2r+1)^2 - 1 zero-filled shifts of a boolean grid into it:
+    erosion with ``np.logical_and``, dilation with ``np.logical_or``."""
+    out = cells.copy()
+    for di in range(-radius, radius + 1):
+        for dj in range(-radius, radius + 1):
+            if di or dj:
+                combine(out, _shifted(cells, di, dj), out=out)
+    return out
+
+
+def open_close_by_shifts(cells: np.ndarray, radius: int) -> np.ndarray:
+    """Opening then closing by shift folds, the closing on a domain padded
+    by ``radius`` free cells and cropped back, as ``morph_open_close``."""
+    opened = fold_shifts(fold_shifts(cells, radius, np.logical_and), radius, np.logical_or)
+    padded = np.pad(opened, radius, constant_values=False)
+    closed = fold_shifts(fold_shifts(padded, radius, np.logical_or), radius, np.logical_and)
+    return closed[radius:-radius, radius:-radius]
+
+
 def reference_mean_std(values) -> tuple:
     """Plain-loop mean and population standard deviation."""
     vals = [float(v) for v in values]
@@ -186,6 +229,66 @@ def fit_plane_by_choice(points, params: RansacParams = RansacParams()) -> PlaneM
             and r_normal[2] >= math.cos(params.max_plane_tilt)):
         r_offset = float(-r_normal @ centroid)
         r_count = int((np.abs(xyz @ r_normal + r_offset)
+                       <= params.distance_threshold).sum())
+        if r_count >= best_count:
+            normal, offset, best_count = r_normal, r_offset, r_count
+    return PlaneModel(normal=normal, offset=offset, inlier_count=best_count,
+                      inlier_ratio=best_count / n)
+
+
+def _count_inliers_by_row_sums(pts, normals, offsets, threshold):
+    """float32 inlier counts of a (3, n) cloud, summing each bool mask row."""
+    d = np.abs(normals.astype(np.float32) @ pts + offsets.astype(np.float32)[:, None])
+    return (d <= np.float32(threshold)).sum(axis=1)
+
+
+def fit_plane_by_row_sums(points, params: RansacParams = RansacParams()) -> PlaneModel:
+    """Reference for ``fit_plane_ransac`` with the same candidates
+    (``_candidate_planes``) and scatter (``_scatter``): the full-cloud
+    collinearity check runs on every call and candidates are scored by
+    summing bool rows, on the same (3, n) layout, so the plane, offset,
+    count and every exception must come out identical."""
+    if not (isinstance(points, np.ndarray) and points.ndim == 2
+            and points.shape[1] in (3, 4)):
+        points = as_point_array(points)
+    xyz = np.ascontiguousarray(points[:, :3].T, dtype=float)
+    n = xyz.shape[1]
+    if n < 3:
+        raise DegenerateInput(f"plane fit needs >= 3 points, got {n}")
+    _, eigvals, _ = _scatter(xyz)
+    if eigvals[1] <= 1e-12 * max(1.0, eigvals[2]):
+        raise DegenerateInput("all points collinear")
+
+    rng = np.random.default_rng(params.rng_seed)
+    normals, offsets, valid = _candidate_planes(xyz, params, rng)
+    xyz32 = xyz.astype(np.float32)
+    finalists = np.flatnonzero(valid)
+    if finalists.size > 8 and n > 2000:
+        sub_counts = _count_inliers_by_row_sums(xyz32[:, ::8], normals[finalists],
+                                                offsets[finalists], params.distance_threshold)
+        finalists = finalists[np.argsort(-sub_counts, kind="stable")[:8]]
+    if finalists.size == 0:
+        raise NoPlaneFound("no candidate plane within the tilt limit")
+    counts = _count_inliers_by_row_sums(xyz32, normals[finalists], offsets[finalists],
+                                        params.distance_threshold)
+    best = int(finalists[int(np.argmax(counts))])
+    best_count = int(counts.max())
+    if best_count < params.min_inlier_ratio * n:
+        raise NoPlaneFound(
+            f"best inlier ratio {max(best_count, 0) / n:.3f} "
+            f"below minimum {params.min_inlier_ratio}"
+        )
+    normal, offset = normals[best], float(offsets[best])
+
+    inliers = np.abs(normal @ xyz + offset) <= params.distance_threshold
+    best_count = int(inliers.sum())
+    centroid, eigvals, eigvecs = _scatter(np.compress(inliers, xyz, axis=1))
+    r_normal = eigvecs[:, 0] if eigvecs[2, 0] >= 0.0 else -eigvecs[:, 0]
+    r_normal = r_normal / float(np.linalg.norm(r_normal))
+    if (eigvals[1] > 1e-18 * max(1.0, eigvals[2]) and r_normal[2] > 0.0
+            and r_normal[2] >= math.cos(params.max_plane_tilt)):
+        r_offset = float(-r_normal @ centroid)
+        r_count = int((np.abs(r_normal @ xyz + r_offset)
                        <= params.distance_threshold).sum())
         if r_count >= best_count:
             normal, offset, best_count = r_normal, r_offset, r_count
@@ -358,6 +461,48 @@ def cluster_output_grid_by_loop(attr: OutputAttributeGrid, objectness_threshold:
             mean_class_scores=mean_cs,
         ))
     return clusters
+
+
+def extract_obstacles_by_rescan(labels, hist, cfg, min_cells: int = 2) -> list:
+    """Reference obstacle extraction that finds the occupied cells and
+    their ids by scanning the dense label grid, ignoring the label grid's
+    ``flat`` and ``ids``; otherwise the arithmetic of ``extract_obstacles``."""
+    k = labels.num_components
+    if k == 0:
+        return []
+    ii, jj = np.nonzero(labels.labels)
+    comp = labels.labels[ii, jj] - 1
+    weights = hist.counts[ii, jj].astype(float)
+    cx = cfg.cell_centers_x()[ii]
+    cy = cfg.cell_centers_y()[jj]
+    cell_counts = np.bincount(comp, minlength=k)
+    w_sum = np.bincount(comp, weights=weights, minlength=k)
+    wx = np.bincount(comp, weights=weights * cx, minlength=k)
+    wy = np.bincount(comp, weights=weights * cy, minlength=k)
+    ux = np.bincount(comp, weights=cx, minlength=k)
+    uy = np.bincount(comp, weights=cy, minlength=k)
+
+    obstacles = []
+    for c in range(k):
+        if cell_counts[c] < min_cells:
+            continue
+        if w_sum[c] > 0.0:
+            center_x, center_y = wx[c] / w_sum[c], wy[c] / w_sum[c]
+        else:
+            center_x, center_y = ux[c] / cell_counts[c], uy[c] / cell_counts[c]
+        mine = comp == c
+        ext_x = (ii[mine].max() - ii[mine].min() + 1) * cfg.cell_size
+        ext_y = (jj[mine].max() - jj[mine].min() + 1) * cfg.cell_size
+        obstacles.append(ObstacleEstimate(
+            center_x=float(center_x),
+            center_y=float(center_y),
+            length=float(max(ext_x, ext_y)),
+            width=float(min(ext_x, ext_y)),
+            confidence=1.0,
+            class_tag="unknown",
+            range=math.hypot(center_x, center_y),
+        ))
+    return obstacles
 
 
 def occupancy_detector(channels: ChannelImage) -> OutputAttributeGrid:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import flood_fill_labels, same_partition
+from helpers import extract_obstacles_by_rescan, flood_fill_labels, same_partition
 from lidargrid.cluster import (
     DimensionMismatch,
     LabelGrid,
@@ -209,3 +209,65 @@ class TestExtractObstacles:
         rot_set = sorted((round(e.center_x, 9), round(e.center_y, 9),
                           round(e.length, 9), round(e.width, 9)) for e in out_rot)
         assert fwd == rot_set
+
+
+def obstacle_fields(obstacles):
+    return [vars(o) for o in obstacles]
+
+
+class TestLabelGridCells:
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_labeler_cells_equal_the_grid_scan(self, connectivity):
+        rng = np.random.default_rng(31)
+        for p in (0.0, 0.1, 0.5, 1.0):
+            labels = label_components(grid_of(rng.random((13, 17)) < p), connectivity)
+            hand = LabelGrid(labels=labels.labels, num_components=labels.num_components)
+            np.testing.assert_array_equal(labels.flat, hand.flat)
+            np.testing.assert_array_equal(labels.ids, hand.ids)
+            assert labels.flat.dtype == hand.flat.dtype
+            assert labels.ids.dtype == hand.ids.dtype
+
+    def test_hand_built_grid_reads_its_cells(self):
+        labels = np.array([[0, 2, 0], [1, 0, 2]])
+        grid = LabelGrid(labels=labels, num_components=2)
+        np.testing.assert_array_equal(grid.flat, [1, 3, 5])
+        np.testing.assert_array_equal(grid.ids, [1, 0, 1])
+
+
+class TestExtractMatchesRescan:
+    """Extraction from the labeler's cells equals the dense-grid scan."""
+
+    @pytest.mark.parametrize("min_cells", [1, 2, 5])
+    def test_hand_built_grids(self, min_cells):
+        # arbitrary ids, not necessarily connected, on random shapes; one
+        # component in three has only count-zero cells
+        rng = np.random.default_rng(min_cells)
+        for _ in range(40):
+            shape = (int(rng.integers(1, 20)), int(rng.integers(1, 20)))
+            cfg = GridConfig(cell_size=0.5, x_min=-1.0, x_max=-1.0 + 0.5 * shape[0],
+                             y_min=2.0, y_max=2.0 + 0.5 * shape[1])
+            assert (cfg.nx, cfg.ny) == shape
+            k = int(rng.integers(1, 6))
+            labels = np.where(rng.random(shape) < 0.5, rng.integers(1, k + 1, shape), 0)
+            k = int(labels.max())
+            counts = rng.integers(0, 6, shape) * (labels > 0)
+            counts[labels % 3 == 0] = 0
+            grid = LabelGrid(labels=labels, num_components=k)
+            hist = make_hist(counts, cfg)
+            assert obstacle_fields(extract_obstacles(grid, hist, cfg, min_cells)) == \
+                obstacle_fields(extract_obstacles_by_rescan(grid, hist, cfg, min_cells))
+
+    def test_labeled_grids(self):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            counts = (rng.random((CFG.nx, CFG.ny)) < 0.4) * rng.integers(0, 9, (CFG.nx, CFG.ny))
+            labels = label_components(grid_of(counts > 0), 8)
+            hist = make_hist(counts, CFG)
+            assert obstacle_fields(extract_obstacles(labels, hist, CFG)) == \
+                obstacle_fields(extract_obstacles_by_rescan(labels, hist, CFG))
+
+    def test_no_components(self):
+        grid = LabelGrid(labels=np.zeros((CFG.nx, CFG.ny), dtype=np.int64), num_components=0)
+        hist = make_hist(np.ones((CFG.nx, CFG.ny), dtype=int), CFG)
+        assert extract_obstacles(grid, hist, CFG) == []
+        assert extract_obstacles_by_rescan(grid, hist, CFG) == []

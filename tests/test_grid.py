@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import array_to_cells, cells_to_array, open_close_cells
+from helpers import (
+    array_to_cells,
+    cells_to_array,
+    fold_shifts,
+    open_close_by_shifts,
+    open_close_cells,
+)
 from lidargrid.grid import (
     CellHistogram,
     GridConfig,
@@ -9,6 +18,8 @@ from lidargrid.grid import (
     ThresholdProfile,
     _threshold_map,
     binary_close,
+    binary_dilate,
+    binary_erode,
     binary_open,
     morph_open_close,
     occupancy_from_counts,
@@ -236,6 +247,35 @@ class TestMorphology:
     def test_kernel_radius_validated(self):
         with pytest.raises(ValueError):
             binary_open(OccupancyGrid(cells=np.ones((3, 3), dtype=bool)), 0)
+
+
+class TestSeparableMorphology:
+    """The row-then-column passes equal the fold of every shift, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cells=arrays(bool, st.tuples(st.integers(1, 20), st.integers(1, 20))),
+           radius=st.integers(1, 4))
+    # radius at or past a side: erosion empties the grid, dilation fills it
+    @example(cells=np.ones((1, 1), dtype=bool), radius=1)
+    @example(cells=np.ones((1, 7), dtype=bool), radius=4)
+    @example(cells=np.ones((7, 1), dtype=bool), radius=3)
+    @example(cells=np.eye(4, dtype=bool), radius=4)
+    @example(cells=np.ones((2, 3), dtype=bool), radius=2)
+    def test_equals_shift_fold(self, cells, radius):
+        grid = OccupancyGrid(cells=cells)
+        for op, combine in ((binary_erode, np.logical_and), (binary_dilate, np.logical_or)):
+            out = op(grid, radius).cells
+            assert out.dtype == bool
+            np.testing.assert_array_equal(out, fold_shifts(cells, radius, combine))
+        np.testing.assert_array_equal(morph_open_close(grid, radius).cells,
+                                      open_close_by_shifts(cells, radius))
+
+    def test_input_not_modified(self):
+        cells = np.random.default_rng(3).random((9, 9)) < 0.5
+        grid = OccupancyGrid(cells=cells.copy())
+        binary_erode(grid, 2)
+        binary_dilate(grid, 2)
+        np.testing.assert_array_equal(grid.cells, cells)
 
 
 class TestGridConfig:

@@ -1,12 +1,13 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fit_plane_by_choice, least_squares_plane
+from helpers import fit_plane_by_choice, fit_plane_by_row_sums, least_squares_plane
 from lidargrid.ground import (
     DegenerateInput,
     NoPlaneFound,
@@ -16,6 +17,7 @@ from lidargrid.ground import (
     fit_plane_ransac,
     split_ground,
 )
+from lidargrid.pipeline import bench_scene
 from lidargrid.synth import generate_frame
 from test_acceptance import random_scene
 
@@ -137,6 +139,97 @@ class TestFitPlane:
             assert angle <= 0.25, f"scene {seed}: planes {angle:.3f} deg apart"
             assert abs(mine.offset - ref.offset) <= 0.02, f"scene {seed}"
             assert mine.inlier_ratio >= ref.inlier_ratio - 0.005, f"scene {seed}"
+
+
+def fit_outcome(fit, points, params=RansacParams()):
+    """Everything a fit returns, to the bit, or its exception class and message."""
+    try:
+        plane = fit(points, params)
+    except (DegenerateInput, NoPlaneFound) as exc:
+        return type(exc), str(exc)
+    return plane.normal.tobytes(), plane.offset, plane.inlier_count, plane.inlier_ratio
+
+
+def assert_fit_matches_row_sums(points, params=RansacParams()):
+    assert fit_outcome(fit_plane_ransac, points, params) == \
+        fit_outcome(fit_plane_by_row_sums, points, params)
+
+
+def line_cloud(n, rng, noise):
+    t = rng.uniform(-10.0, 10.0, n)
+    pts = np.outer(t, [0.6, 0.8, 0.05]) + [3.0, -2.0, -1.7]
+    return pts + (rng.normal(0.0, noise, (n, 3)) if noise else 0.0)
+
+
+class TestFitMatchesRowSumOracle:
+    """Popcount scoring and the cheap collinearity test change nothing."""
+
+    def test_drive_mix_frames(self):
+        params = RansacParams()
+        for i in range(60):
+            scene = replace(bench_scene(9700 + i),
+                            ground_slope=math.radians((0.0, 2.0, 4.0)[i % 3]))
+            points = generate_frame(scene).frame.points
+            assert_fit_matches_row_sums(points, params)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 2000), seed=st.integers(0, 2**32 - 1),
+           noise=st.sampled_from([0.0, 1e-9, 1e-6, 0.01, 0.3]),
+           outliers=st.floats(0.0, 0.9), offset=st.sampled_from([0.0, 50.0, 1e5]),
+           threshold=st.sampled_from([0.01, 0.15, 1.0]),
+           min_ratio=st.sampled_from([0.0, 0.2, 0.6]),
+           tilt_deg=st.sampled_from([0.0, 15.0, 60.0, 90.0]),
+           iterations=st.integers(1, 120))
+    def test_random_clouds(self, n, seed, noise, outliers, offset, threshold,
+                           min_ratio, tilt_deg, iterations):
+        rng = np.random.default_rng(seed)
+        pts = flat_cloud(n, -1.8, rng, noise=noise) + offset
+        wild = rng.random(n) < outliers
+        pts[wild] = rng.uniform(-20.0, 20.0, (int(wild.sum()), 3)) + offset
+        params = RansacParams(max_iterations=iterations, distance_threshold=threshold,
+                              min_inlier_ratio=min_ratio, rng_seed=seed % 1000,
+                              max_plane_tilt=math.radians(tilt_deg))
+        assert_fit_matches_row_sums(pts, params)
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 17, 100, 2001, 5000])
+    @pytest.mark.parametrize("noise", [0.0, 1e-9, 1e-7, 1e-6, 3e-6, 1e-5, 1e-3])
+    def test_near_collinear_clouds(self, n, noise):
+        # the noise sweep crosses the collinearity tolerance from both sides
+        rng = np.random.default_rng(n)
+        assert_fit_matches_row_sums(line_cloud(n, rng, noise))
+
+    @pytest.mark.parametrize("n", [3, 8, 9, 50, 3000])
+    @pytest.mark.parametrize("where", [0, -1, "middle"])
+    def test_line_plus_one_point(self, n, where):
+        # the single off-line point lies in or out of the stride-8 subsample
+        rng = np.random.default_rng(7)
+        pts = line_cloud(n, rng, 0.0)
+        k = n // 2 if where == "middle" else where
+        pts[k] += [0.0, 0.0, 2.0]
+        assert_fit_matches_row_sums(pts)
+
+    @pytest.mark.parametrize("far_at", [[1, 2], [0, 8]])
+    def test_far_points_set_the_scale(self, far_at):
+        # a fuzzy blob is not collinear alone, but two far points on a line
+        # through it make the cloud collinear at its own scale; the stride-8
+        # subsample misses them ([1, 2]) or holds them ([0, 8])
+        rng = np.random.default_rng(4)
+        pts = rng.normal(0.0, 1e-5, (100, 3))
+        pts[far_at] = [[1e4, 0.0, 0.0], [-1e4, 0.0, 0.0]]
+        assert fit_outcome(fit_plane_ransac, pts)[0] is DegenerateInput
+        assert_fit_matches_row_sums(pts)
+
+    @pytest.mark.parametrize("points", [
+        np.full((40, 3), 2.5),
+        np.zeros((3, 3)),
+        np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]),
+        np.array([[0.0, 0, 0], [1, 1, 1], [2, 2, 2]]),
+        np.array([[0.0, 0, 0], [1, 0, 0]]),
+        np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0.05]]),
+    ], ids=["all equal", "three equal", "three", "three collinear", "two",
+            "four"])
+    def test_degenerate_and_tiny_clouds(self, points):
+        assert_fit_matches_row_sums(points)
 
 
 class TestSampleTriples:

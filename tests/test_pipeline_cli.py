@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+import lidargrid.pipeline as pipeline
 from lidargrid.cli import main
 from lidargrid.config import (
     _DEGREES,
@@ -73,6 +74,30 @@ class TestRunGeometric:
         result = run_geometric(frame, PipelineConfig())
         assert tuple(result.timings) == GEOMETRIC_STAGES
         assert all(t >= 0.0 for t in result.timings.values())
+
+    def test_layers_called_once_through_the_pipeline_module(self, monkeypatch):
+        # the benchmark's tracer wraps these names in lidargrid.pipeline;
+        # a layer reached another way would leave its span empty
+        names = ("validate_frame", "fit_plane_ransac", "project_to_grid",
+                 "occupancy_from_counts", "morph_open_close", "label_components",
+                 "extract_obstacles")
+        calls = []
+
+        def spy(name):
+            real = getattr(pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(pipeline, name, spy(name))
+        for seed in range(3):
+            calls.clear()
+            result = run_geometric(generate_frame(van_scene(seed)).frame, PipelineConfig())
+            assert len(result.obstacles) == 1
+            assert sorted(calls) == sorted(names), f"seed {seed}: {calls}"
 
     def test_sloped_ground_still_detects(self):
         scene = van_scene(11, ground_slope=math.radians(4.0))
