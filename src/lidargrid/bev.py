@@ -340,6 +340,5 @@ def postprocess_clusters(clusters, min_confidence: float, cfg: BevConfig,
             height=c.mean_height,
             confidence=c.mean_confidence,
             class_tag=tag,
-            range=math.hypot(center_x, center_y),
         ))
     return out

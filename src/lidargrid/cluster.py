@@ -10,7 +10,6 @@ a count-weighted centroid plus footprint extents.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,8 +172,5 @@ def extract_obstacles(labels: LabelGrid, hist: CellHistogram, cfg: GridConfig,
             center_y=float(center_y),
             length=float(max(ext_x, ext_y)),
             width=float(min(ext_x, ext_y)),
-            confidence=1.0,
-            class_tag="unknown",
-            range=math.hypot(center_x, center_y),
         ))
     return obstacles

@@ -48,6 +48,10 @@ class EvalParams:
     ref_lat: float | None = None
     ref_lon: float | None = None
 
+    def __post_init__(self):
+        if not self.gate > 0.0:
+            raise ValueError("gate must be > 0")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -103,11 +107,20 @@ _NOTES = {
 }
 
 
+def _check_finite(name, value) -> None:
+    """Raise ValueError on a NaN or infinite float anywhere in ``value``."""
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            _check_finite(name, v)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _build(cls, mapping):
     """Build ``cls`` from a YAML mapping; keys not given keep their defaults.
 
     Sections recurse, lists become tuples and scalars are coerced through
-    the type of their default.
+    the type of their default; a NaN or infinite float is rejected.
     """
     if not isinstance(mapping, dict):
         raise ValueError(f"{cls.__name__} section is not a mapping: {mapping!r}")
@@ -132,6 +145,7 @@ def _build(cls, mapping):
             raise ValueError(f"{name} must be a whole number, got {value}")
         elif default is not None and default is not MISSING:
             data[name] = type(default)(value)
+        _check_finite(name, data[name])
     return cls(**data)
 
 

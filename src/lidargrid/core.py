@@ -35,35 +35,19 @@ class EmptyFrame(LidarGridError):
     category = "empty-frame"
 
 
-@dataclass(frozen=True)
-class Point3:
-    """A single LiDAR return: position in meters, intensity in [0, 1]."""
-
-    x: float
-    y: float
-    z: float
-    intensity: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.intensity], dtype=float)
-
-
 def as_point_array(points) -> np.ndarray:
     """Coerce a point collection to a float64 array of shape (N, 4).
 
-    Accepts an (N, 3) or (N, 4) array, or a sequence of Point3 / length-3
-    or length-4 tuples.  Missing intensity is filled with zeros.
+    Accepts an (N, 3) or (N, 4) array, or a sequence of length-3 or
+    length-4 tuples.  Missing intensity is filled with zeros.
     """
     if isinstance(points, np.ndarray):
         arr = np.asarray(points, dtype=float)
     else:
         rows = []
         for p in points:
-            if isinstance(p, Point3):
-                rows.append((p.x, p.y, p.z, p.intensity))
-            else:
-                q = tuple(p)
-                rows.append(q if len(q) == 4 else (q[0], q[1], q[2], 0.0))
+            q = tuple(p)
+            rows.append(q if len(q) == 4 else (q[0], q[1], q[2], 0.0))
         arr = np.array(rows, dtype=float).reshape(-1, 4)
     if arr.ndim != 2 or arr.shape[1] not in (3, 4):
         raise ValueError(f"expected (N, 3) or (N, 4) points, got shape {arr.shape}")
@@ -162,10 +146,3 @@ def validate_frame(frame: PointCloudFrame, eight_bit_intensity: bool = False) ->
         dropped_points=int(pts.shape[0] - kept.shape[0]),
     )
 
-
-def range_of(p) -> float:
-    """Horizontal radial distance sqrt(x^2 + y^2) of a point (z ignored)."""
-    if isinstance(p, Point3):
-        return math.hypot(p.x, p.y)
-    q = np.asarray(p, dtype=float).ravel()
-    return float(math.hypot(q[0], q[1]))

@@ -203,11 +203,11 @@ def read_ground_truth_csv(path, ref_lat: float | None = None,
     defaulting to the first row.  Returns (t, X, Y) float arrays.
     """
     header, rows = _read_csv(path, (["t", "X", "Y"], ["t", "lat", "lon"]))
-    t, a, b = np.array(rows).reshape(-1, 3).T
+    if not rows:
+        raise SchemaError(f"{path}: no ground-truth rows")
+    t, a, b = np.array(rows).T
     if header == ["t", "X", "Y"]:
         return t, a, b
-    if t.size == 0:
-        raise SchemaError(f"{path}: no ground-truth rows")
     rlat = ref_lat if ref_lat is not None else float(a[0])
     rlon = ref_lon if ref_lon is not None else float(b[0])
     xy = np.array([geodetic_to_plane(la, lo, rlat, rlon) for la, lo in zip(a, b)])
@@ -217,8 +217,9 @@ def read_ground_truth_csv(path, ref_lat: float | None = None,
 def read_ego_csv(path):
     """Read ego poses: header ``t,X,Y,psi``. Returns (t, X, Y, psi) arrays."""
     _, rows = _read_csv(path, (["t", "X", "Y", "psi"],))
-    cols = np.array(rows).reshape(-1, 4)
-    return cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]
+    if not rows:
+        raise SchemaError(f"{path}: no ego rows")
+    return tuple(np.array(rows).T)
 
 
 OBSTACLE_CSV_HEADER = ["frame_id", "t", "center_x", "center_y", "length",

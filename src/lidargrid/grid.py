@@ -73,14 +73,6 @@ class CellHistogram:
     config: GridConfig
     dropped: int = 0
 
-    @property
-    def width(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.counts.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class OccupancyGrid:
@@ -90,14 +82,6 @@ class OccupancyGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "cells", np.asarray(self.cells, dtype=bool))
-
-    @property
-    def width(self) -> int:
-        return self.cells.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.cells.shape[1]
 
 
 @dataclass(frozen=True)
@@ -118,7 +102,7 @@ class ThresholdProfile:
         if not bps or bps[0][0] != 0.0:
             raise ValueError("first breakpoint must start at range 0")
         starts = [r for r, _ in bps]
-        if any(b <= a for a, b in zip(starts, starts[1:])):
+        if not all(b > a for a, b in zip(starts, starts[1:])):  # NaN fails too
             raise ValueError("breakpoint ranges must be strictly increasing")
         counts = [c for _, c in bps]
         if any(c < 1 for c in counts):
@@ -158,14 +142,6 @@ def project_to_grid(points, cfg: GridConfig) -> CellHistogram:
     counts = counts.reshape(cfg.nx, cfg.ny)
     return CellHistogram(counts=counts, config=cfg,
                          dropped=int(pts.shape[0] - ix.shape[0]))
-
-
-def threshold_for_range(r: float, profile: ThresholdProfile) -> int:
-    """Count threshold applying at radial distance ``r`` (r >= 0)."""
-    if r < 0.0:
-        raise ValueError("range must be >= 0")
-    idx = int(np.searchsorted(profile.range_starts(), r, side="right")) - 1
-    return int(profile.breakpoints[idx][1])
 
 
 @lru_cache(maxsize=8)

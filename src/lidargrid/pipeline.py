@@ -159,8 +159,6 @@ def bench_scene(seed: int = 0) -> SceneSpec:
 class BenchReport:
     """Per-stage and end-to-end latency over a batch of synthetic frames."""
 
-    stage_mean_ms: dict[str, float]
-    stage_p95_ms: dict[str, float]
     total_mean_ms: float
     total_p95_ms: float
     achieved_hz: float
@@ -200,19 +198,13 @@ def bench(cfg: PipelineConfig, n_frames: int, seed: int = 0) -> BenchReport:
         totals.append(result.total_seconds)
 
     rows = []
-    mean_ms = {}
-    p95_ms = {}
     for stage in stages:
         arr = np.array(per_stage[stage]) * 1e3
-        mean_ms[stage] = float(arr.mean())
-        p95_ms[stage] = float(np.percentile(arr, 95))
-        rows.append((stage, mean_ms[stage], p95_ms[stage]))
+        rows.append((stage, float(arr.mean()), float(np.percentile(arr, 95))))
     tot = np.array(totals) * 1e3
     rows.append(("total", float(tot.mean()), float(np.percentile(tot, 95))))
 
     return BenchReport(
-        stage_mean_ms=mean_ms,
-        stage_p95_ms=p95_ms,
         total_mean_ms=float(tot.mean()),
         total_p95_ms=float(np.percentile(tot, 95)),
         achieved_hz=1e3 / float(tot.mean()),

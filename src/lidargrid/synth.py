@@ -73,6 +73,8 @@ class SceneSpec:
             raise ValueError("beam_count must be >= 1")
         if self.azimuth_resolution_deg <= 0.0:
             raise ValueError("azimuth_resolution_deg must be > 0")
+        if self.noise_sigma < 0.0:
+            raise ValueError("noise_sigma must be >= 0")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
@@ -252,7 +254,5 @@ def expected_obstacles(spec: SceneSpec) -> list[ObstacleEstimate]:
             length=max(box.length, box.width),
             width=min(box.length, box.width),
             height=box.height,
-            confidence=1.0,
-            class_tag="unknown",
         ))
     return out

@@ -1,13 +1,13 @@
 """Independent oracles shared across the test suite.
 
 Everything here is deliberately naive (flood fill, explicit set
-morphology, plain-loop statistics, row-by-row PCD I/O, per-sample
-RANSAC draws, a per-cluster gather loop) so it cannot share a bug with
-the implementations it checks.  A few keep the code a faster version
-replaced (shift-fold morphology, bool row-sum RANSAC scoring, the
-dense-grid obstacle scan), so the faster code can be held to exactly the
-same output.  ``occupancy_detector`` is a fixture: a trivial BEV
-detector that exercises the post-processing end to end.
+morphology, plain-loop statistics and threshold lookup, row-by-row PCD
+I/O, per-sample RANSAC draws, a per-cluster gather loop) so it cannot
+share a bug with the implementations it checks.  A few keep the code a
+faster version replaced (shift-fold morphology, bool row-sum RANSAC
+scoring, the dense-grid obstacle scan), so the faster code can be held
+to exactly the same output.  ``occupancy_detector`` is a fixture: a
+trivial BEV detector that exercises the post-processing end to end.
 """
 
 from __future__ import annotations
@@ -112,6 +112,16 @@ def cells_to_array(occupied: set, shape: tuple) -> np.ndarray:
 
 def array_to_cells(cells: np.ndarray) -> set:
     return {(int(i), int(j)) for i, j in np.argwhere(cells)}
+
+
+def threshold_for_range(r: float, profile) -> int:
+    """Count threshold of the last breakpoint starting at or below ``r``
+    (r >= 0), found by a plain loop over the profile."""
+    threshold = None
+    for start, count in profile.breakpoints:
+        if start <= r:
+            threshold = count
+    return threshold
 
 
 def _shifted(cells: np.ndarray, di: int, dj: int) -> np.ndarray:

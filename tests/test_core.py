@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +6,7 @@ from hypothesis import strategies as st
 from lidargrid.core import (
     EmptyFrame,
     ObstacleEstimate,
-    Point3,
     PointCloudFrame,
-    range_of,
     validate_frame,
 )
 
@@ -100,28 +96,6 @@ class TestValidateFrame:
         assert out.frame_id == 9
 
 
-class TestRangeOf:
-    def test_three_four_five(self):
-        assert range_of(Point3(3.0, 4.0, 1.0)) == pytest.approx(5.0)
-
-    def test_on_axis(self):
-        assert range_of(Point3(0.0, 0.0, 2.0)) == 0.0
-
-    def test_sign_independent(self):
-        assert range_of(Point3(-6.0, 8.0, 0.0)) == pytest.approx(10.0)
-
-    def test_invariant_under_z_and_rotation(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            x, y, z = rng.uniform(-50, 50, 3)
-            base = range_of(Point3(x, y, z))
-            assert abs(range_of(Point3(x, y, rng.uniform(-50, 50))) - base) <= 1e-9
-            theta = rng.uniform(0, 2 * math.pi)
-            xr = x * math.cos(theta) - y * math.sin(theta)
-            yr = x * math.sin(theta) + y * math.cos(theta)
-            assert abs(range_of(Point3(xr, yr, z)) - base) <= 1e-9
-
-
 class TestObstacleEstimate:
     def test_range_derived_from_center(self):
         est = ObstacleEstimate(center_x=3.0, center_y=4.0, length=2.0, width=1.0)
@@ -143,7 +117,7 @@ class TestFrameContainer:
         np.testing.assert_array_equal(frame.xyz, [[1, 2, 3]])
         np.testing.assert_array_equal(frame.intensity, [0.5])
 
-    def test_point3_sequence_accepted(self):
-        frame = PointCloudFrame(points=[Point3(1, 2, 3, 0.4), Point3(4, 5, 6)])
+    def test_tuple_sequence_accepted(self):
+        frame = PointCloudFrame(points=[(1, 2, 3, 0.4), (4, 5, 6)])
         assert len(frame) == 2
-        assert frame.points[1, 3] == 0.0
+        np.testing.assert_array_equal(frame.points, [[1, 2, 3, 0.4], [4, 5, 6, 0.0]])

@@ -10,6 +10,7 @@ from helpers import (
     fold_shifts,
     open_close_by_shifts,
     open_close_cells,
+    threshold_for_range,
 )
 from lidargrid.grid import (
     CellHistogram,
@@ -24,7 +25,6 @@ from lidargrid.grid import (
     morph_open_close,
     occupancy_from_counts,
     project_to_grid,
-    threshold_for_range,
 )
 
 CFG = GridConfig(cell_size=0.3, x_min=-15, x_max=15, y_min=-15, y_max=15,

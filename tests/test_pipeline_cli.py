@@ -400,8 +400,17 @@ class TestCli:
         "cluster: {connectivity: 6}",
         "grid: {cell_size: [",
         "ransac: {max_iterations: 50.5}",
+        "grid: {cell_size: .nan}",
+        "grid: {x_max: .inf}",
+        "synth: {noise_sigma: -1}",
+        "profile: {breakpoints: [[0, 5], [.nan, 3]]}",
+        'profile: {breakpoints: [[0, 5], ["nan", 3]]}',
+        "synth: {obstacle_density: .inf}",
+        "eval: {gate: 0}",
     ], ids=["negative-cell-size", "section-not-a-mapping",
-            "bad-connectivity", "yaml-syntax", "fractional-count"])
+            "bad-connectivity", "yaml-syntax", "fractional-count", "nan-cell-size",
+            "infinite-extent", "negative-noise", "nan-breakpoint", "nan-breakpoint-string",
+            "infinite-density", "zero-gate"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(text + "\n")
@@ -469,6 +478,8 @@ class TestCli:
         ("--ego", "non-numeric"),
         ("--ground-truth", "short-row"),
         ("--estimates", "non-numeric"),
+        ("--ground-truth", "header-only"),
+        ("--ego", "header-only"),
     ])
     def test_bad_eval_csv_is_schema_error(self, tmp_path, capsys, flag, fault):
         paths = self.eval_inputs(tmp_path)
@@ -482,6 +493,8 @@ class TestCli:
             lines = path.read_text().splitlines()
             lines[1] = "abc" + lines[1][lines[1].index(","):]
             path.write_text("\n".join(lines) + "\n")
+        elif fault == "header-only":
+            path.write_text(path.read_text().splitlines()[0] + "\n")
         else:
             path.write_text(path.read_text() + "0.1,10.0\n")
         argv = ["eval", "--out-dir", str(tmp_path / "o")]
