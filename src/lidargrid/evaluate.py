@@ -195,6 +195,16 @@ def _read_csv(path, headers, parse=lambda row: [float(v) for v in row]):
     return header, out
 
 
+def _read_series(path, headers):
+    """Header and columns of a CSV time series, t first; SchemaError unless it
+    has rows of finite values and t strictly increases, as ``np.interp`` needs."""
+    header, rows = _read_csv(path, headers)
+    cols = np.array(rows).T
+    if not rows or not np.isfinite(cols).all() or not (np.diff(cols[0]) > 0.0).all():
+        raise SchemaError(f"{path}: need rows of finite values, t strictly increasing")
+    return header, cols
+
+
 def read_ground_truth_csv(path, ref_lat: float | None = None,
                           ref_lon: float | None = None):
     """Read target positions: header ``t,lat,lon`` or ``t,X,Y``.
@@ -202,10 +212,7 @@ def read_ground_truth_csv(path, ref_lat: float | None = None,
     Geodetic input is converted to plane meters around (ref_lat, ref_lon),
     defaulting to the first row.  Returns (t, X, Y) float arrays.
     """
-    header, rows = _read_csv(path, (["t", "X", "Y"], ["t", "lat", "lon"]))
-    if not rows:
-        raise SchemaError(f"{path}: no ground-truth rows")
-    t, a, b = np.array(rows).T
+    header, (t, a, b) = _read_series(path, (["t", "X", "Y"], ["t", "lat", "lon"]))
     if header == ["t", "X", "Y"]:
         return t, a, b
     rlat = ref_lat if ref_lat is not None else float(a[0])
@@ -216,10 +223,7 @@ def read_ground_truth_csv(path, ref_lat: float | None = None,
 
 def read_ego_csv(path):
     """Read ego poses: header ``t,X,Y,psi``. Returns (t, X, Y, psi) arrays."""
-    _, rows = _read_csv(path, (["t", "X", "Y", "psi"],))
-    if not rows:
-        raise SchemaError(f"{path}: no ego rows")
-    return tuple(np.array(rows).T)
+    return tuple(_read_series(path, (["t", "X", "Y", "psi"],))[1])
 
 
 OBSTACLE_CSV_HEADER = ["frame_id", "t", "center_x", "center_y", "length",
@@ -272,12 +276,6 @@ class EvalResult:
     comparison_rows: list  # (t, x_gt, y_gt, x_est or None, y_est or None)
 
 
-def _interp_heading(t_query, t, psi):
-    unwrapped = np.unwrap(psi)
-    vals = np.interp(t_query, t, unwrapped)
-    return np.array([_wrap_angle(v) for v in np.atleast_1d(vals)])
-
-
 def evaluate_detections(estimate_rows, gt_t, gt_x, gt_y, ego_t, ego_x, ego_y,
                         ego_psi, gate: float = 5.0,
                         lever_arm: tuple[float, float] = (0.0, 0.0),
@@ -300,6 +298,7 @@ def evaluate_detections(estimate_rows, gt_t, gt_x, gt_y, ego_t, ego_x, ego_y,
     if total_frames is None:
         total_frames = frame_ids[-1] - frame_ids[0] + 1
 
+    ego_psi = np.unwrap(ego_psi)
     matched = []
     comparison = []
     for frame_id in frame_ids:
@@ -308,7 +307,7 @@ def evaluate_detections(estimate_rows, gt_t, gt_x, gt_y, ego_t, ego_x, ego_y,
         gy = float(np.interp(t, gt_t, gt_y))
         ex = float(np.interp(t, ego_t, ego_x))
         ey = float(np.interp(t, ego_t, ego_y))
-        epsi = float(_interp_heading(t, ego_t, ego_psi)[0])
+        epsi = float(np.interp(t, ego_t, ego_psi))
         local = transform_to_local(EgoPose(ex, ey, epsi), gx, gy)
         local = RelativePosition(local.x_loc + lever_arm[0],
                                  local.y_loc + lever_arm[1])

@@ -110,7 +110,8 @@ def _candidate_planes(xyz: np.ndarray, params: RansacParams, rng: np.random.Gene
 
 def _count_inliers(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
                    threshold: float) -> np.ndarray:
-    """Inlier counts of a (3, n) float32 cloud per candidate plane, chunked for cache.
+    """Inlier counts of a (3, n) float32 cloud per candidate plane, scored in
+    chunks that bound the float32 distance block to about 4M values.
 
     Scoring runs in float32: the precision loss (~1e-5 m at typical
     ranges) is negligible against metric thresholds and the winner is
@@ -139,22 +140,6 @@ def _scatter(xyz: np.ndarray):
     return centroid, eigvals, eigvecs
 
 
-def _surely_not_collinear(xyz: np.ndarray) -> bool:
-    """True when a cheap test proves that the full collinearity check of a
-    (3, n) cloud would pass; False means that check must run.
-
-    The scatter of every eighth point is dominated (in the PSD order) by
-    the whole cloud's, so its middle eigenvalue is a lower bound of the
-    cloud's; the cloud's scatter trace bounds its largest eigenvalue from
-    above.  A factor of 2 covers rounding.  A NaN trace fails the test;
-    a NaN in the subsample makes ``eigh`` raise, as on the full cloud.
-    """
-    _, sub_eigvals, _ = _scatter(xyz[:, ::8])
-    centered = xyz - xyz.mean(axis=1)[:, None]
-    bound = 2e-12 * float(np.vdot(centered, centered))
-    return bool(sub_eigvals[1] > bound and sub_eigvals[1] > 2e-12)
-
-
 def fit_plane_ransac(points, params: RansacParams = RansacParams()) -> PlaneModel:
     """Fit the dominant near-horizontal plane by random sample consensus.
 
@@ -168,17 +153,13 @@ def fit_plane_ransac(points, params: RansacParams = RansacParams()) -> PlaneMode
     Raises DegenerateInput for < 3 or collinear points and NoPlaneFound
     when no candidate reaches ``min_inlier_ratio``.
     """
-    if not (isinstance(points, np.ndarray) and points.ndim == 2
-            and points.shape[1] in (3, 4)):
-        points = as_point_array(points)
-    xyz = np.ascontiguousarray(points[:, :3].T, dtype=float)
+    xyz = np.ascontiguousarray(as_point_array(points)[:, :3].T)
     n = xyz.shape[1]
     if n < 3:
         raise DegenerateInput(f"plane fit needs >= 3 points, got {n}")
-    if not _surely_not_collinear(xyz):
-        _, eigvals, _ = _scatter(xyz)
-        if eigvals[1] <= 1e-12 * max(1.0, eigvals[2]):
-            raise DegenerateInput("all points collinear")
+    _, eigvals, _ = _scatter(xyz)
+    if eigvals[1] <= 1e-12 * max(1.0, eigvals[2]):
+        raise DegenerateInput("all points collinear")
 
     rng = np.random.default_rng(params.rng_seed)
     normals, offsets, valid = _candidate_planes(xyz, params, rng)
@@ -238,6 +219,5 @@ def split_ground(points, plane: PlaneModel, distance_threshold: float):
     columns beyond xyz (e.g. intensity) are carried through unchanged.
     """
     pts = as_point_array(points)
-    dist = np.abs(pts[:, :3] @ plane.normal + plane.offset)
-    mask = dist <= distance_threshold
-    return pts[mask], pts[~mask]
+    ground = np.abs(plane.signed_distance(pts)) <= distance_threshold
+    return np.compress(ground, pts, axis=0), np.compress(~ground, pts, axis=0)

@@ -68,7 +68,7 @@ def front_half(frame: PointCloudFrame, cfg: PipelineConfig,
     valid = frame if isinstance(frame, ValidatedFrame) else validate_frame(frame)
     clock.lap("validate")
 
-    plane = fit_plane_ransac(valid.xyz, cfg.ransac)
+    plane = fit_plane_ransac(valid.points, cfg.ransac)
     levelled = valid.points.copy()
     levelled[:, 2] = plane.signed_distance(valid.points)
     clock.lap("fit_plane")
@@ -82,7 +82,8 @@ def run_geometric(frame: PointCloudFrame, cfg: PipelineConfig) -> PipelineResult
 
     # the non-ground rows of split_ground, projected by height above the
     # plane so the grid's z crop tracks the road surface on slopes
-    non_ground = levelled[np.abs(levelled[:, 2]) > cfg.ransac.distance_threshold]
+    above = np.abs(levelled[:, 2]) > cfg.ransac.distance_threshold
+    non_ground = np.compress(above, levelled, axis=0)
     clock.lap("split_ground")
 
     hist = project_to_grid(non_ground, cfg.grid)

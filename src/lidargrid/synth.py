@@ -75,6 +75,10 @@ class SceneSpec:
             raise ValueError("azimuth_resolution_deg must be > 0")
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be >= 0")
+        if self.obstacle_density < 0.0:
+            raise ValueError("obstacle_density must be >= 0")
+        if self.max_range <= 0.0:
+            raise ValueError("max_range must be > 0")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
         object.__setattr__(self, "obstacles", tuple(self.obstacles))

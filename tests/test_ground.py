@@ -162,7 +162,7 @@ def line_cloud(n, rng, noise):
 
 
 class TestFitMatchesRowSumOracle:
-    """Popcount scoring and the cheap collinearity test change nothing."""
+    """Popcount scoring in chunks gives the fit of summing bool rows, to the bit."""
 
     def test_drive_mix_frames(self):
         params = RansacParams()
@@ -201,7 +201,7 @@ class TestFitMatchesRowSumOracle:
     @pytest.mark.parametrize("n", [3, 8, 9, 50, 3000])
     @pytest.mark.parametrize("where", [0, -1, "middle"])
     def test_line_plus_one_point(self, n, where):
-        # the single off-line point lies in or out of the stride-8 subsample
+        # the single off-line point lies at either end or in the middle
         rng = np.random.default_rng(7)
         pts = line_cloud(n, rng, 0.0)
         k = n // 2 if where == "middle" else where
@@ -211,13 +211,22 @@ class TestFitMatchesRowSumOracle:
     @pytest.mark.parametrize("far_at", [[1, 2], [0, 8]])
     def test_far_points_set_the_scale(self, far_at):
         # a fuzzy blob is not collinear alone, but two far points on a line
-        # through it make the cloud collinear at its own scale; the stride-8
-        # subsample misses them ([1, 2]) or holds them ([0, 8])
+        # through it make the cloud collinear at its own scale, wherever
+        # they sit in the cloud
         rng = np.random.default_rng(4)
         pts = rng.normal(0.0, 1e-5, (100, 3))
         pts[far_at] = [[1e4, 0.0, 0.0], [-1e4, 0.0, 0.0]]
         assert fit_outcome(fit_plane_ransac, pts)[0] is DegenerateInput
         assert_fit_matches_row_sums(pts)
+
+    def test_candidates_scored_in_more_than_one_chunk(self):
+        # 4e6 // 1500 = 2666 candidates per chunk, so 3000 need a second one;
+        # on this cloud the winner lies in the second chunk
+        rng = np.random.default_rng(22)
+        pts = flat_cloud(1500, -1.8, rng, noise=0.1)
+        params = RansacParams(max_iterations=3000)
+        assert fit_plane_ransac(pts, params).inlier_ratio > 0.8
+        assert_fit_matches_row_sums(pts, params)
 
     @pytest.mark.parametrize("points", [
         np.full((40, 3), 2.5),

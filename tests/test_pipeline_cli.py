@@ -257,6 +257,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             config_from_dict({"pipeline": "magic"})
 
+    @pytest.mark.parametrize("key, value", [("obstacle_density", -5.0),
+                                            ("max_range", -1.0), ("max_range", 0.0)])
+    def test_scene_values_that_empty_the_scene_rejected(self, key, value):
+        # a negative density still wrote the van as 0 obstacles, and a
+        # non-positive range left a frame with no points at all
+        van = {f.name: getattr(VAN, f.name) for f in fields(VAN)}
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({"synth": {"obstacles": [van], key: value}})
+
 
 class TestCli:
     def test_dump_default_config(self, capsys):
@@ -406,11 +415,13 @@ class TestCli:
         "profile: {breakpoints: [[0, 5], [.nan, 3]]}",
         'profile: {breakpoints: [[0, 5], ["nan", 3]]}',
         "synth: {obstacle_density: .inf}",
+        "synth: {obstacle_density: -5}",
+        "synth: {max_range: -1}",
         "eval: {gate: 0}",
     ], ids=["negative-cell-size", "section-not-a-mapping",
             "bad-connectivity", "yaml-syntax", "fractional-count", "nan-cell-size",
             "infinite-extent", "negative-noise", "nan-breakpoint", "nan-breakpoint-string",
-            "infinite-density", "zero-gate"])
+            "infinite-density", "negative-density", "negative-range", "zero-gate"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(text + "\n")
@@ -503,6 +514,22 @@ class TestCli:
         rc = main(argv)
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error[schema]: {path}")
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--ground-truth", "t,X,Y\n0.1,10.0,0.0\n0.0,10.0,0.0\n0.05,10.0,0.0\n"),
+        ("--ground-truth", "t,X,Y\n0.0,10.0,0.0\nnan,10.0,0.0\n"),
+        ("--ego", "t,X,Y,psi\n0.0,0,0,0\n0.05,0,0,inf\n"),
+        ("--ground-truth", "t,lat,lon\n0.0,45.0,9.0\n0.05,45.0,nan\n"),
+    ], ids=["t-not-increasing", "nan-t", "infinite-heading", "nan-longitude"])
+    def test_series_that_interp_misreads_is_schema_error(self, tmp_path, capsys,
+                                                          flag, text):
+        paths = self.eval_inputs(tmp_path)
+        paths[flag].write_text(text)
+        argv = ["eval", "--out-dir", str(tmp_path / "o")]
+        for name, p in paths.items():
+            argv += [name, str(p)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error[schema]: {paths[flag]}")
 
     def test_eval_of_good_csvs_passes(self, tmp_path):
         argv = ["eval", "--out-dir", str(tmp_path / "o")]
