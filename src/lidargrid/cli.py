@@ -19,10 +19,8 @@ from .bev import extract_channels
 from .config import PipelineConfig, default_config_yaml, load_config
 from .core import ConfigError, LidarGridError
 from .pcd import read_frame_pcd, write_frame_pcd
-from .pipeline import bench, front_half, run_pipeline
+from .pipeline import FRAME_RATE_HZ, bench, front_half, run_pipeline
 from .synth import generate_frame
-
-FRAME_RATE_HZ = 20.0
 
 
 class InputError(LidarGridError):
@@ -224,6 +222,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except LidarGridError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a grid or raster too large to allocate
+        print(f"error[memory]: {exc}", file=sys.stderr)
         return 1
 
 

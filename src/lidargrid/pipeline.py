@@ -26,9 +26,12 @@ from .grid import morph_open_close, occupancy_from_counts, project_to_grid
 from .ground import PlaneModel, fit_plane_ransac, split_ground  # noqa: F401
 from .synth import BoxSpec, SceneSpec, generate_frame
 
+# each route's laps, in order; the tests hold the routes to them
 GEOMETRIC_STAGES = ("validate", "fit_plane", "split_ground", "project",
                     "occupancy", "morphology", "label", "extract")
 BEV_STAGES = ("validate", "fit_plane", "channels", "detector", "cluster", "postprocess")
+
+FRAME_RATE_HZ = 20.0  # the sensor's frame rate; spaces frame timestamps
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,10 +40,6 @@ class PipelineResult:
     timings: dict[str, float]  # stage -> seconds, insertion-ordered
     plane: PlaneModel | None = None
     dropped_points: int = 0
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.timings.values())
 
 
 class _StageClock:
@@ -177,39 +176,22 @@ class BenchReport:
 
 
 def bench(cfg: PipelineConfig, n_frames: int, seed: int = 0) -> BenchReport:
-    """Time each stage over ``n_frames`` synthetic frames.
+    """Time each lap of ``run_pipeline`` over ``n_frames`` synthetic frames.
 
-    Frame generation is excluded from the timings; the first frame is run
-    once untimed to warm caches.
+    Rows follow the route's laps, then ``total`` (each frame's summed laps).
+    Frame generation is untimed; the first frame runs once to warm caches.
     """
     if n_frames < 1:
         raise ConfigError("n_frames must be >= 1")
-    frames = [generate_frame(bench_scene(seed + i), frame_id=i, timestamp=i / 20.0).frame
-              for i in range(n_frames)]
-    runner = run_bev if cfg.pipeline == "bev" else run_geometric
-    stages = BEV_STAGES if cfg.pipeline == "bev" else GEOMETRIC_STAGES
-
-    runner(frames[0], cfg)
-    per_stage: dict[str, list[float]] = {s: [] for s in stages}
-    totals = []
-    for frame in frames:
-        result = runner(frame, cfg)
-        for stage in stages:
-            per_stage[stage].append(result.timings[stage])
-        totals.append(result.total_seconds)
-
-    rows = []
-    for stage in stages:
-        arr = np.array(per_stage[stage]) * 1e3
-        rows.append((stage, float(arr.mean()), float(np.percentile(arr, 95))))
-    tot = np.array(totals) * 1e3
-    rows.append(("total", float(tot.mean()), float(np.percentile(tot, 95))))
-
-    return BenchReport(
-        total_mean_ms=float(tot.mean()),
-        total_p95_ms=float(np.percentile(tot, 95)),
-        achieved_hz=1e3 / float(tot.mean()),
-        frames=n_frames,
-        mean_points=float(np.mean([len(f) for f in frames])),
-        rows=rows,
-    )
+    frames = [generate_frame(bench_scene(seed + i), frame_id=i,
+                             timestamp=i / FRAME_RATE_HZ).frame for i in range(n_frames)]
+    run_pipeline(frames[0], cfg)
+    laps = [run_pipeline(frame, cfg).timings for frame in frames]
+    ms = {stage: np.array([t[stage] for t in laps]) * 1e3 for stage in laps[0]}
+    ms["total"] = np.array([sum(t.values()) for t in laps]) * 1e3
+    rows = [(stage, float(arr.mean()), float(np.percentile(arr, 95)))
+            for stage, arr in ms.items()]
+    _, mean_ms, p95_ms = rows[-1]
+    return BenchReport(total_mean_ms=mean_ms, total_p95_ms=p95_ms,
+                       achieved_hz=1e3 / mean_ms, frames=n_frames,
+                       mean_points=float(np.mean([len(f) for f in frames])), rows=rows)

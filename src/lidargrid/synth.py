@@ -235,13 +235,9 @@ def generate_frame(spec: SceneSpec, frame_id: int = 0,
     lab = np.concatenate(labels)
     inten = np.concatenate(intensities)
 
+    # one return per ray; ground rows (one per ray at most) come first
     budget = spec.ray_count
-    if xyz.shape[0] > budget:
-        # trim obstacle returns so the frame stays within one return per ray
-        n_ground = chunks[0].shape[0]
-        keep = np.ones(xyz.shape[0], dtype=bool)
-        keep[n_ground + (budget - n_ground):] = False
-        xyz, lab, inten = xyz[keep], lab[keep], inten[keep]
+    xyz, lab, inten = xyz[:budget], lab[:budget], inten[:budget]
 
     points = np.hstack([xyz, inten[:, None]])
     frame = PointCloudFrame(points=points, timestamp=timestamp, frame_id=frame_id)

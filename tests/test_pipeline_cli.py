@@ -207,6 +207,15 @@ class TestBench:
         with pytest.raises(ValueError):
             bench(PipelineConfig(), 0)
 
+    @pytest.mark.parametrize("route, stages", [("geometric", GEOMETRIC_STAGES),
+                                               ("bev", BEV_STAGES)], ids=["geometric", "bev"])
+    def test_rows_are_the_route_laps_plus_total(self, route, stages):
+        report = bench(replace(PipelineConfig(), pipeline=route), n_frames=2, seed=1)
+        assert [row[0] for row in report.rows] == list(stages) + ["total"]
+        stage_sum = sum(mean_ms for _, mean_ms, _ in report.rows[:-1])
+        assert report.rows[-1][1] == report.total_mean_ms
+        assert abs(report.total_mean_ms - stage_sum) <= 1e-9
+
 
 class TestConfig:
     def test_default_yaml_round_trips(self):
@@ -454,6 +463,22 @@ class TestCli:
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error[config]")
+
+    # both requests exceed the address space a 64-bit process can map, so
+    # the allocation fails at once without touching memory
+    @pytest.mark.parametrize("command, text, size", [
+        ("detect", "grid: {cell_size: 0.000001}", "25.6 PiB"),
+        ("bev-export", "bev: {image_size: 10000000}", "2.13 PiB"),
+    ], ids=["grid-cells", "bev-raster"])
+    def test_unallocatable_config_is_memory_error(self, tmp_path, capsys, command, text,
+                                                  size):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(text + "\n")
+        rc = main([command, "--synth", "1", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[memory]: ") and size in err
 
     def test_bench_zero_frames_is_config_error(self, tmp_path, capsys):
         rc = main(["bench", "--frames", "0", "--out-dir", str(tmp_path / "o")])

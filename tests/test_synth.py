@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,7 +125,13 @@ class TestBoxes:
         spec = SceneSpec(obstacles=(self.VAN,), rng_seed=17,
                          obstacle_density=50000.0)
         labeled = generate_frame(spec)
-        assert len(labeled.frame) <= spec.ray_count
+        assert len(labeled.frame) == spec.ray_count
+        # the trim drops box returns only: the ground rows match the
+        # same scene at the default density
+        sparse = generate_frame(replace(spec, obstacle_density=SceneSpec().obstacle_density))
+        ground = labeled.frame.points[labeled.labels == GROUND_LABEL]
+        np.testing.assert_array_equal(
+            ground, sparse.frame.points[sparse.labels == GROUND_LABEL])
 
     def test_intensity_by_label(self):
         spec = SceneSpec(obstacles=(self.VAN,), rng_seed=19)
