@@ -22,7 +22,8 @@ import numpy as np
 from .core import LidarGridError, ObstacleEstimate, as_point_array
 # label_components is not called here, but perfbench/tracing.py wraps it
 # under this module's name
-from .cluster import component_ids, label_components, label_flat  # noqa: F401
+from .cluster import (_component_runs, component_ids, footprints,
+                      label_components, label_flat)  # noqa: F401
 
 PLANE_NAMES = ("max_height", "mean_height", "max_intensity",
                "mean_intensity", "density", "occupancy")
@@ -115,19 +116,23 @@ def load_channel_image(path, half_range: float = 30.0) -> ChannelImage:
 
     The header carries raster dimensions only; the metric half-extent is
     supplied by the caller.  Every cell with a nonzero bit in any plane
-    is kept, so saving the image again writes the same bytes.
+    is kept, so saving the image again writes the same bytes.  Any
+    malformed file raises GeometryMismatch.
     """
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        if len(header) != 5 or header[0] != "BEV" or header[1] != "v1":
-            raise GeometryMismatch(f"bad BEV header in {path}")
-        planes, h, w = int(header[2]), int(header[3]), int(header[4])
-        if planes != len(PLANE_NAMES) or h != w:
-            raise GeometryMismatch(f"unsupported BEV layout {planes}x{h}x{w}")
-        data = np.frombuffer(fh.read(), dtype="<f4")
-    if data.size != planes * h * w:
-        raise GeometryMismatch(f"truncated BEV payload in {path}")
-    data = data.reshape(planes, h * w)
+        header = fh.readline().split()
+        payload = fh.read()
+    # bytes.isdigit() accepts ASCII digits only, so no header byte is decoded
+    dims = header[2:]
+    if header[:2] != [b"BEV", b"v1"] or len(dims) != 3 or not all(d.isdigit() for d in dims):
+        raise GeometryMismatch(f"bad BEV header in {path}")
+    planes, h, w = map(int, dims)
+    if planes != len(PLANE_NAMES) or h != w or h < 1:
+        raise GeometryMismatch(f"unsupported BEV layout {planes}x{h}x{w}")
+    if len(payload) != 4 * planes * h * w:
+        raise GeometryMismatch(f"BEV payload in {path} is {len(payload)} bytes, "
+                               f"expected {4 * planes * h * w}")
+    data = np.frombuffer(payload, dtype="<f4").reshape(planes, h * w)
     cells = np.flatnonzero(data.view("<u4").any(axis=0))
     cfg = BevConfig(image_size=h, range=half_range)
     return ChannelImage(cells=cells, values=data[:, cells], config=cfg)
@@ -297,9 +302,7 @@ def cluster_output_grid(attr: OutputAttributeGrid, objectness_threshold: float,
     # raster order.  Each row of a run's slice is then summed pairwise over
     # the same values in the same order as a per-cluster gather, so means
     # are bit-exact; np.add.reduceat and bincount sum in another order.
-    cell_group = group[base]
-    order = np.argsort(cell_group, kind="stable")
-    bounds = np.searchsorted(cell_group[order], np.arange(group.max() + 2)).tolist()
+    order, bounds = _component_runs(group[base], int(group.max()) + 1)
     sel = pos[order]
     cells = np.stack([ii[order], jj[order]], axis=1)
     # rows in the order of RawCluster's fields after ``cells``
@@ -309,7 +312,7 @@ def cluster_output_grid(attr: OutputAttributeGrid, objectness_threshold: float,
     scores = None if cs is None else cs.reshape(attr.objectness.size, cs.shape[-1])[sel]
     return [RawCluster(cells[lo:hi], *means[:, lo:hi].mean(axis=1).tolist(),
                        None if scores is None else scores[lo:hi].mean(axis=0))
-            for lo, hi in zip(bounds[:-1], bounds[1:])]
+            for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
 def postprocess_clusters(clusters, min_confidence: float, cfg: BevConfig,
@@ -318,25 +321,25 @@ def postprocess_clusters(clusters, min_confidence: float, cfg: BevConfig,
     cells, and convert survivors to estimates.
 
     Center is the mean member cell center displaced by the mean predicted
-    offset; footprint dimensions come from the cluster's axis-aligned
-    bounding box; the height attribute is averaged.
+    offset; length and width are the cluster's ``footprints``; the height
+    attribute is averaged.
     """
+    kept = [c for c in clusters
+            if not (c.mean_confidence < min_confidence or c.size < min_cells)]
+    if not kept:
+        return []
+    lengths, widths = footprints(np.concatenate([c.cells for c in kept]),
+                                 np.cumsum([0] + [c.size for c in kept]), cfg.cell_size)
     out = []
-    for c in clusters:
-        if c.mean_confidence < min_confidence or c.size < min_cells:
-            continue
-        center_x = c.cell_center_x + c.mean_offset_x
-        center_y = c.cell_center_y + c.mean_offset_y
-        ext_i = (c.cells[:, 0].max() - c.cells[:, 0].min() + 1) * cfg.cell_size
-        ext_j = (c.cells[:, 1].max() - c.cells[:, 1].min() + 1) * cfg.cell_size
+    for c, length, width in zip(kept, lengths, widths):
         tag = "unknown"
         if c.mean_class_scores is not None and c.mean_class_scores.size:
             tag = f"class_{int(np.argmax(c.mean_class_scores))}"
         out.append(ObstacleEstimate(
-            center_x=float(center_x),
-            center_y=float(center_y),
-            length=float(max(ext_i, ext_j)),
-            width=float(min(ext_i, ext_j)),
+            center_x=float(c.cell_center_x + c.mean_offset_x),
+            center_y=float(c.cell_center_y + c.mean_offset_y),
+            length=length,
+            width=width,
             height=c.mean_height,
             confidence=c.mean_confidence,
             class_tag=tag,

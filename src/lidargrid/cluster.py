@@ -5,7 +5,7 @@ splits them into horizontal runs, links each run to the runs of the next
 row it touches, and hands that run graph to one vectorized kernel,
 ``component_ids``, which the BEV route also uses to merge components
 joined by centre-offset links.  Obstacles are read off each component as
-a count-weighted centroid plus footprint extents.
+a count-weighted centroid plus its ``footprints``, shared by both routes.
 """
 
 from __future__ import annotations
@@ -116,29 +116,42 @@ def label_components(grid, connectivity: int = 8) -> LabelGrid:
                      num_components=int(ids.max(initial=-1)) + 1, flat=flat, ids=ids)
 
 
+def _component_runs(ids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable order listing each component's cells as one run, and the k + 1 run bounds."""
+    order = np.argsort(ids, kind="stable")
+    return order, np.searchsorted(ids[order], np.arange(k + 1))
+
+
+def footprints(cells: np.ndarray, bounds: np.ndarray, cell_size: float) -> tuple[list, list]:
+    """Length >= width of the axis-aligned box of whole cells around each
+    non-empty run ``bounds[r]:bounds[r + 1]`` of the (m, 2) cell indices
+    ``cells``, times ``cell_size``."""
+    starts = bounds[:-1]
+    ext = (np.maximum.reduceat(cells, starts) - np.minimum.reduceat(cells, starts) + 1) * cell_size
+    width, length = np.sort(ext, axis=1).T.tolist()
+    return length, width
+
+
 def extract_obstacles(labels: LabelGrid, hist: CellHistogram, cfg: GridConfig,
                       min_cells: int = 2) -> list[ObstacleEstimate]:
     """Convert labeled components into obstacle estimates.
 
     Center is the point-count-weighted centroid of member cell centers;
-    length/width are the axis-aligned footprint extents (length is the
-    larger).  Components smaller than ``min_cells`` cells are skipped.
+    length and width are the component's ``footprints``.  Components
+    smaller than ``min_cells`` cells are skipped.
     """
     if labels.labels.shape != hist.counts.shape:
-        raise DimensionMismatch(
-            f"labels {labels.labels.shape} vs histogram {hist.counts.shape}"
-        )
-    k = labels.num_components
-    if k == 0:
-        return []
+        raise DimensionMismatch(f"labels {labels.labels.shape} vs histogram {hist.counts.shape}")
+    # a hand-built grid may declare ids past its last occupied cell; they have no run
+    k = int(labels.ids.max(initial=-1)) + 1
+    order, bounds = _component_runs(labels.ids, k)
+    # a stable order: bincount adds each component's cells in the labeler's order
+    comp, flat = labels.ids[order], labels.flat[order]
+    cells = np.array(np.divmod(flat, labels.labels.shape[1])).T
+    weights = hist.counts.ravel()[flat].astype(float)
+    cx = cfg.cell_centers_x()[cells[:, 0]]
+    cy = cfg.cell_centers_y()[cells[:, 1]]
 
-    ii, jj = np.divmod(labels.flat, labels.labels.shape[1])
-    comp = labels.ids
-    weights = hist.counts.ravel()[labels.flat].astype(float)
-    cx = cfg.cell_centers_x()[ii]
-    cy = cfg.cell_centers_y()[jj]
-
-    cell_counts = np.bincount(comp, minlength=k)
     w_sum = np.bincount(comp, weights=weights, minlength=k)
     wx = np.bincount(comp, weights=weights * cx, minlength=k)
     wy = np.bincount(comp, weights=weights * cy, minlength=k)
@@ -146,14 +159,8 @@ def extract_obstacles(labels: LabelGrid, hist: CellHistogram, cfg: GridConfig,
     ux = np.bincount(comp, weights=cx, minlength=k)
     uy = np.bincount(comp, weights=cy, minlength=k)
 
-    min_i = np.full(k, labels.labels.shape[0], dtype=np.int64)
-    max_i = np.full(k, -1, dtype=np.int64)
-    min_j = np.full(k, labels.labels.shape[1], dtype=np.int64)
-    max_j = np.full(k, -1, dtype=np.int64)
-    np.minimum.at(min_i, comp, ii)
-    np.maximum.at(max_i, comp, ii)
-    np.minimum.at(min_j, comp, jj)
-    np.maximum.at(max_j, comp, jj)
+    cell_counts = np.diff(bounds)
+    length, width = footprints(cells, bounds, cfg.cell_size)
 
     obstacles = []
     for c in range(k):
@@ -165,12 +172,5 @@ def extract_obstacles(labels: LabelGrid, hist: CellHistogram, cfg: GridConfig,
         else:
             center_x = ux[c] / cell_counts[c]
             center_y = uy[c] / cell_counts[c]
-        ext_x = (max_i[c] - min_i[c] + 1) * cfg.cell_size
-        ext_y = (max_j[c] - min_j[c] + 1) * cfg.cell_size
-        obstacles.append(ObstacleEstimate(
-            center_x=float(center_x),
-            center_y=float(center_y),
-            length=float(max(ext_x, ext_y)),
-            width=float(min(ext_x, ext_y)),
-        ))
+        obstacles.append(ObstacleEstimate(float(center_x), float(center_y), length[c], width[c]))
     return obstacles

@@ -39,6 +39,10 @@ class BevPipelineParams:
     objectness_threshold: float = 0.5
     min_confidence: float = 0.5
 
+    def __post_init__(self):
+        if not (0.0 <= self.objectness_threshold <= 1.0 and 0.0 <= self.min_confidence <= 1.0):
+            raise ValueError("objectness_threshold and min_confidence must be in [0, 1]")
+
 
 @dataclass(frozen=True)
 class EvalParams:

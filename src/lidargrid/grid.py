@@ -43,6 +43,8 @@ class GridConfig:
             raise ValueError("cell_size must be > 0")
         if self.x_max <= self.x_min or self.y_max <= self.y_min:
             raise ValueError("grid extent must be non-empty")
+        if self.z_max <= self.z_min:
+            raise ValueError("z_max must be > z_min")
 
     @property
     def nx(self) -> int:

@@ -51,11 +51,11 @@ def read_frame_pcd(path, frame_id: int = 0, timestamp: float = 0.0,
                    validate: bool = True) -> PointCloudFrame:
     """Parse an ASCII PCD file into a frame.
 
-    A missing intensity field defaults to 0.  Intensities above 1 are
-    taken to be 8-bit and normalized.  With ``validate`` the frame is
-    also cleaned via validate_frame.  An unreadable file and a malformed
-    header or row raise ``ParseError``; a byte that is not UTF-8 fails
-    the line it sits in.
+    A missing intensity field defaults to 0.  With ``validate`` the frame
+    is cleaned via validate_frame, and its intensities are taken to be
+    8-bit and normalized when a kept row's is above 1.  An unreadable
+    file and a malformed header or row raise ``ParseError``; a byte that
+    is not UTF-8 fails the line it sits in.
     """
     try:
         # surrogateescape keeps a stray byte in its line, to fail there
@@ -66,8 +66,7 @@ def read_frame_pcd(path, frame_id: int = 0, timestamp: float = 0.0,
 
     frame = PointCloudFrame(points=rows, timestamp=timestamp, frame_id=frame_id)
     if validate:
-        eight_bit = bool(np.nanmax(frame.intensity, initial=0.0) > 1.0)
-        return validate_frame(frame, eight_bit_intensity=eight_bit)
+        return validate_frame(frame, eight_bit_intensity=None)
     return frame
 
 

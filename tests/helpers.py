@@ -376,7 +376,9 @@ def read_pcd_by_lines(path, frame_id: int = 0, timestamp: float = 0.0,
 
     frame = PointCloudFrame(points=rows, timestamp=timestamp, frame_id=frame_id)
     if validate:
-        eight_bit = bool(np.nanmax(rows[:, 3], initial=0.0) > 1.0)
+        # judged on the rows that validation keeps
+        finite = np.isfinite(rows).all(axis=1)
+        eight_bit = bool(np.max(rows[finite, 3], initial=0.0) > 1.0)
         return validate_frame(frame, eight_bit_intensity=eight_bit)
     return frame
 

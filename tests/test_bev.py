@@ -217,6 +217,22 @@ class TestSerialization:
                 + dense_channels(levelled, cfg.bev).astype("<f4").tobytes())
         assert (tmp_path / "frame_0000.bev").read_bytes() == want
 
+    @pytest.mark.parametrize("data", [
+        b"BEV v1 six 4 4\n" + bytes(384),
+        b"BEV v1 6 4 4\n" + bytes(385),
+        b"BEV v1 6 4 \xd9\xa4\n" + bytes(384),  # an Arabic-Indic four in UTF-8
+        b"PNG v1 6 4 4\n" + bytes(384),
+        b"BEV v1 5 4 4\n" + bytes(320),
+        b"BEV v1 6 4 5\n" + bytes(480),
+        b"BEV v1 6 0 0\n",
+    ], ids=["word-for-a-number", "payload-not-whole-floats", "non-ascii-header",
+            "bad-magic", "five-planes", "not-square", "empty-raster"])
+    def test_malformed_file_rejected(self, tmp_path, data):
+        path = tmp_path / "bad.bev"
+        path.write_bytes(data)
+        with pytest.raises(GeometryMismatch):
+            load_channel_image(path)
+
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "bad.bev"
         with open(path, "wb") as fh:

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import extract_obstacles_by_rescan, flood_fill_labels, same_partition
+from lidargrid.bev import (
+    BevConfig,
+    OutputAttributeGrid,
+    cluster_output_grid,
+    postprocess_clusters,
+)
 from lidargrid.cluster import (
     DimensionMismatch,
     LabelGrid,
     extract_obstacles,
+    footprints,
     label_components,
 )
 from lidargrid.grid import CellHistogram, GridConfig, OccupancyGrid
@@ -266,8 +275,53 @@ class TestExtractMatchesRescan:
             assert obstacle_fields(extract_obstacles(labels, hist, CFG)) == \
                 obstacle_fields(extract_obstacles_by_rescan(labels, hist, CFG))
 
+    def test_ids_declared_past_the_last_cell(self):
+        labels = np.zeros((CFG.nx, CFG.ny), dtype=np.int64)
+        labels[2:4, 3] = 1
+        labels[7, 5:9] = 3
+        grid = LabelGrid(labels=labels, num_components=5)
+        hist = make_hist(np.ones((CFG.nx, CFG.ny), dtype=int), CFG)
+        got = obstacle_fields(extract_obstacles(grid, hist, CFG))
+        assert len(got) == 2
+        assert got == obstacle_fields(extract_obstacles_by_rescan(grid, hist, CFG))
+
     def test_no_components(self):
         grid = LabelGrid(labels=np.zeros((CFG.nx, CFG.ny), dtype=np.int64), num_components=0)
         hist = make_hist(np.ones((CFG.nx, CFG.ny), dtype=int), CFG)
         assert extract_obstacles(grid, hist, CFG) == []
         assert extract_obstacles_by_rescan(grid, hist, CFG) == []
+
+
+class TestFootprints:
+    """One footprint rule serves both routes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(runs=st.lists(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                                  min_size=1, max_size=12), min_size=1, max_size=8),
+           cell_size=st.sampled_from([0.1, 0.3, 0.5, 60.0 / 672]))
+    def test_matches_brute_force_box(self, runs, cell_size):
+        cells = np.array([cell for run in runs for cell in run])
+        bounds = np.cumsum([0] + [len(run) for run in runs])
+        length, width = footprints(cells, bounds, cell_size)
+        assert len(length) == len(width) == len(runs)
+        for r, run in enumerate(runs):
+            # the box of whole cells around the run, along i and along j
+            ext = [(max(axis) - min(axis) + 1) * cell_size for axis in zip(*run)]
+            assert (length[r], width[r]) == (max(ext), min(ext))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_both_routes_measure_the_same_cells_alike(self, seed):
+        n = 30
+        cells = np.random.default_rng(seed).random((n, n)) < 0.3
+        grid_cfg = GridConfig(cell_size=0.5, x_min=-7.5, x_max=7.5, y_min=-7.5, y_max=7.5)
+        bev_cfg = BevConfig(image_size=n, range=7.5)
+        assert (grid_cfg.nx, grid_cfg.ny) == (n, n)
+        assert bev_cfg.cell_size == grid_cfg.cell_size
+        geometric = extract_obstacles(label_components(cells), make_hist(cells * 1, grid_cfg),
+                                      grid_cfg, min_cells=1)
+        score, zero = cells * 1.0, np.zeros((n, n))
+        attr = OutputAttributeGrid(config=bev_cfg, objectness=score, center_offset_x=zero,
+                                   center_offset_y=zero, confidence=score, height=zero)
+        bev = postprocess_clusters(cluster_output_grid(attr, 0.5), 0.5, bev_cfg, min_cells=1)
+        assert len(geometric) > 1
+        assert [(o.length, o.width) for o in geometric] == [(o.length, o.width) for o in bev]

@@ -81,6 +81,16 @@ class TestReadFramePcd:
         frame = read_frame_pcd(path)
         np.testing.assert_allclose(frame.intensity, [1.0, 0.2])
 
+    @pytest.mark.parametrize("reader", [read_frame_pcd, read_pcd_by_lines])
+    def test_eight_bit_judged_on_kept_rows_only(self, tmp_path, reader):
+        # the dropped row's 200 must not scale the kept 0.5 and 0.8 down
+        path = tmp_path / "j.pcd"
+        path.write_text(pcd_text(["x", "y", "z", "intensity"],
+                                 [[1, 2, 3, 0.5], ["nan", 0, 0, 200], [4, 5, 6, 0.8]]))
+        frame = reader(path)
+        np.testing.assert_array_equal(frame.intensity, [0.5, 0.8])
+        assert frame.dropped_points == 1
+
     def test_missing_data_declaration(self, tmp_path):
         path = tmp_path / "i.pcd"
         path.write_text("VERSION 0.7\nFIELDS x y z\nPOINTS 1\n")

@@ -277,6 +277,10 @@ class TestConfig:
 
 
 class TestCli:
+    def test_no_subcommand_prints_help_and_exits_2(self, capsys):
+        assert main([]) == 2
+        assert capsys.readouterr().out.startswith("usage: lidargrid")
+
     def test_dump_default_config(self, capsys):
         assert main(["--dump-default-config"]) == 0
         out = capsys.readouterr().out
@@ -427,10 +431,28 @@ class TestCli:
         "synth: {obstacle_density: -5}",
         "synth: {max_range: -1}",
         "eval: {gate: 0}",
+        "bev_post: {objectness_threshold: 2}",
+        "bev_post: {min_confidence: 1.5}",
+        "grid: {z_min: 3.0, z_max: 0.1}",
+        "kernel_radius: 0",
+        "cluster: {min_cells: 0}",
+        "profile: {noise_min_count: -1}",
+        "ransac: {max_iterations: 0}",
+        "ransac: {distance_threshold: 0}",
+        "ransac: {min_inlier_ratio: 1.5}",
+        "synth: {beam_count: 0}",
+        "synth: {azimuth_resolution_deg: 0}",
+        "bev: {image_size: 0}",
+        "bev: {range: 0}",
     ], ids=["negative-cell-size", "section-not-a-mapping",
             "bad-connectivity", "yaml-syntax", "fractional-count", "nan-cell-size",
             "infinite-extent", "negative-noise", "nan-breakpoint", "nan-breakpoint-string",
-            "infinite-density", "negative-density", "negative-range", "zero-gate"])
+            "infinite-density", "negative-density", "negative-range", "zero-gate",
+            "objectness-threshold-above-one", "min-confidence-above-one",
+            "inverted-height-crop", "zero-kernel-radius", "zero-min-cells",
+            "negative-noise-floor", "zero-ransac-iterations", "zero-inlier-band",
+            "inlier-ratio-above-one", "zero-beams", "zero-azimuth-step",
+            "zero-bev-image-size", "zero-bev-range"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(text + "\n")
