@@ -141,7 +141,9 @@ def extract_obstacles(labels: LabelGrid, hist: CellHistogram, cfg: GridConfig,
     smaller than ``min_cells`` cells are skipped.
     """
     if labels.labels.shape != hist.counts.shape:
-        raise DimensionMismatch(f"labels {labels.labels.shape} vs histogram {hist.counts.shape}")
+        raise DimensionMismatch(
+            f"labels {labels.labels.shape} vs histogram {hist.counts.shape}"
+        )
     # a hand-built grid may declare ids past its last occupied cell; they have no run
     k = int(labels.ids.max(initial=-1)) + 1
     order, bounds = _component_runs(labels.ids, k)
@@ -149,28 +151,25 @@ def extract_obstacles(labels: LabelGrid, hist: CellHistogram, cfg: GridConfig,
     comp, flat = labels.ids[order], labels.flat[order]
     cells = np.array(np.divmod(flat, labels.labels.shape[1])).T
     weights = hist.counts.ravel()[flat].astype(float)
+    # a component of count-zero cells weighs each cell 1: its centroid is unweighted
+    weights[(np.bincount(comp, weights=weights, minlength=k) == 0.0)[comp]] = 1.0
     cx = cfg.cell_centers_x()[cells[:, 0]]
     cy = cfg.cell_centers_y()[cells[:, 1]]
 
     w_sum = np.bincount(comp, weights=weights, minlength=k)
     wx = np.bincount(comp, weights=weights * cx, minlength=k)
     wy = np.bincount(comp, weights=weights * cy, minlength=k)
-    # fall back to unweighted centroids for components of count-zero cells
-    ux = np.bincount(comp, weights=cx, minlength=k)
-    uy = np.bincount(comp, weights=cy, minlength=k)
 
-    cell_counts = np.diff(bounds)
+    cell_counts = bounds[1:] - bounds[:-1]
     length, width = footprints(cells, bounds, cfg.cell_size)
 
     obstacles = []
     for c in range(k):
-        if cell_counts[c] < min_cells:
-            continue
-        if w_sum[c] > 0.0:
-            center_x = wx[c] / w_sum[c]
-            center_y = wy[c] / w_sum[c]
-        else:
-            center_x = ux[c] / cell_counts[c]
-            center_y = uy[c] / cell_counts[c]
-        obstacles.append(ObstacleEstimate(float(center_x), float(center_y), length[c], width[c]))
+        if cell_counts[c] >= min_cells:
+            obstacles.append(ObstacleEstimate(
+                center_x=float(wx[c] / w_sum[c]),
+                center_y=float(wy[c] / w_sum[c]),
+                length=length[c],
+                width=width[c],
+            ))
     return obstacles

@@ -123,14 +123,13 @@ class ObstacleEstimate:
             raise ValueError(f"range {self.range} inconsistent with center ({r})")
 
 
-def validate_frame(frame: PointCloudFrame,
-                   eight_bit_intensity: bool | None = False) -> ValidatedFrame:
+def validate_frame(frame: PointCloudFrame, eight_bit_intensity: bool = False) -> ValidatedFrame:
     """Drop non-finite points and normalize intensity into [0, 1].
 
     ``eight_bit_intensity`` declares that the raw intensities are on the
-    0..255 scale and must be divided by 255; None takes them to be when a
-    kept point's intensity is above 1.  Values are clipped to [0, 1]
-    afterwards.  Raises EmptyFrame when no valid point remains.
+    0..255 scale and must be divided by 255 when a kept point's intensity
+    is above 1.  Values are clipped to [0, 1] afterwards.  Raises
+    EmptyFrame when no valid point remains.
     """
     pts = frame.points
     # column by column: a row-wise all(axis=1) over four columns is ~6x slower
@@ -139,7 +138,7 @@ def validate_frame(frame: PointCloudFrame,
     kept = pts.copy() if keep.all() else np.compress(keep, pts, axis=0)
     if kept.shape[0] == 0:
         raise EmptyFrame(f"frame {frame.frame_id}: no finite points")
-    if eight_bit_intensity or (eight_bit_intensity is None and kept[:, 3].max() > 1.0):
+    if eight_bit_intensity and kept[:, 3].max() > 1.0:
         kept[:, 3] /= 255.0
     np.clip(kept[:, 3], 0.0, 1.0, out=kept[:, 3])
     return ValidatedFrame(

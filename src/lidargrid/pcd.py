@@ -66,7 +66,7 @@ def read_frame_pcd(path, frame_id: int = 0, timestamp: float = 0.0,
 
     frame = PointCloudFrame(points=rows, timestamp=timestamp, frame_id=frame_id)
     if validate:
-        return validate_frame(frame, eight_bit_intensity=None)
+        return validate_frame(frame, eight_bit_intensity=True)
     return frame
 
 

@@ -67,6 +67,12 @@ class TestValidateFrame:
                              eight_bit_intensity=True)
         np.testing.assert_allclose(out.intensity, [1.0, 0.2])
 
+    def test_eight_bit_judged_on_kept_points(self):
+        # the dropped row's 200 does not make the kept 0.5 and 0.8 8-bit
+        rows = [[1, 1, 1, 0.5], [np.nan, 0, 0, 200.0], [2, 2, 2, 0.8]]
+        out = validate_frame(make_frame(rows), eight_bit_intensity=True)
+        np.testing.assert_array_equal(out.intensity, [0.5, 0.8])
+
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         rows = rng.normal(size=(50, 4))
