@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import LidarGridError, ObstacleEstimate, as_point_array
+from .core import MAX_CELLS, LidarGridError, ObstacleEstimate, as_point_array
 # label_components is not called here, but perfbench/tracing.py wraps it
 # under this module's name
 from .cluster import (_component_runs, component_ids, footprints,
@@ -48,6 +48,8 @@ class BevConfig:
     def __post_init__(self):
         if self.image_size < 1:
             raise ValueError("image_size must be >= 1")
+        if self.image_size ** 2 > MAX_CELLS:
+            raise ValueError(f"image_size {self.image_size} gives more than {MAX_CELLS} cells")
         if self.range <= 0.0:
             raise ValueError("range must be > 0")
 
@@ -209,7 +211,8 @@ class OutputAttributeGrid:
         shared = self.confidence is self.objectness
         for name in ("objectness",) if shared else ("objectness", "confidence"):
             arr = getattr(self, name)
-            if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+            # NaN fails both comparisons, so it is rejected too
+            if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
                 raise ValueError(f"{name} scores outside [0, 1]")
         if self.class_scores is not None:
             cs = np.asarray(self.class_scores, dtype=np.float64)

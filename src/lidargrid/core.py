@@ -12,6 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Most cells in one grid or BEV raster.  The defaults use 40,000 and
+# 451,584; at the cap the BEV export's six float32 planes take 805 MB.
+MAX_CELLS = 2 ** 25
+
 
 class LidarGridError(Exception):
     """Base class for all package errors.

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import as_point_array
+from .core import MAX_CELLS, as_point_array
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,11 @@ class GridConfig:
             raise ValueError("grid extent must be non-empty")
         if self.z_max <= self.z_min:
             raise ValueError("z_max must be > z_min")
+        # each side first, so that a side too long to count is rejected too
+        sides = ((self.x_max - self.x_min) / self.cell_size,
+                 (self.y_max - self.y_min) / self.cell_size)
+        if max(sides) > MAX_CELLS or self.nx * self.ny > MAX_CELLS:
+            raise ValueError(f"grid has more than {MAX_CELLS} cells")
 
     @property
     def nx(self) -> int:

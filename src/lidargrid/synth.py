@@ -173,6 +173,33 @@ def _box_entry_t(spec: SceneSpec, box: BoxSpec, dirs: np.ndarray) -> np.ndarray:
     return np.where(hit, np.maximum(t_in, 0.0), np.inf)
 
 
+def _may_enter(box: BoxSpec, dirs: np.ndarray) -> np.ndarray:
+    """Directions that can enter the box: a superset of those that do.
+
+    A ray enters the box only where its horizontal part passes the box's
+    circumscribed circle (padded against rounding) ahead of the sensor.
+    With the sensor inside the circle every direction is kept.
+    """
+    radius = math.hypot(box.length, box.width) / 2.0
+    radius += 1e-9 * radius + 1e-9
+    cx, cy = box.center_x, box.center_y
+    if math.hypot(cx, cy) <= radius:
+        return np.ones(dirs.shape[0], dtype=bool)
+    hx, hy = dirs[:, 0], dirs[:, 1]
+    cross = hx * cy - hy * cx
+    return ((hx * cx + hy * cy >= 0.0)
+            & (cross * cross <= radius * radius * (hx * hx + hy * hy)))
+
+
+def _entry_t(spec: SceneSpec, box: BoxSpec, dirs: np.ndarray) -> np.ndarray:
+    """``_box_entry_t``, slab-testing only the directions that may enter."""
+    t = np.full(dirs.shape[0], np.inf)
+    rows = np.flatnonzero(_may_enter(box, dirs))
+    if rows.size:
+        t[rows] = _box_entry_t(spec, box, dirs[rows])
+    return t
+
+
 def _sample_box_points(box: BoxSpec, z_lo: float, z_hi: float, count: int,
                        rng: np.random.Generator) -> np.ndarray:
     local = rng.uniform(-0.5, 0.5, size=(count, 2))
@@ -198,11 +225,14 @@ def generate_frame(spec: SceneSpec, frame_id: int = 0,
     dirs = _ray_directions(spec)
     t_ground = _ground_hit_t(spec, dirs)
 
-    blocked = np.zeros(dirs.shape[0], dtype=bool)
+    # only a ray whose ground hit is in range can return from the ground
+    in_range = t_ground <= spec.max_range
+    dirs, t_ground = dirs[in_range], t_ground[in_range]
+    blocked = np.zeros(t_ground.size, dtype=bool)
     for box in spec.obstacles:
-        blocked |= _box_entry_t(spec, box, dirs) < t_ground
+        blocked |= _entry_t(spec, box, dirs) < t_ground
 
-    ground_mask = (t_ground <= spec.max_range) & ~blocked
+    ground_mask = ~blocked
     t_hit = t_ground[ground_mask] + rng.normal(0.0, spec.noise_sigma,
                                                size=int(ground_mask.sum()))
     ground_pts = dirs[ground_mask] * t_hit[:, None]
@@ -223,7 +253,7 @@ def generate_frame(spec: SceneSpec, frame_id: int = 0,
         for j, other in enumerate(spec.obstacles):
             if j == b:
                 continue
-            visible &= _box_entry_t(spec, other, pdirs) >= dist - 1e-9
+            visible &= _entry_t(spec, other, pdirs) >= dist - 1e-9
         pts, dist, pdirs = pts[visible], dist[visible], pdirs[visible]
         noise = rng.normal(0.0, spec.noise_sigma, size=pts.shape[0])
         pts = pts + pdirs * noise[:, None]

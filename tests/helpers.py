@@ -5,7 +5,8 @@ morphology, plain-loop statistics and threshold lookup, row-by-row PCD
 I/O, per-sample RANSAC draws, a per-cluster gather loop) so it cannot
 share a bug with the implementations it checks.  A few keep the code a
 faster version replaced (shift-fold morphology, bool row-sum RANSAC
-scoring, the dense-grid obstacle scan), so the faster code can be held
+scoring, the dense-grid obstacle scan, the synthetic generator that
+slab-tests every ray against every box), so the faster code can be held
 to exactly the same output.  ``occupancy_detector`` is a fixture: a
 trivial BEV detector that exercises the post-processing end to end.
 """
@@ -27,6 +28,18 @@ from lidargrid.ground import (
     _scatter,
 )
 from lidargrid.pcd import ParseError, UnsupportedLayout
+from lidargrid.synth import (
+    GROUND_INTENSITY,
+    GROUND_LABEL,
+    OBSTACLE_INTENSITY,
+    LabeledFrame,
+    SceneSpec,
+    _box_entry_t,
+    _box_z_span,
+    _ground_hit_t,
+    _ray_directions,
+    _sample_box_points,
+)
 
 
 def flood_fill_labels(cells: np.ndarray, connectivity: int) -> np.ndarray:
@@ -530,3 +543,53 @@ def occupancy_detector(channels: ChannelImage) -> OutputAttributeGrid:
         confidence=occ,
         height=channels.plane("max_height").astype(np.float64),
     )
+
+
+def generate_frame_all_rays(spec: SceneSpec, frame_id: int = 0,
+                            timestamp: float = 0.0) -> LabeledFrame:
+    """``generate_frame`` with every ray slab-tested against every box, and
+    every box's samples against every other box."""
+    rng = np.random.default_rng(spec.rng_seed)
+    dirs = _ray_directions(spec)
+    t_ground = _ground_hit_t(spec, dirs)
+
+    blocked = np.zeros(dirs.shape[0], dtype=bool)
+    for box in spec.obstacles:
+        blocked |= _box_entry_t(spec, box, dirs) < t_ground
+
+    ground_mask = (t_ground <= spec.max_range) & ~blocked
+    t_hit = t_ground[ground_mask] + rng.normal(0.0, spec.noise_sigma,
+                                               size=int(ground_mask.sum()))
+    ground_pts = dirs[ground_mask] * t_hit[:, None]
+
+    chunks = [ground_pts]
+    labels = [np.full(ground_pts.shape[0], GROUND_LABEL, dtype=np.int64)]
+    intensities = [np.full(ground_pts.shape[0], GROUND_INTENSITY)]
+
+    for b, box in enumerate(spec.obstacles):
+        z_lo, z_hi = _box_z_span(spec, box)
+        count = max(1, int(round(spec.obstacle_density * box.length * box.width)))
+        pts = _sample_box_points(box, z_lo, z_hi, count, rng)
+        dist = np.linalg.norm(pts, axis=1)
+        keep = (dist > 1e-9) & (dist <= spec.max_range)
+        pts, dist = pts[keep], dist[keep]
+        pdirs = pts / dist[:, None]
+        visible = _ground_hit_t(spec, pdirs) >= dist - 1e-9
+        for j, other in enumerate(spec.obstacles):
+            if j == b:
+                continue
+            visible &= _box_entry_t(spec, other, pdirs) >= dist - 1e-9
+        pts, dist, pdirs = pts[visible], dist[visible], pdirs[visible]
+        noise = rng.normal(0.0, spec.noise_sigma, size=pts.shape[0])
+        pts = pts + pdirs * noise[:, None]
+        chunks.append(pts)
+        labels.append(np.full(pts.shape[0], b, dtype=np.int64))
+        intensities.append(np.full(pts.shape[0], OBSTACLE_INTENSITY))
+
+    budget = spec.ray_count
+    xyz = np.vstack(chunks)[:budget]
+    lab = np.concatenate(labels)[:budget]
+    inten = np.concatenate(intensities)[:budget]
+    points = np.hstack([xyz, inten[:, None]])
+    frame = PointCloudFrame(points=points, timestamp=timestamp, frame_id=frame_id)
+    return LabeledFrame(frame=frame, labels=lab)

@@ -340,14 +340,16 @@ class TestClusterOutputGrid:
         with pytest.raises(ValueError):
             cluster_output_grid(zero_attr(), 1.5)
 
-    @pytest.mark.parametrize("bad", [-0.5, 1.5])
+    @pytest.mark.parametrize("bad", [-0.5, 1.5, float("nan")])
     def test_shared_and_separate_scores_checked(self, bad):
         # one array passed as both scores is checked once, under the
-        # objectness name; a separate confidence array is checked on its own
+        # objectness name; separate arrays are each checked on their own
         scores = np.zeros((40, 40))
         scores[3, 4] = bad
         with pytest.raises(ValueError, match="^objectness scores outside"):
             zero_attr(objectness=scores, confidence=scores)
+        with pytest.raises(ValueError, match="^objectness scores outside"):
+            zero_attr(objectness=scores)
         with pytest.raises(ValueError, match="^confidence scores outside"):
             zero_attr(confidence=scores)
 

@@ -12,6 +12,7 @@ from helpers import (
     open_close_cells,
     threshold_for_range,
 )
+from lidargrid.bev import BevConfig
 from lidargrid.grid import (
     CellHistogram,
     GridConfig,
@@ -291,6 +292,18 @@ class TestGridConfig:
                        z_min=0, z_max=1)
         with pytest.raises(ValueError):
             GridConfig(cell_size=0.0)
+
+    def test_cell_count_capped(self):
+        # checked at construction; no lattice is allocated
+        assert GridConfig(cell_size=1.0, x_min=0, x_max=8192, y_min=0, y_max=4096).nx == 8192
+        for y_max in (4096.5, 1e308):
+            with pytest.raises(ValueError, match="more than 33554432 cells"):
+                GridConfig(cell_size=1.0, x_min=0, x_max=8192, y_min=0, y_max=y_max)
+        with pytest.raises(ValueError, match="more than 33554432 cells"):
+            GridConfig(cell_size=1e-320)
+        assert BevConfig(image_size=5792).cell_size > 0.0
+        with pytest.raises(ValueError, match="more than 33554432 cells"):
+            BevConfig(image_size=5793)
 
     def test_cell_ranges_are_center_distances(self):
         cfg = GridConfig(cell_size=1.0, x_min=0, x_max=2, y_min=0, y_max=2,

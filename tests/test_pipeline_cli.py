@@ -444,6 +444,8 @@ class TestCli:
         "synth: {azimuth_resolution_deg: 0}",
         "bev: {image_size: 0}",
         "bev: {range: 0}",
+        "grid: {cell_size: 0.001}",
+        "bev: {image_size: 100000}",
     ], ids=["negative-cell-size", "section-not-a-mapping",
             "bad-connectivity", "yaml-syntax", "fractional-count", "nan-cell-size",
             "infinite-extent", "negative-noise", "nan-breakpoint", "nan-breakpoint-string",
@@ -452,7 +454,8 @@ class TestCli:
             "inverted-height-crop", "zero-kernel-radius", "zero-min-cells",
             "negative-noise-floor", "zero-ransac-iterations", "zero-inlier-band",
             "inlier-ratio-above-one", "zero-beams", "zero-azimuth-step",
-            "zero-bev-image-size", "zero-bev-range"])
+            "zero-bev-image-size", "zero-bev-range", "grid-over-cell-cap",
+            "bev-over-cell-cap"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(text + "\n")
@@ -486,12 +489,13 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error[config]")
 
-    # both requests exceed the address space a 64-bit process can map, so
-    # the allocation fails at once without touching memory
+    # the cell cap keeps every grid and raster allocatable, but both scans
+    # ask for more rays than a 64-bit process can map, so the allocation
+    # fails at once without touching memory
     @pytest.mark.parametrize("command, text, size", [
-        ("detect", "grid: {cell_size: 0.000001}", "25.6 PiB"),
-        ("bev-export", "bev: {image_size: 10000000}", "2.13 PiB"),
-    ], ids=["grid-cells", "bev-raster"])
+        ("detect", "synth: {beam_count: 200000000000000}", "1.42 PiB"),
+        ("bev-export", "synth: {azimuth_resolution_deg: 1.0e-12}", "2.56 PiB"),
+    ], ids=["synth-beams", "synth-azimuths"])
     def test_unallocatable_config_is_memory_error(self, tmp_path, capsys, command, text,
                                                   size):
         cfg_path = tmp_path / "cfg.yaml"

@@ -3,11 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import generate_frame_all_rays
 from lidargrid.synth import (
     GROUND_LABEL,
     BoxSpec,
     SceneSpec,
+    _box_entry_t,
+    _entry_t,
+    _may_enter,
     expected_obstacles,
     generate_frame,
 )
@@ -187,3 +193,99 @@ class TestExpectedObstacles:
     def test_invalid_box_rejected(self):
         with pytest.raises(ValueError):
             BoxSpec(center_x=0, center_y=0, length=0.0)
+
+
+def _frame_bytes(labeled):
+    return labeled.frame.points.shape, labeled.frame.points.tobytes(), labeled.labels.tobytes()
+
+
+@st.composite
+def boxes(draw):
+    # centres from over the sensor out to 40 m, any yaw, boxes that sink
+    # into the ground or float above it
+    return BoxSpec(
+        center_x=draw(st.floats(-40.0, 40.0)),
+        center_y=draw(st.floats(-40.0, 40.0)),
+        length=draw(st.floats(0.2, 8.0)),
+        width=draw(st.floats(0.2, 4.0)),
+        height=draw(st.floats(0.2, 4.0)),
+        yaw=draw(st.floats(-math.pi, math.pi)),
+        clearance=draw(st.floats(-1.0, 1.5)),
+    )
+
+
+@st.composite
+def scenes(draw):
+    obstacles = draw(st.lists(
+        st.one_of(boxes(), boxes().map(lambda b: replace(
+            b, center_x=b.center_x / 20.0, center_y=b.center_y / 20.0))),
+        max_size=4))
+    return SceneSpec(
+        ground_slope=draw(st.floats(-0.2, 0.2)),
+        noise_sigma=draw(st.sampled_from([0.0, 0.02])),
+        obstacles=tuple(obstacles),
+        beam_count=draw(st.integers(1, 12)),
+        vertical_fov_deg=(draw(st.integers(-9000, 0)) / 100.0,
+                          draw(st.integers(0, 9000)) / 100.0),
+        azimuth_resolution_deg=draw(st.sampled_from([0.5, 1.0, 3.0, 7.5, 45.0])),
+        max_range=draw(st.floats(1.0, 100.0)),
+        rng_seed=draw(st.integers(0, 2**31)),
+        obstacle_density=draw(st.sampled_from([1.0, 20.0, 150.0])),
+    )
+
+
+class TestCulledRayTests:
+    """Culling the slab test changes no frame: the all-rays generator in
+    ``tests/helpers.py`` is the reference, byte for byte."""
+
+    # a yaw or an elevation near 1e-308 overflows the slab divide to
+    # +-inf in both generators alike
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(scenes())
+    def test_matches_all_rays_generator(self, spec):
+        assert _frame_bytes(generate_frame(spec)) == _frame_bytes(generate_frame_all_rays(spec))
+
+    def test_matches_all_rays_generator_on_bench_scenes(self):
+        box = BoxSpec(center_x=12.0, center_y=-3.0, yaw=0.4)
+        for slope in (0.0, 0.035, 0.07):
+            spec = SceneSpec(obstacles=(box, replace(box, center_x=18.0, center_y=2.0),
+                                        replace(box, center_x=-9.0, center_y=6.0)),
+                             ground_slope=slope, rng_seed=5)
+            assert _frame_bytes(generate_frame(spec)) == _frame_bytes(
+                generate_frame_all_rays(spec))
+
+    @staticmethod
+    def _directions(rng):
+        """Random unit directions plus near-vertical ones at every azimuth."""
+        v = rng.normal(size=(20000, 3))
+        az = rng.uniform(-math.pi, math.pi, 4000)
+        tilt = 10.0 ** rng.uniform(-14, -1, 4000)
+        up = np.column_stack([np.sin(tilt) * np.cos(az), np.sin(tilt) * np.sin(az),
+                              np.where(rng.random(4000) < 0.5, -1.0, 1.0) * np.cos(tilt)])
+        v = np.vstack([v, up, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+        return v / np.linalg.norm(v, axis=1)[:, None]
+
+    @pytest.mark.parametrize("box", [
+        BoxSpec(center_x=100.0, center_y=0.0),
+        BoxSpec(center_x=-70.0, center_y=70.0, yaw=1.0, height=40.0, clearance=-20.0),
+        BoxSpec(center_x=0.0, center_y=0.0, height=6.0, clearance=-2.0),
+        BoxSpec(center_x=0.5, center_y=-1.0, yaw=2.5, height=4.0, clearance=-1.0),
+        # the circumscribed circle just contains, or just misses, the sensor
+        # while a corner points at it
+        BoxSpec(center_x=math.hypot(5.0, 2.0) / 2.0 * (1.0 - 1e-7), center_y=0.0,
+                yaw=math.pi - math.atan2(2.0, 5.0), height=8.0, clearance=-4.0),
+        BoxSpec(center_x=math.hypot(5.0, 2.0) / 2.0 * (1.0 + 1e-7), center_y=0.0,
+                yaw=math.pi - math.atan2(2.0, 5.0), height=8.0, clearance=-4.0),
+        BoxSpec(center_x=0.0, center_y=math.hypot(4.0, 1.0) / 2.0 + 1e-3, length=4.0,
+                width=1.0, yaw=-math.pi / 2 + math.atan2(1.0, 4.0), height=8.0,
+                clearance=-4.0),
+    ])
+    def test_cull_keeps_every_direction_that_enters(self, box):
+        spec = SceneSpec(ground_slope=0.05)
+        dirs = self._directions(np.random.default_rng(7))
+        entry = _box_entry_t(spec, box, dirs)
+        enters = np.isfinite(entry)
+        assert enters.any()
+        assert _may_enter(box, dirs)[enters].all()
+        np.testing.assert_array_equal(_entry_t(spec, box, dirs), entry)
