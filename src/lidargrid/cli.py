@@ -91,10 +91,11 @@ def cmd_synth(args) -> int:
               file=sys.stderr)
     base = cfg.synth.rng_seed
     gt_rows = []
+    width = max(4, len(str(args.frames - 1)))  # names sort in frame order
     for i in range(args.frames):
         spec = replace(cfg.synth, rng_seed=base + i)
         labeled = generate_frame(spec, frame_id=i, timestamp=i / FRAME_RATE_HZ)
-        write_frame_pcd(labeled.frame, out / f"frame_{i:04d}.pcd")
+        write_frame_pcd(labeled.frame, out / f"frame_{i:0{width}d}.pcd")
         if spec.obstacles:
             box = spec.obstacles[0]
             gt_rows.append((i / FRAME_RATE_HZ, box.center_x, box.center_y))

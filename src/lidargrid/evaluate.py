@@ -284,14 +284,18 @@ def evaluate_detections(estimate_rows, gt_t, gt_x, gt_y, ego_t, ego_x, ego_y,
 
     ``estimate_rows`` is an iterable of (frame_id, t, ObstacleEstimate).
     Ground truth and ego series are linearly interpolated to the frame
-    timestamps (heading via unwrap).  The lever arm is added to the GT
-    position in the local frame.  ``total_frames`` defaults to the span
-    of frame ids in the estimates file (missing-frame rows cannot appear
-    in the CSV, so a contiguous id range is assumed).
+    timestamps (heading via unwrap); a frame time outside either series,
+    or a frame id with two timestamps, raises SchemaError.  The lever arm
+    is added to the GT position in the local frame.  ``total_frames``
+    defaults to the span of frame ids in the estimates file (missing-frame
+    rows cannot appear in the CSV, so a contiguous id range is assumed).
     """
     by_frame: dict[int, tuple[float, list]] = {}
     for frame_id, t, est in estimate_rows:
-        by_frame.setdefault(int(frame_id), (float(t), []))[1].append(est)
+        first, ests = by_frame.setdefault(int(frame_id), (float(t), []))
+        if first != t:
+            raise SchemaError(f"frame {frame_id} has two timestamps, {first!r} and {float(t)!r}")
+        ests.append(est)
     if not by_frame:
         raise EmptySeries("no estimates to evaluate")
     frame_ids = sorted(by_frame)
@@ -303,6 +307,10 @@ def evaluate_detections(estimate_rows, gt_t, gt_x, gt_y, ego_t, ego_x, ego_y,
     comparison = []
     for frame_id in frame_ids:
         t, ests = by_frame[frame_id]
+        for name, series in (("ground-truth", gt_t), ("ego", ego_t)):
+            if not series[0] <= t <= series[-1]:
+                raise SchemaError(f"frame {frame_id} at t={t!r} lies outside the {name} "
+                                  f"series, t {float(series[0])!r} to {float(series[-1])!r}")
         gx = float(np.interp(t, gt_t, gt_x))
         gy = float(np.interp(t, gt_t, gt_y))
         ex = float(np.interp(t, ego_t, ego_x))

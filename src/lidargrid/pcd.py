@@ -4,10 +4,12 @@ Supports the subset this project emits: FIELDS x y z [intensity] with
 DATA ascii.  Anything else is rejected with a clear error rather than
 guessed at.
 
-Both directions work in bulk.  The reader takes the header line by line
-and the whole body in one ``np.loadtxt`` call.  Only when that call
-fails or returns the wrong shape does it walk the body line by line, and
-that walk is what names a bad line in a ``ParseError``.  The writer
+Lines are those of Python's text mode, ending at LF, CRLF or CR; any
+other whitespace separates values, as for ``np.loadtxt`` and ``split()``.
+Both directions work in bulk.  The reader opens a file once, takes the
+header line by line and the rest in one ``np.loadtxt`` call.  Only when
+that call fails or returns the wrong shape does it seek back and walk the
+body line by line, to name a bad line in a ``ParseError``.  The writer
 formats ``_BLOCK_ROWS`` rows per write with one %-format.
 """
 
@@ -35,12 +37,6 @@ class UnsupportedLayout(LidarGridError):
 _HEADER_KEYS = ("VERSION", "FIELDS", "SIZE", "TYPE", "COUNT", "WIDTH",
                 "HEIGHT", "VIEWPOINT", "POINTS", "DATA")
 
-# Characters that str.splitlines() breaks lines at but text-mode readline
-# and np.loadtxt do not (loadtxt takes them for whitespace).  A file that
-# holds one is read by splitlines() and the line walk alone, so every file
-# is split into the same lines whichever path reads it.
-_INLINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-
 # Rows formatted per write.  A block's format string and value tuple stay
 # under glibc's 128 KiB mmap threshold; blocks past it are mmapped, the
 # threshold then moves up and the process keeps a larger heap.
@@ -49,18 +45,24 @@ _BLOCK_ROWS = 256
 
 def read_frame_pcd(path, frame_id: int = 0, timestamp: float = 0.0,
                    validate: bool = True) -> PointCloudFrame:
-    """Parse an ASCII PCD file into a frame.
+    """Parse an ASCII PCD file into a frame; one that parses is read once.
 
-    A missing intensity field defaults to 0.  With ``validate`` the frame
-    is cleaned via validate_frame, and its intensities are taken to be
-    8-bit and normalized when a kept row's is above 1.  An unreadable
-    file and a malformed header or row raise ``ParseError``; a byte that
-    is not UTF-8 fails the line it sits in.
+    Lines end at LF, CRLF or CR; other whitespace separates values.  A
+    missing intensity field defaults to 0.  With ``validate`` the frame is
+    cleaned via validate_frame, and its intensities are taken to be 8-bit
+    and normalized when a kept row's is above 1.  An unreadable file and a
+    malformed header or row raise ``ParseError``; a byte that is not UTF-8
+    fails the line it sits in.
     """
     try:
         # surrogateescape keeps a stray byte in its line, to fail there
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            rows = _read_rows(path, fh)
+            n_points, n_fields, data_start = _read_header(path, iter(fh.readline, ""))
+            body = fh.tell()
+            rows = _parse_bulk(fh, n_points, n_fields)
+            if rows is None:
+                fh.seek(body)
+                rows = _walk_rows(path, fh.readlines(), data_start, n_points, n_fields)
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
@@ -68,23 +70,6 @@ def read_frame_pcd(path, frame_id: int = 0, timestamp: float = 0.0,
     if validate:
         return validate_frame(frame, eight_bit_intensity=True)
     return frame
-
-
-def _read_rows(path, fh) -> np.ndarray:
-    """The data rows of an open PCD file, (POINTS, fields) or (POINTS, 4)."""
-    plain = not any(c in chunk for chunk in iter(lambda: fh.read(1 << 16), "")
-                    for c in _INLINE_BREAKS)
-    fh.seek(0)
-    lines = iter(fh.readline, "") if plain else iter(fh.read().splitlines())
-    n_points, n_fields, data_start = _read_header(path, lines)
-    if plain:
-        body = fh.tell()
-        rows = _parse_bulk(fh, n_points, n_fields)
-        if rows is not None:
-            return rows
-        fh.seek(body)
-        lines = iter(fh.read().splitlines())
-    return _walk_rows(path, list(lines), data_start, n_points, n_fields)
 
 
 def _read_header(path, lines) -> tuple[int, int, int]:

@@ -130,7 +130,7 @@ def _ground_hit_t(spec: SceneSpec, dirs: np.ndarray) -> np.ndarray:
     """Ray parameter of the ground intersection, +inf where there is none."""
     s = math.tan(spec.ground_slope)
     denom = dirs[:, 2] - s * dirs[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = spec.ground_offset / denom
     t = np.where((np.abs(denom) > 1e-12) & (t > 0.0), t, np.inf)
     return t
@@ -158,7 +158,7 @@ def _box_entry_t(spec: SceneSpec, box: BoxSpec, dirs: np.ndarray) -> np.ndarray:
         (oy, dy, -box.width / 2.0, box.width / 2.0),
         (0.0, dz, z_lo, z_hi),
     ):
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t1 = (lo - o) / d
             t2 = (hi - o) / d
         near = np.minimum(t1, t2)

@@ -328,7 +328,7 @@ def read_pcd_by_lines(path, frame_id: int = 0, timestamp: float = 0.0,
     """Reference ASCII PCD reader: split the text into lines, then parse
     every value with float() one row at a time."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        lines = fh.readlines()
 
     header: dict[str, list[str]] = {}
     data_start = None

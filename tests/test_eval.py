@@ -315,6 +315,29 @@ class TestEvaluateDetections:
         assert result.longitudinal.mean_offset == pytest.approx(-0.5)
         assert result.lateral.mean_offset == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("short, cut, frame", [
+        ("ground-truth", slice(None, 2), "frame 2 at t=0.1"),
+        ("ego", slice(None, 2), "frame 2 at t=0.1"),
+        ("ego", slice(1, None), "frame 0 at t=0.0"),
+    ], ids=["truth-ends-early", "ego-ends-early", "ego-starts-late"])
+    def test_frame_outside_a_series_is_schema_error(self, short, cut, frame):
+        t = np.arange(4) / 20.0
+        rows = [(i, float(ti), est_at(10.0, 0.0)) for i, ti in enumerate(t)]
+        gt_t = t[cut] if short == "ground-truth" else t
+        ego_t = t[cut] if short == "ego" else t
+        with pytest.raises(SchemaError, match=f"{frame} lies outside the {short} series"):
+            evaluate_detections(rows, gt_t, np.full(len(gt_t), 10.0), np.zeros(len(gt_t)),
+                                ego_t, np.zeros(len(ego_t)), np.zeros(len(ego_t)),
+                                np.zeros(len(ego_t)))
+
+    def test_frame_with_two_timestamps_is_schema_error(self):
+        ego_t, ego_x, ego_y, ego_psi = self.series(4)
+        rows = [(0, 0.0, est_at(10.0, 0.0)), (1, 1.0, est_at(10.0, 0.0)),
+                (1, 2.0, est_at(12.0, 0.0))]
+        with pytest.raises(SchemaError, match="frame 1 has two timestamps, 1.0 and 2.0"):
+            evaluate_detections(rows, ego_t, np.full(4, 10.0), np.zeros(4),
+                                ego_t, ego_x, ego_y, ego_psi)
+
     def test_unmatched_frames_in_comparison(self):
         ego_t, ego_x, ego_y, ego_psi = self.series(4)
         t = np.arange(4, dtype=float)

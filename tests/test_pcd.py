@@ -133,7 +133,8 @@ NUMBERS = st.one_of(
 )
 BAD_TOKENS = st.sampled_from(["oops", "1,5", "0x10", "1e", "--1", "#", "١"])
 SEPARATORS = [" ", "  ", "\t", " \t", "\x1f", "\xa0"]
-# splitlines() breaks lines at these, loadtxt does not
+# str.splitlines() would end a line at these; the reader and loadtxt take
+# them for whitespace between values
 INLINE_BREAKS = ["\f", "\v", "\x1c", "\u2028"]
 
 
@@ -142,7 +143,7 @@ def pcd_files(draw):
     """A PCD text in the layouts the reader accepts, sometimes with one fault."""
     fields = draw(st.sampled_from([["x", "y", "z"], ["x", "y", "z", "intensity"]]))
     n = draw(st.integers(0, 12))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     separators = SEPARATORS + (INLINE_BREAKS if draw(st.integers(0, 3)) == 0 else [])
     rows = [draw(st.lists(NUMBERS, min_size=len(fields), max_size=len(fields)))
             for _ in range(n)]
@@ -214,13 +215,32 @@ class TestBulkReaderMatchesLineWalk:
             assert outcome(read_frame_pcd, path, True) == outcome(read_pcd_by_lines, path, True)
 
     @pytest.mark.parametrize("body", [
-        "1 2 3\f4 5 6\n",   # two rows to splitlines()
-        "1 2\f3\n4 5 6\n",  # a short row to splitlines()
+        "1 2 3\f4 5 6\n",   # one line of six values, not two rows
+        "1 2\f3\n4 5 6\n",  # a full first row, not a short one
     ])
     def test_splitlines_breaks_inside_a_line(self, tmp_path, body):
         path = tmp_path / "ff.pcd"
         path.write_text(pcd_text(["x", "y", "z"], [], points=2) + body)
         assert outcome(read_frame_pcd, path, False) == outcome(read_pcd_by_lines, path, False)
+
+
+class TestLineRule:
+    """Lines end at LF, CRLF or CR; any other whitespace separates values."""
+
+    @pytest.mark.parametrize("sep", ["\x1c", "\f", "\u2028"])
+    def test_other_whitespace_separates_values(self, tmp_path, sep):
+        text = pcd_text(["x", "y", "z", "intensity"], [[1, 2, 3, 0.5], [-4, 5.5, 6e1, 1]])
+        spaced, other = tmp_path / "spaced.pcd", tmp_path / "other.pcd"
+        spaced.write_bytes(text.encode("utf-8"))
+        other.write_bytes(text.replace(" ", sep).encode("utf-8"))
+        np.testing.assert_array_equal(read_frame_pcd(other, validate=False).points,
+                                      read_frame_pcd(spaced, validate=False).points)
+
+    def test_form_feed_does_not_end_a_row(self, tmp_path):
+        path = tmp_path / "ff.pcd"
+        path.write_text(pcd_text(["x", "y", "z"], [], points=2) + "1 2 3\f4 5 6\n")
+        with pytest.raises(ParseError, match="line 11: expected 3 values, got 6"):
+            read_frame_pcd(path)
 
 
 class TestReaderErrors:

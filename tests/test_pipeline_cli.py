@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import fields, is_dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -581,6 +582,44 @@ class TestCli:
             argv += [name, str(p)]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error[schema]: {paths[flag]}")
+
+    @pytest.mark.parametrize("short", ["--ground-truth", "--ego"])
+    def test_frame_outside_a_series_is_schema_error(self, tmp_path, capsys, short):
+        # four frames, and one series that ends at the second
+        paths = self.eval_inputs(tmp_path)
+        write_obstacles_csv(paths["--estimates"], [
+            (i, i / 20.0, ObstacleEstimate(center_x=10.0, center_y=0.0, length=5.0, width=2.0))
+            for i in range(4)])
+        times = [repr(i / 20.0) for i in range(4)]
+        if short == "--ego":
+            text = "t,X,Y\n" + "".join(f"{t},10.0,0.0\n" for t in times)
+            paths["--ground-truth"].write_text(text)
+        else:
+            paths["--ego"].write_text("t,X,Y,psi\n" + "".join(f"{t},0,0,0\n" for t in times))
+        argv = ["eval", "--out-dir", str(tmp_path / "o")]
+        for name, p in paths.items():
+            argv += [name, str(p)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error[schema]: frame 2 at t=0.1 lies outside")
+
+    def test_frame_with_two_timestamps_is_schema_error(self, tmp_path, capsys):
+        paths = self.eval_inputs(tmp_path)
+        est = ObstacleEstimate(center_x=10.0, center_y=0.0, length=5.0, width=2.0)
+        write_obstacles_csv(paths["--estimates"], [(0, 0.0, est), (0, 0.05, est)])
+        argv = ["eval", "--out-dir", str(tmp_path / "o")]
+        for name, p in paths.items():
+            argv += [name, str(p)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            "error[schema]: frame 0 has two timestamps, 0.0 and 0.05")
+
+    def test_synth_names_sort_in_frame_order_past_9999(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("lidargrid.cli.generate_frame",
+                            lambda spec, frame_id, timestamp: SimpleNamespace(frame=None))
+        monkeypatch.setattr("lidargrid.cli.write_frame_pcd", lambda frame, path: path.touch())
+        assert main(["synth", "--frames", "10001", "--out-dir", str(tmp_path)]) == 0
+        order = [int(p.stem.removeprefix("frame_")) for p in sorted(tmp_path.glob("*.pcd"))]
+        assert order == list(range(10001))
 
     def test_eval_of_good_csvs_passes(self, tmp_path):
         argv = ["eval", "--out-dir", str(tmp_path / "o")]

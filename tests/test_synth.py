@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -238,13 +239,20 @@ class TestCulledRayTests:
     """Culling the slab test changes no frame: the all-rays generator in
     ``tests/helpers.py`` is the reference, byte for byte."""
 
-    # a yaw or an elevation near 1e-308 overflows the slab divide to
-    # +-inf in both generators alike
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(scenes())
     def test_matches_all_rays_generator(self, spec):
         assert _frame_bytes(generate_frame(spec)) == _frame_bytes(generate_frame_all_rays(spec))
+
+    def test_overflow_to_inf_warns_nothing(self):
+        # an elevation near 1e-308 overflows the divides to +-inf, which
+        # are taken as rays parallel to the ground and the box faces
+        spec = SceneSpec(vertical_fov_deg=(-2.2250738585072014e-308, 0.0))
+        reference = _frame_bytes(generate_frame_all_rays(spec))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _frame_bytes(generate_frame(spec)) == reference
 
     def test_matches_all_rays_generator_on_bench_scenes(self):
         box = BoxSpec(center_x=12.0, center_y=-3.0, yaw=0.4)
