@@ -54,6 +54,11 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _frame_name(i: int, count: int, suffix: str) -> str:
+    """Frame ``i`` of ``count``, padded to the last index (4 digits or more) to sort in order."""
+    return f"frame_{i:0{max(4, len(str(count - 1)))}d}{suffix}"
+
+
 def _input_frames(args, cfg: PipelineConfig):
     """Yield frames from a PCD directory or the configured synthetic scene."""
     if args.input is not None:
@@ -91,11 +96,10 @@ def cmd_synth(args) -> int:
               file=sys.stderr)
     base = cfg.synth.rng_seed
     gt_rows = []
-    width = max(4, len(str(args.frames - 1)))  # names sort in frame order
     for i in range(args.frames):
         spec = replace(cfg.synth, rng_seed=base + i)
         labeled = generate_frame(spec, frame_id=i, timestamp=i / FRAME_RATE_HZ)
-        write_frame_pcd(labeled.frame, out / f"frame_{i:0{width}d}.pcd")
+        write_frame_pcd(labeled.frame, out / _frame_name(i, args.frames, ".pcd"))
         if spec.obstacles:
             box = spec.obstacles[0]
             gt_rows.append((i / FRAME_RATE_HZ, box.center_x, box.center_y))
@@ -146,12 +150,11 @@ def cmd_bench(args) -> int:
 def cmd_bev_export(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args)
-    count = 0
-    for frame in _input_frames(args, cfg):
+    count = args.synth or len(list(Path(args.input).glob("*.pcd")))
+    for i, frame in enumerate(_input_frames(args, cfg)):
         _, _, levelled = front_half(frame, cfg)
         channels = extract_channels(levelled, cfg.bev)
-        channels.save(out / f"frame_{frame.frame_id:04d}.bev")
-        count += 1
+        channels.save(out / _frame_name(i, count, ".bev"))
     print(f"wrote {count} channel images to {out}")
     return 0
 
@@ -226,6 +229,9 @@ def main(argv=None) -> int:
         return 1
     except MemoryError as exc:  # e.g. a grid or raster too large to allocate
         print(f"error[memory]: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # e.g. an output file that cannot be written
+        print(f"error[io]: {exc}", file=sys.stderr)
         return 1
 
 

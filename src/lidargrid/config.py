@@ -77,6 +77,9 @@ class PipelineConfig:
             raise ValueError("pipeline must be 'geometric' or 'bev'")
         if self.kernel_radius < 1:
             raise ValueError("kernel_radius must be >= 1")
+        if 2 * self.kernel_radius + 1 > min(self.grid.nx, self.grid.ny):
+            raise ValueError(f"kernel_radius {self.kernel_radius} is too wide for the "
+                             f"{self.grid.nx} x {self.grid.ny} grid: its opening clears every cell")
 
 
 # fields held in radians and written in YAML as ``<name>_deg``
@@ -90,10 +93,9 @@ _NOTES = {
     "ransac.max_plane_tilt": "reject planes tilted further from +z, 0-90",
     "grid": "occupancy-grid projection",
     "grid.cell_size": "m, square cells",
-    "grid.z_min": "m above the fitted ground plane",
+    "grid.z_min": "m above the plane; geometric route first drops |z| <= ransac.distance_threshold",
     "profile": "occupancy count thresholds vs radial distance",
-    "profile.breakpoints": "[range_start_m, min_count]; first must start at 0",
-    "profile.noise_min_count": "global floor applied after the profile",
+    "profile.breakpoints": "[range_start_m, min_count]; first starts at 0, last count is the floor",
     "kernel_radius": "morphology: square element side 2r+1",
     "cluster.connectivity": "4 | 8",
     "cluster.min_cells": "both routes: drop clusters of fewer cells of the route's own grid",

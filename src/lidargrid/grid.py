@@ -1,10 +1,10 @@
 """2D projection, occupancy thresholding and binary morphology.
 
 Points are collapsed onto the horizontal plane and counted into square
-cells.  A cell becomes occupied when its count beats a range-dependent
-threshold (point density thins out with distance) and a global noise
-floor.  Opening followed by closing then removes speckle and reconnects
-fragmented objects.
+cells.  A cell becomes occupied when its count reaches a threshold that
+falls with range, since point density thins out with distance.  Opening
+followed by closing then removes speckle and reconnects fragmented
+objects.
 
 Grid arrays are indexed [ix, iy] with ix along +x and iy along +y; cell
 intervals are half-open [lo, hi) so boundary points land in exactly one
@@ -97,12 +97,10 @@ class ThresholdProfile:
 
     ``breakpoints`` is an ordered tuple of (range_start, count_threshold)
     starting at range 0; the threshold of the last breakpoint at or below
-    a given range applies.  ``noise_min_count`` is a global floor applied
-    on top of the profile.
+    a given range applies, so the last count is the floor beyond its start.
     """
 
     breakpoints: tuple = ((0.0, 5), (10.0, 3), (20.0, 2))
-    noise_min_count: int = 2
 
     def __post_init__(self):
         bps = tuple((float(r), int(c)) for r, c in self.breakpoints)
@@ -116,15 +114,7 @@ class ThresholdProfile:
             raise ValueError("count thresholds must be >= 1")
         if any(b > a for a, b in zip(counts, counts[1:])):
             raise ValueError("count thresholds must be non-increasing with range")
-        if self.noise_min_count < 0:
-            raise ValueError("noise_min_count must be >= 0")
         object.__setattr__(self, "breakpoints", bps)
-
-    def range_starts(self) -> np.ndarray:
-        return np.array([r for r, _ in self.breakpoints])
-
-    def count_thresholds(self) -> np.ndarray:
-        return np.array([c for _, c in self.breakpoints])
 
 
 def project_to_grid(points, cfg: GridConfig) -> CellHistogram:
@@ -153,15 +143,16 @@ def project_to_grid(points, cfg: GridConfig) -> CellHistogram:
 
 @lru_cache(maxsize=8)
 def _threshold_map(cfg: GridConfig, profile: ThresholdProfile) -> np.ndarray:
-    """Read-only per-cell max(profile threshold at cell range, noise floor)."""
-    idx = np.searchsorted(profile.range_starts(), cfg.cell_ranges(), side="right") - 1
-    thr = np.maximum(profile.count_thresholds()[idx], profile.noise_min_count)
+    """Read-only per-cell profile threshold at the cell's range."""
+    starts, counts = zip(*profile.breakpoints)
+    idx = np.searchsorted(starts, cfg.cell_ranges(), side="right") - 1
+    thr = np.array(counts)[idx]
     thr.flags.writeable = False
     return thr
 
 
 def occupancy_from_counts(hist: CellHistogram, profile: ThresholdProfile) -> OccupancyGrid:
-    """Occupied iff count >= max(profile threshold at cell range, noise floor)."""
+    """Occupied iff count >= the profile threshold at the cell's range."""
     return OccupancyGrid(cells=hist.counts >= _threshold_map(hist.config, profile))
 
 

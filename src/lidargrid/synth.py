@@ -91,9 +91,6 @@ class SceneSpec:
     def ray_count(self) -> int:
         return self.beam_count * int(round(360.0 / self.azimuth_resolution_deg))
 
-    def ground_height_at(self, x) -> np.ndarray:
-        return self.ground_offset + math.tan(self.ground_slope) * np.asarray(x, dtype=float)
-
 
 @dataclass(frozen=True, eq=False)
 class LabeledFrame:
@@ -137,7 +134,7 @@ def _ground_hit_t(spec: SceneSpec, dirs: np.ndarray) -> np.ndarray:
 
 
 def _box_z_span(spec: SceneSpec, box: BoxSpec) -> tuple[float, float]:
-    base = float(spec.ground_height_at(box.center_x)) + box.clearance
+    base = spec.ground_offset + math.tan(spec.ground_slope) * box.center_x + box.clearance
     return base, base + box.height
 
 
@@ -164,7 +161,7 @@ def _box_entry_t(spec: SceneSpec, box: BoxSpec, dirs: np.ndarray) -> np.ndarray:
         near = np.minimum(t1, t2)
         far = np.maximum(t1, t2)
         parallel = np.abs(d) <= 1e-12
-        inside = (o >= lo) & (o <= hi) if np.ndim(o) else (lo <= o <= hi)
+        inside = lo <= o <= hi
         near = np.where(parallel, np.where(inside, -np.inf, np.inf), near)
         far = np.where(parallel, np.where(inside, np.inf, -np.inf), far)
         t_in = np.maximum(t_in, near)
@@ -238,8 +235,6 @@ def generate_frame(spec: SceneSpec, frame_id: int = 0,
     ground_pts = dirs[ground_mask] * t_hit[:, None]
 
     chunks = [ground_pts]
-    labels = [np.full(ground_pts.shape[0], GROUND_LABEL, dtype=np.int64)]
-    intensities = [np.full(ground_pts.shape[0], GROUND_INTENSITY)]
 
     for b, box in enumerate(spec.obstacles):
         z_lo, z_hi = _box_z_span(spec, box)
@@ -258,12 +253,12 @@ def generate_frame(spec: SceneSpec, frame_id: int = 0,
         noise = rng.normal(0.0, spec.noise_sigma, size=pts.shape[0])
         pts = pts + pdirs * noise[:, None]
         chunks.append(pts)
-        labels.append(np.full(pts.shape[0], b, dtype=np.int64))
-        intensities.append(np.full(pts.shape[0], OBSTACLE_INTENSITY))
 
+    # chunk 0 is the ground, chunk b + 1 the returns of box b
     xyz = np.vstack(chunks)
-    lab = np.concatenate(labels)
-    inten = np.concatenate(intensities)
+    sizes = [len(c) for c in chunks]
+    lab = np.repeat([GROUND_LABEL, *range(len(spec.obstacles))], sizes)
+    inten = np.repeat([GROUND_INTENSITY] + [OBSTACLE_INTENSITY] * len(spec.obstacles), sizes)
 
     # one return per ray; ground rows (one per ray at most) come first
     budget = spec.ray_count

@@ -78,8 +78,7 @@ class TestProjectToGrid:
 
 
 class TestThresholdForRange:
-    PROFILE = ThresholdProfile(breakpoints=((0.0, 5), (10.0, 3), (20.0, 2)),
-                               noise_min_count=2)
+    PROFILE = ThresholdProfile(breakpoints=((0.0, 5), (10.0, 3), (20.0, 2)))
 
     def test_mid_segment(self):
         assert threshold_for_range(12.0, self.PROFILE) == 3
@@ -111,23 +110,16 @@ class TestOccupancyFromCounts:
                          z_min=0, z_max=1)
         counts = np.array([[5], [2], [0]])
         hist = CellHistogram(counts=counts, config=cfg)
-        profile = ThresholdProfile(breakpoints=((0.0, 3),), noise_min_count=2)
+        profile = ThresholdProfile(breakpoints=((0.0, 3),))
         occ = occupancy_from_counts(hist, profile)
         assert occ.cells[0, 0]
-        assert not occ.cells[1, 0]  # 2 < max(3, 2)
+        assert not occ.cells[1, 0]  # 2 < 3
         assert not occ.cells[2, 0]
 
     def test_all_zero_histogram_all_free(self):
         hist = project_to_grid(np.zeros((0, 4)), CFG)
         occ = occupancy_from_counts(hist, self_profile())
         assert not occ.cells.any()
-
-    def test_noise_floor_applies(self):
-        cfg = GridConfig(cell_size=1.0, x_min=0, x_max=1, y_min=0, y_max=1,
-                         z_min=0, z_max=1)
-        hist = CellHistogram(counts=np.array([[2]]), config=cfg)
-        profile = ThresholdProfile(breakpoints=((0.0, 1),), noise_min_count=3)
-        assert not occupancy_from_counts(hist, profile).cells[0, 0]
 
     def test_monotone_in_counts(self):
         rng = np.random.default_rng(8)
@@ -145,15 +137,14 @@ class TestThresholdMap:
     GRIDS = (CFG, GridConfig(cell_size=1.0, x_min=-12, x_max=30, y_min=-25, y_max=7),
              GridConfig(cell_size=2.5, x_min=0, x_max=5, y_min=0, y_max=2.5))
     PROFILES = (ThresholdProfile(),
-                ThresholdProfile(breakpoints=((0.0, 9), (4.0, 4), (12.5, 1)),
-                                 noise_min_count=3),
-                ThresholdProfile(breakpoints=((0.0, 1),), noise_min_count=0))
+                ThresholdProfile(breakpoints=((0.0, 9), (4.0, 4), (12.5, 3))),
+                ThresholdProfile(breakpoints=((0.0, 1),)))
 
     @pytest.mark.parametrize("cfg", GRIDS)
     @pytest.mark.parametrize("profile", PROFILES)
     def test_cached_map_matches_per_cell_formula(self, cfg, profile):
-        ref = np.array([[max(threshold_for_range(r, profile), profile.noise_min_count)
-                         for r in row] for row in cfg.cell_ranges()])
+        ref = np.array([[threshold_for_range(r, profile) for r in row]
+                        for row in cfg.cell_ranges()])
         for _ in range(2):  # the miss and the hit
             thr = _threshold_map(cfg, profile)
             np.testing.assert_array_equal(thr, ref)
@@ -172,8 +163,7 @@ class TestThresholdMap:
 
 
 def self_profile():
-    return ThresholdProfile(breakpoints=((0.0, 5), (10.0, 3), (20.0, 2)),
-                            noise_min_count=2)
+    return ThresholdProfile(breakpoints=((0.0, 5), (10.0, 3), (20.0, 2)))
 
 
 class TestMorphology:

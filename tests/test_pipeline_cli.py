@@ -436,6 +436,7 @@ class TestCli:
         "bev_post: {min_confidence: 1.5}",
         "grid: {z_min: 3.0, z_max: 0.1}",
         "kernel_radius: 0",
+        "kernel_radius: 100",
         "cluster: {min_cells: 0}",
         "profile: {noise_min_count: -1}",
         "ransac: {max_iterations: 0}",
@@ -452,8 +453,9 @@ class TestCli:
             "infinite-extent", "negative-noise", "nan-breakpoint", "nan-breakpoint-string",
             "infinite-density", "negative-density", "negative-range", "zero-gate",
             "objectness-threshold-above-one", "min-confidence-above-one",
-            "inverted-height-crop", "zero-kernel-radius", "zero-min-cells",
-            "negative-noise-floor", "zero-ransac-iterations", "zero-inlier-band",
+            "inverted-height-crop", "zero-kernel-radius", "kernel-wider-than-grid",
+            "zero-min-cells",
+            "noise-floor-is-unknown-key", "zero-ransac-iterations", "zero-inlier-band",
             "inlier-ratio-above-one", "zero-beams", "zero-azimuth-step",
             "zero-bev-image-size", "zero-bev-range", "grid-over-cell-cap",
             "bev-over-cell-cap"])
@@ -473,6 +475,17 @@ class TestCli:
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error[config]: rng_seed")
+
+    def test_noise_floor_key_is_unknown(self, tmp_path, capsys):
+        # a floor f is the breakpoint table with counts max(c, f)
+        cfg_path = tmp_path / "floor.yaml"
+        cfg_path.write_text("profile: {noise_min_count: 3}\n")
+        rc = main(["detect", "--synth", "1", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: unknown ThresholdProfile keys")
+        assert "noise_min_count" in err
 
     @pytest.mark.parametrize("tilt", ["-15", "120"])
     def test_plane_tilt_outside_quarter_turn_is_config_error(self, tmp_path, capsys,
@@ -621,6 +634,16 @@ class TestCli:
         order = [int(p.stem.removeprefix("frame_")) for p in sorted(tmp_path.glob("*.pcd"))]
         assert order == list(range(10001))
 
+    def test_bev_export_names_sort_in_frame_order_past_9999(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("lidargrid.cli.generate_frame",
+                            lambda spec, frame_id, timestamp: SimpleNamespace(frame=None))
+        monkeypatch.setattr("lidargrid.cli.front_half", lambda frame, cfg: (None, None, None))
+        monkeypatch.setattr("lidargrid.cli.extract_channels",
+                            lambda points, cfg: SimpleNamespace(save=lambda path: path.touch()))
+        assert main(["bev-export", "--synth", "10001", "--out-dir", str(tmp_path)]) == 0
+        order = [int(p.stem.removeprefix("frame_")) for p in sorted(tmp_path.glob("*.bev"))]
+        assert order == list(range(10001))
+
     def test_eval_of_good_csvs_passes(self, tmp_path):
         argv = ["eval", "--out-dir", str(tmp_path / "o")]
         for name, p in self.eval_inputs(tmp_path).items():
@@ -647,3 +670,21 @@ class TestCli:
         rc = main(argv)
         assert rc == 1
         assert capsys.readouterr().err.startswith("error[config]")
+
+    @pytest.mark.parametrize("argv, blocked", [
+        (["detect", "--synth", "1"], "obstacles.csv"),
+        (["synth", "--frames", "1"], "frame_0000.pcd"),
+        (["eval"], "offset_stats.csv"),
+        (["bench", "--frames", "1"], "bench.csv"),
+        (["bev-export", "--synth", "1"], "frame_0000.bev"),
+    ], ids=["detect", "synth", "eval", "bench", "bev-export"])
+    def test_unwritable_output_is_io_error(self, tmp_path, capsys, argv, blocked):
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)
+        argv = argv + ["--out-dir", str(out)]
+        if argv[0] == "eval":
+            for name, p in self.eval_inputs(tmp_path).items():
+                argv += [name, str(p)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[io]: ") and blocked in err
