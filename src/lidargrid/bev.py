@@ -24,6 +24,7 @@ from .core import MAX_CELLS, LidarGridError, ObstacleEstimate, as_point_array
 # under this module's name
 from .cluster import (_component_runs, component_ids, footprints,
                       label_components, label_flat)  # noqa: F401
+from .grid import cell_index
 
 PLANE_NAMES = ("max_height", "mean_height", "max_intensity",
                "mean_intensity", "density", "occupancy")
@@ -147,15 +148,9 @@ def extract_channels(points, cfg: BevConfig) -> ChannelImage:
     keeps them there, so a frame makes no raster-sized arrays.
     """
     pts = as_point_array(points)
-    n = cfg.image_size
-    x, y, z, inten = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
-    keep = (x >= -cfg.range) & (x < cfg.range) & (y >= -cfg.range) & (y < cfg.range)
-    x, y, z, inten = x[keep], y[keep], z[keep], inten[keep]
-    ix = ((x + cfg.range) / cfg.cell_size).astype(np.int64)
-    iy = ((y + cfg.range) / cfg.cell_size).astype(np.int64)
-    ok = (ix < n) & (iy < n)
-    flat = ix[ok] * n + iy[ok]
-    z, inten = z[ok], inten[ok]
+    n, r = cfg.image_size, cfg.range
+    rows, flat = cell_index(pts[:, 0], pts[:, 1], (-r, -r), (r, r), cfg.cell_size, (n, n))
+    z, inten = pts[rows, 2], pts[rows, 3]
 
     cells, slot = np.unique(flat, return_inverse=True)
     m = cells.size

@@ -93,7 +93,7 @@ _NOTES = {
     "ransac.max_plane_tilt": "reject planes tilted further from +z, 0-90",
     "grid": "occupancy-grid projection",
     "grid.cell_size": "m, square cells",
-    "grid.z_min": "m above the plane; geometric route first drops |z| <= ransac.distance_threshold",
+    "grid.z_min": "m above the plane: the geometric route's lowest counted height",
     "profile": "occupancy count thresholds vs radial distance",
     "profile.breakpoints": "[range_start_m, min_count]; first starts at 0, last count is the floor",
     "kernel_radius": "morphology: square element side 2r+1",
@@ -107,7 +107,6 @@ _NOTES = {
     "eval.lever_arm_x": "m, GT antenna offset applied in the local frame",
     "eval.ref_lat": "geodetic reference; null = first GT row",
     "synth": "scene of synth and of detect/bev-export --synth",
-    "synth.ground_z": "m; null = -sensor_height",
     "synth.noise_sigma": "m, Gaussian range noise",
     "synth.obstacle_density": "box returns per m^2 of footprint",
 }

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Most cells in one grid or BEV raster.  The defaults use 40,000 and
-# 451,584; at the cap the BEV export's six float32 planes take 805 MB.
+# Most cells in one grid or BEV raster, and most rays in one synthetic
+# scan, samples in one box or RANSAC iterations.  The default grids use
+# 40,000 and 451,584 cells; at the cap the BEV export's six float32
+# planes take 805 MB.
 MAX_CELLS = 2 ** 25
 
 
@@ -127,13 +129,12 @@ class ObstacleEstimate:
             raise ValueError(f"range {self.range} inconsistent with center ({r})")
 
 
-def validate_frame(frame: PointCloudFrame, eight_bit_intensity: bool = False) -> ValidatedFrame:
+def validate_frame(frame: PointCloudFrame) -> ValidatedFrame:
     """Drop non-finite points and normalize intensity into [0, 1].
 
-    ``eight_bit_intensity`` declares that the raw intensities are on the
-    0..255 scale and must be divided by 255 when a kept point's intensity
-    is above 1.  Values are clipped to [0, 1] afterwards.  Raises
-    EmptyFrame when no valid point remains.
+    Intensities are taken to be 8-bit and divided by 255 when a kept
+    point's intensity is above 1, whatever the source; values are clipped
+    to [0, 1] afterwards.  Raises EmptyFrame when no valid point remains.
     """
     pts = frame.points
     # column by column: a row-wise all(axis=1) over four columns is ~6x slower
@@ -142,7 +143,7 @@ def validate_frame(frame: PointCloudFrame, eight_bit_intensity: bool = False) ->
     kept = pts.copy() if keep.all() else np.compress(keep, pts, axis=0)
     if kept.shape[0] == 0:
         raise EmptyFrame(f"frame {frame.frame_id}: no finite points")
-    if eight_bit_intensity and kept[:, 3].max() > 1.0:
+    if kept[:, 3].max() > 1.0:
         kept[:, 3] /= 255.0
     np.clip(kept[:, 3], 0.0, 1.0, out=kept[:, 3])
     return ValidatedFrame(

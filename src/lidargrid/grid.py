@@ -8,7 +8,7 @@ objects.
 
 Grid arrays are indexed [ix, iy] with ix along +x and iy along +y; cell
 intervals are half-open [lo, hi) so boundary points land in exactly one
-cell.
+cell (``cell_index``, shared with the BEV raster).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class GridConfig:
     x_max: float = 30.0
     y_min: float = -30.0
     y_max: float = 30.0
-    z_min: float = 0.1
+    z_min: float = 0.15
     z_max: float = 3.0
 
     def __post_init__(self):
@@ -104,6 +104,8 @@ class ThresholdProfile:
 
     def __post_init__(self):
         bps = tuple((float(r), int(c)) for r, c in self.breakpoints)
+        if any(float(c) != n for (_, c), (_, n) in zip(self.breakpoints, bps)):
+            raise ValueError("count thresholds must be whole numbers")
         if not bps or bps[0][0] != 0.0:
             raise ValueError("first breakpoint must start at range 0")
         starts = [r for r, _ in bps]
@@ -117,28 +119,31 @@ class ThresholdProfile:
         object.__setattr__(self, "breakpoints", bps)
 
 
-def project_to_grid(points, cfg: GridConfig) -> CellHistogram:
-    """Count points into cells; x/y intervals half-open, z crop closed.
+def cell_index(x, y, lo, hi, cell_size: float, shape, keep=True):
+    """Kept ``rows`` and their row-major ``cells`` on a ``shape`` lattice.
 
-    Points outside the extent (or the z crop) are dropped and tallied in
-    ``CellHistogram.dropped``.
+    A row is kept where the mask ``keep`` holds and (x, y) lies in the
+    half-open box [lo, hi) of (x, y) pairs.  A quotient that rounds up
+    to the cell count lands in the last cell.
     """
+    inside = (x >= lo[0]) & (x < hi[0]) & (y >= lo[1]) & (y < hi[1]) & keep
+    rows = np.flatnonzero(inside)
+    ix = np.minimum(((x[rows] - lo[0]) / cell_size).astype(np.int64), shape[0] - 1)
+    iy = np.minimum(((y[rows] - lo[1]) / cell_size).astype(np.int64), shape[1] - 1)
+    return rows, ix * shape[1] + iy
+
+
+def project_to_grid(points, cfg: GridConfig) -> CellHistogram:
+    """Count points into ``cell_index`` cells under the closed z crop; points
+    outside the extent or the crop are tallied in ``CellHistogram.dropped``."""
     pts = as_point_array(points)
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    keep = (
-        (x >= cfg.x_min) & (x < cfg.x_max)
-        & (y >= cfg.y_min) & (y < cfg.y_max)
-        & (z >= cfg.z_min) & (z <= cfg.z_max)
-    )
-    ix = ((x[keep] - cfg.x_min) / cfg.cell_size).astype(np.int64)
-    iy = ((y[keep] - cfg.y_min) / cfg.cell_size).astype(np.int64)
-    # float rounding at the far edge could land exactly on nx/ny
-    ok = (ix < cfg.nx) & (iy < cfg.ny)
-    ix, iy = ix[ok], iy[ok]
-    counts = np.bincount(ix * cfg.ny + iy, minlength=cfg.nx * cfg.ny)
-    counts = counts.reshape(cfg.nx, cfg.ny)
+    z = pts[:, 2]
+    _, cells = cell_index(pts[:, 0], pts[:, 1], (cfg.x_min, cfg.y_min),
+                          (cfg.x_max, cfg.y_max), cfg.cell_size, (cfg.nx, cfg.ny),
+                          (z >= cfg.z_min) & (z <= cfg.z_max))
+    counts = np.bincount(cells, minlength=cfg.nx * cfg.ny).reshape(cfg.nx, cfg.ny)
     return CellHistogram(counts=counts, config=cfg,
-                         dropped=int(pts.shape[0] - ix.shape[0]))
+                         dropped=int(pts.shape[0] - cells.size))
 
 
 @lru_cache(maxsize=8)

@@ -1,8 +1,8 @@
-"""Ground-plane removal via RANSAC plane fitting.
+"""Ground-plane fitting by RANSAC, and the ground split it allows.
 
-The road surface is fitted with a single plane and every point within a
-distance threshold of it is split off before projection.  Candidate
-planes whose normal tilts too far from +z are rejected so that walls or
+The road surface is fitted with a single plane; ``split_ground`` splits
+off every point within a distance threshold of it.  Candidate planes
+whose normal tilts too far from +z are rejected so that walls or
 vehicle sides cannot win the vote.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LidarGridError, as_point_array
+from .core import MAX_CELLS, LidarGridError, as_point_array
 
 
 class DegenerateInput(LidarGridError):
@@ -37,8 +37,8 @@ class RansacParams:
     max_plane_tilt: float = math.radians(15.0)
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not 1 <= self.max_iterations <= MAX_CELLS:
+            raise ValueError(f"max_iterations must be in [1, {MAX_CELLS}]")
         if self.distance_threshold <= 0.0:
             raise ValueError("distance_threshold must be > 0")
         if not 0.0 <= self.min_inlier_ratio <= 1.0:

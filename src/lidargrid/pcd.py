@@ -49,10 +49,9 @@ def read_frame_pcd(path, frame_id: int = 0, timestamp: float = 0.0,
 
     Lines end at LF, CRLF or CR; other whitespace separates values.  A
     missing intensity field defaults to 0.  With ``validate`` the frame is
-    cleaned via validate_frame, and its intensities are taken to be 8-bit
-    and normalized when a kept row's is above 1.  An unreadable file and a
-    malformed header or row raise ``ParseError``; a byte that is not UTF-8
-    fails the line it sits in.
+    cleaned via validate_frame, whose intensity rule holds for every
+    source.  An unreadable file and a malformed header or row raise
+    ``ParseError``; a byte that is not UTF-8 fails the line it sits in.
     """
     try:
         # surrogateescape keeps a stray byte in its line, to fail there
@@ -68,7 +67,7 @@ def read_frame_pcd(path, frame_id: int = 0, timestamp: float = 0.0,
 
     frame = PointCloudFrame(points=rows, timestamp=timestamp, frame_id=frame_id)
     if validate:
-        return validate_frame(frame, eight_bit_intensity=True)
+        return validate_frame(frame)
     return frame
 
 

@@ -1,12 +1,12 @@
 """Stage composition for the two detection routes, plus the benchmark.
 
 Both routes share one front half: validate -> RANSAC ground fit -> level
-(z becomes the signed height above the plane, computed once).  The
-geometric route keeps the levelled rows outside the ground band ->
-project to grid -> occupancy thresholds -> morphology -> connected
-components -> obstacle extraction.  The BEV route feeds all of them to
-channel extraction -> detector (pluggable) -> output-grid clustering ->
-confidence and size post-processing.
+(z becomes the signed height above the plane, computed once), and each
+route projects the whole levelled cloud.  Geometric: grid (its z crop
+leaves the ground out) -> occupancy thresholds -> morphology ->
+connected components -> obstacle extraction.  BEV: channel extraction
+-> detector (pluggable) -> output-grid clustering -> confidence and size
+post-processing.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .ground import PlaneModel, fit_plane_ransac, split_ground  # noqa: F401
 from .synth import BoxSpec, SceneSpec, generate_frame
 
 # each route's laps, in order; the tests hold the routes to them
-GEOMETRIC_STAGES = ("validate", "fit_plane", "split_ground", "project",
-                    "occupancy", "morphology", "label", "extract")
+GEOMETRIC_STAGES = ("validate", "fit_plane", "project", "occupancy",
+                    "morphology", "label", "extract")
 BEV_STAGES = ("validate", "fit_plane", "channels", "detector", "cluster", "postprocess")
 
 FRAME_RATE_HZ = 20.0  # the sensor's frame rate; spaces frame timestamps
@@ -75,17 +75,11 @@ def front_half(frame: PointCloudFrame, cfg: PipelineConfig,
 
 
 def run_geometric(frame: PointCloudFrame, cfg: PipelineConfig) -> PipelineResult:
-    """Run the full geometric detection pipeline on one frame."""
+    """Run the geometric route; the grid's z crop leaves the ground out."""
     clock = _StageClock()
     valid, plane, levelled = front_half(frame, cfg, clock)
 
-    # the non-ground rows of split_ground, projected by height above the
-    # plane so the grid's z crop tracks the road surface on slopes
-    above = np.abs(levelled[:, 2]) > cfg.ransac.distance_threshold
-    non_ground = np.compress(above, levelled, axis=0)
-    clock.lap("split_ground")
-
-    hist = project_to_grid(non_ground, cfg.grid)
+    hist = project_to_grid(levelled, cfg.grid)
     clock.lap("project")
 
     occ = occupancy_from_counts(hist, cfg.profile)

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .core import ObstacleEstimate, PointCloudFrame
+from .core import MAX_CELLS, ObstacleEstimate, PointCloudFrame
 
 GROUND_LABEL = -1
 
@@ -50,13 +51,11 @@ class BoxSpec:
 class SceneSpec:
     """Scene content plus the sensor model.
 
-    ``ground_z`` is the ground plane height at x = 0 in the sensor frame;
-    None places it ``sensor_height`` below the sensor.  ``ground_slope``
-    tilts the plane about the y axis (height grows with x).
+    The ground plane passes ``sensor_height`` below the sensor at x = 0;
+    ``ground_slope`` tilts it about the y axis (height grows with x).
     ``obstacle_density`` sets box returns per square meter of footprint.
     """
 
-    ground_z: float | None = None
     ground_slope: float = 0.0
     noise_sigma: float = 0.02
     obstacles: tuple = ()
@@ -73,6 +72,12 @@ class SceneSpec:
             raise ValueError("beam_count must be >= 1")
         if self.azimuth_resolution_deg <= 0.0:
             raise ValueError("azimuth_resolution_deg must be > 0")
+        per_beam = 360.0 / self.azimuth_resolution_deg  # float: it may not fit an int
+        if self.beam_count > MAX_CELLS or self.beam_count * per_beam > MAX_CELLS:
+            raise ValueError(f"the scan has more than {MAX_CELLS} rays")
+        fov = tuple(self.vertical_fov_deg)
+        if len(fov) != 2 or not all(isinstance(v, Real) and math.isfinite(v) for v in fov):
+            raise ValueError(f"vertical_fov_deg must be two finite numbers, got {fov}")
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be >= 0")
         if self.obstacle_density < 0.0:
@@ -82,10 +87,12 @@ class SceneSpec:
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
+        if any(self.obstacle_density * b.length * b.width > MAX_CELLS for b in self.obstacles):
+            raise ValueError(f"a box takes more than {MAX_CELLS} samples")
 
     @property
     def ground_offset(self) -> float:
-        return self.ground_z if self.ground_z is not None else -self.sensor_height
+        return -self.sensor_height
 
     @property
     def ray_count(self) -> int:

@@ -389,11 +389,27 @@ def read_pcd_by_lines(path, frame_id: int = 0, timestamp: float = 0.0,
 
     frame = PointCloudFrame(points=rows, timestamp=timestamp, frame_id=frame_id)
     if validate:
-        # judged on the rows that validation keeps
-        finite = np.isfinite(rows).all(axis=1)
-        eight_bit = bool(np.max(rows[finite, 3], initial=0.0) > 1.0)
-        return validate_frame(frame, eight_bit_intensity=eight_bit)
+        return validate_frame(frame)
     return frame
+
+
+def band_then_crop_counts(levelled, cfg) -> np.ndarray:
+    """Grid counts by the geometric route's older two-step height rule.
+
+    Point by point: a row within ``ransac.distance_threshold`` of the
+    plane is dropped as ground, the rest is cropped to [0.1, z_max] and
+    counted into its half-open cell.
+    """
+    grid = cfg.grid
+    counts = np.zeros((grid.nx, grid.ny), dtype=np.int64)
+    for x, y, z, _ in np.asarray(levelled, dtype=float).tolist():
+        if abs(z) <= cfg.ransac.distance_threshold or not 0.1 <= z <= grid.z_max:
+            continue
+        ix = math.floor((x - grid.x_min) / grid.cell_size)
+        iy = math.floor((y - grid.y_min) / grid.cell_size)
+        if 0 <= ix < grid.nx and 0 <= iy < grid.ny:
+            counts[ix, iy] += 1
+    return counts
 
 
 def write_pcd_by_rows(frame: PointCloudFrame, path) -> None:

@@ -58,19 +58,20 @@ class TestValidateFrame:
             return
         out = validate_frame(make_frame(rows))
         expected = rows[keep]
+        if expected[:, 3].max() > 1.0:
+            expected[:, 3] /= 255.0
         expected[:, 3] = np.clip(expected[:, 3], 0.0, 1.0)
         np.testing.assert_array_equal(out.points, expected)
         assert out.dropped_points == n - keep.sum()
 
     def test_eight_bit_intensity_normalized(self):
-        out = validate_frame(make_frame([[1, 1, 1, 255.0], [2, 2, 2, 51.0]]),
-                             eight_bit_intensity=True)
+        out = validate_frame(make_frame([[1, 1, 1, 255.0], [2, 2, 2, 51.0]]))
         np.testing.assert_allclose(out.intensity, [1.0, 0.2])
 
     def test_eight_bit_judged_on_kept_points(self):
         # the dropped row's 200 does not make the kept 0.5 and 0.8 8-bit
         rows = [[1, 1, 1, 0.5], [np.nan, 0, 0, 200.0], [2, 2, 2, 0.8]]
-        out = validate_frame(make_frame(rows), eight_bit_intensity=True)
+        out = validate_frame(make_frame(rows))
         np.testing.assert_array_equal(out.intensity, [0.5, 0.8])
 
     def test_idempotent(self):
@@ -88,11 +89,14 @@ class TestValidateFrame:
     @pytest.mark.parametrize("eight_bit", [False, True])
     @pytest.mark.parametrize("bad_row", [None, 1])
     def test_input_not_mutated(self, eight_bit, bad_row):
-        rows = np.array([[1, 2, 3, 255.0], [4, 5, 6, -0.5], [7, 8, 9, 0.5]])
+        # eight_bit picks the input's intensity scale, so both the divide
+        # and the clip-only paths run on the copy and never on the input
+        top = 255.0 if eight_bit else 1.0
+        rows = np.array([[1, 2, 3, top], [4, 5, 6, -0.5], [7, 8, 9, 0.5]])
         if bad_row is not None:
             rows[bad_row, 0] = np.nan
         before = rows.copy()
-        out = validate_frame(make_frame(rows), eight_bit_intensity=eight_bit)
+        out = validate_frame(make_frame(rows))
         np.testing.assert_array_equal(rows, before)
         assert not np.shares_memory(out.points, rows)
 

@@ -12,7 +12,7 @@ from helpers import (
     open_close_cells,
     threshold_for_range,
 )
-from lidargrid.bev import BevConfig
+from lidargrid.bev import BevConfig, extract_channels
 from lidargrid.grid import (
     CellHistogram,
     GridConfig,
@@ -75,6 +75,21 @@ class TestProjectToGrid:
         hist = project_to_grid(np.array([[0.3, 0.0, 0.0, 0.0]]), CFG)
         ix = np.argwhere(hist.counts)[0]
         assert ix[0] == int((0.3 + 15) / 0.3)
+
+    @pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+    def test_far_edge_lands_in_last_cell(self, axis):
+        # the point is inside [lo, hi), but its quotient rounds up to the
+        # cell count; both rasters put it in their last cell
+        grid, raster = GridConfig(), BevConfig()
+        point = np.array([[0.0, 0.0, 1.0, 0.5]])
+        point[0, axis] = np.nextafter(30.0, -np.inf)  # the far edge of both
+        assert grid.x_max == grid.y_max == raster.range == 30.0
+        hist = project_to_grid(point, grid)
+        assert hist.counts.sum() == 1
+        assert np.argwhere(hist.counts)[0][axis] == grid.nx - 1
+        cells = extract_channels(point, raster).cells
+        assert cells.size == 1
+        assert divmod(int(cells[0]), raster.image_size)[axis] == raster.image_size - 1
 
 
 class TestThresholdForRange:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import read_pcd_by_lines, write_pcd_by_rows
-from lidargrid.core import EmptyFrame, PointCloudFrame
+from lidargrid.core import EmptyFrame, PointCloudFrame, validate_frame
 from lidargrid.pcd import ParseError, UnsupportedLayout, read_frame_pcd, write_frame_pcd
 
 
@@ -90,6 +90,15 @@ class TestReadFramePcd:
         frame = reader(path)
         np.testing.assert_array_equal(frame.intensity, [0.5, 0.8])
         assert frame.dropped_points == 1
+
+    def test_one_intensity_rule_in_memory_and_on_ingest(self, tmp_path):
+        # 200 marks the frame 8-bit, so its 0.5 is scaled too, on both paths
+        frame = PointCloudFrame(points=np.array([[1, 2, 3, 200.0], [4, 5, 6, 0.5]]))
+        path = tmp_path / "k.pcd"
+        write_frame_pcd(frame, path)
+        in_memory = validate_frame(frame).intensity
+        np.testing.assert_array_equal(in_memory, read_frame_pcd(path).intensity)
+        np.testing.assert_allclose(in_memory, [200 / 255, 0.5 / 255])
 
     def test_missing_data_declaration(self, tmp_path):
         path = tmp_path / "i.pcd"

@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 import lidargrid.pipeline as pipeline
+from helpers import band_then_crop_counts
 from lidargrid.cli import main
 from lidargrid.config import (
     _DEGREES,
@@ -20,7 +21,6 @@ from lidargrid.config import (
 from lidargrid.core import ObstacleEstimate, PointCloudFrame, validate_frame
 from lidargrid.evaluate import write_obstacles_csv
 from lidargrid.grid import project_to_grid
-from lidargrid.ground import split_ground
 from lidargrid.pcd import read_frame_pcd, write_frame_pcd
 from lidargrid.pipeline import (
     BENCH_BOXES,
@@ -163,22 +163,24 @@ class TestSlopes:
                        for o in obstacles) <= 0.45, box
 
     @pytest.mark.parametrize("deg", SLOPES_DEG)
-    def test_geometric_projects_the_non_ground_rows(self, monkeypatch, deg):
+    def test_geometric_projects_the_levelled_cloud(self, monkeypatch, deg):
         projected = []
 
         def spy(points, grid):
-            projected.append(points)
-            return project_to_grid(points, grid)
+            projected.append((points, project_to_grid(points, grid)))
+            return projected[-1][1]
 
         monkeypatch.setattr("lidargrid.pipeline.project_to_grid", spy)
         scene = replace(bench_scene(3), ground_slope=math.radians(deg))
         frame = validate_frame(generate_frame(scene).frame)
         cfg = PipelineConfig()
         plane = run_geometric(frame, cfg).plane
-        _, non_ground = split_ground(frame.points, plane, cfg.ransac.distance_threshold)
-        (rows,) = projected
-        assert np.array_equal(rows[:, [0, 1, 3]], non_ground[:, [0, 1, 3]])
-        assert np.array_equal(rows[:, 2], plane.signed_distance(non_ground))
+        ((rows, hist),) = projected
+        assert np.array_equal(rows[:, [0, 1, 3]], frame.points[:, [0, 1, 3]])
+        assert np.array_equal(rows[:, 2], plane.signed_distance(frame.points))
+        # the one crop at grid.z_min counts what the ground band and the
+        # older crop at 0.1 counted together
+        assert np.array_equal(hist.counts, band_then_crop_counts(rows, cfg))
 
 
 @pytest.mark.parametrize("route", ["geometric", "bev"])
@@ -448,6 +450,17 @@ class TestCli:
         "bev: {range: 0}",
         "grid: {cell_size: 0.001}",
         "bev: {image_size: 100000}",
+        "synth: {vertical_fov_deg: [10]}",
+        "synth: {vertical_fov_deg: [-10, 10, 5]}",
+        "synth: {vertical_fov_deg: [-1.0e308, 1.0e308]}",
+        "profile: {breakpoints: [[0, 2.5]]}",
+        "synth: {ground_z: -1.8}",
+        "ransac: {max_iterations: 1000000000000000000}",
+        "synth: {beam_count: 200000000000000}",
+        "synth: {beam_count: 100000000000000000000000000000}",
+        "synth: {azimuth_resolution_deg: 1.0e-12}",
+        "synth: {azimuth_resolution_deg: 1.0e-300}",
+        "synth: {obstacle_density: 1.0e+20, obstacles: [{center_x: 10, center_y: 0}]}",
     ], ids=["negative-cell-size", "section-not-a-mapping",
             "bad-connectivity", "yaml-syntax", "fractional-count", "nan-cell-size",
             "infinite-extent", "negative-noise", "nan-breakpoint", "nan-breakpoint-string",
@@ -458,7 +471,10 @@ class TestCli:
             "noise-floor-is-unknown-key", "zero-ransac-iterations", "zero-inlier-band",
             "inlier-ratio-above-one", "zero-beams", "zero-azimuth-step",
             "zero-bev-image-size", "zero-bev-range", "grid-over-cell-cap",
-            "bev-over-cell-cap"])
+            "bev-over-cell-cap", "fov-one-value", "fov-three-values",
+            "fov-read-as-strings", "fractional-breakpoint-count", "ground-z-is-unknown-key",
+            "ransac-iterations-over-cap", "synth-beams", "synth-beams-1e29", "synth-azimuths",
+            "synth-azimuths-1e-300", "box-samples-over-cap"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(text + "\n")
@@ -503,22 +519,6 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error[config]")
 
-    # the cell cap keeps every grid and raster allocatable, but both scans
-    # ask for more rays than a 64-bit process can map, so the allocation
-    # fails at once without touching memory
-    @pytest.mark.parametrize("command, text, size", [
-        ("detect", "synth: {beam_count: 200000000000000}", "1.42 PiB"),
-        ("bev-export", "synth: {azimuth_resolution_deg: 1.0e-12}", "2.56 PiB"),
-    ], ids=["synth-beams", "synth-azimuths"])
-    def test_unallocatable_config_is_memory_error(self, tmp_path, capsys, command, text,
-                                                  size):
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(text + "\n")
-        rc = main([command, "--synth", "1", "--config", str(cfg_path),
-                   "--out-dir", str(tmp_path / "o")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error[memory]: ") and size in err
 
     def test_bench_zero_frames_is_config_error(self, tmp_path, capsys):
         rc = main(["bench", "--frames", "0", "--out-dir", str(tmp_path / "o")])
