@@ -74,11 +74,10 @@ class GridConfig:
 
 @dataclass(frozen=True, eq=False)
 class CellHistogram:
-    """Per-cell point counts plus the number of out-of-extent points."""
+    """Per-cell point counts on the lattice of ``config``."""
 
     counts: np.ndarray
     config: GridConfig
-    dropped: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,16 +133,15 @@ def cell_index(x, y, lo, hi, cell_size: float, shape, keep=True):
 
 
 def project_to_grid(points, cfg: GridConfig) -> CellHistogram:
-    """Count points into ``cell_index`` cells under the closed z crop; points
-    outside the extent or the crop are tallied in ``CellHistogram.dropped``."""
+    """Count points into ``cell_index`` cells under the closed z crop
+    [z_min, z_max]; points outside the extent or the crop are not counted."""
     pts = as_point_array(points)
     z = pts[:, 2]
     _, cells = cell_index(pts[:, 0], pts[:, 1], (cfg.x_min, cfg.y_min),
                           (cfg.x_max, cfg.y_max), cfg.cell_size, (cfg.nx, cfg.ny),
                           (z >= cfg.z_min) & (z <= cfg.z_max))
     counts = np.bincount(cells, minlength=cfg.nx * cfg.ny).reshape(cfg.nx, cfg.ny)
-    return CellHistogram(counts=counts, config=cfg,
-                         dropped=int(pts.shape[0] - cells.size))
+    return CellHistogram(counts=counts, config=cfg)
 
 
 @lru_cache(maxsize=8)

@@ -15,6 +15,8 @@ from lidargrid.synth import (
     _box_entry_t,
     _entry_t,
     _may_enter,
+    _ray_directions,
+    _scan,
     expected_obstacles,
     generate_frame,
 )
@@ -147,6 +149,69 @@ class TestBoxes:
         obstacle = labeled.frame.intensity[labeled.labels == 0]
         assert (ground == 0.5).all()
         assert (obstacle == 0.8).all()
+
+
+class TestRayCount:
+    @pytest.mark.parametrize("step", [0.2, 0.7, 0.35, 1 / 3, 7.5, 45.0])
+    def test_ray_count_is_the_rays_cast(self, step):
+        spec = SceneSpec(azimuth_resolution_deg=step)
+        assert spec.ray_count == len(_ray_directions(spec))
+
+    def test_budget_at_a_step_that_does_not_divide_360(self):
+        # 16 beams x 515 azimuths; every ray returns once the box is dense
+        spec = SceneSpec(azimuth_resolution_deg=0.7, obstacle_density=2000.0,
+                         obstacles=(BoxSpec(center_x=10.0, center_y=0.0),))
+        assert len(generate_frame(spec).frame) == 8240
+
+
+class TestScanCache:
+    VAN = BoxSpec(center_x=10.0, center_y=0.0)
+
+    @staticmethod
+    def _entry(spec):
+        return _scan(spec.beam_count, tuple(spec.vertical_fov_deg),
+                     spec.azimuth_resolution_deg, spec.ground_slope,
+                     spec.sensor_height, spec.max_range)
+
+    def test_cached_arrays_are_read_only(self):
+        dirs, t_ground = self._entry(SceneSpec())
+        with pytest.raises(ValueError):
+            dirs[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            t_ground[0] = 1.0
+
+    def test_seed_and_obstacles_share_one_entry(self):
+        _scan.cache_clear()
+        generate_frame(SceneSpec(rng_seed=1))
+        generate_frame(SceneSpec(rng_seed=2))
+        generate_frame(SceneSpec(obstacles=(self.VAN,), rng_seed=3))
+        info = _scan.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("ground_slope", 0.035), ("beam_count", 8), ("vertical_fov_deg", (-20.0, 10.0)),
+        ("azimuth_resolution_deg", 0.4), ("sensor_height", 1.5), ("max_range", 50.0),
+    ])
+    def test_slope_or_sensor_field_gets_its_own_entry(self, field, value):
+        _scan.cache_clear()
+        generate_frame(SceneSpec())
+        generate_frame(replace(SceneSpec(), **{field: value}))
+        info = _scan.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+
+    def test_list_field_of_view(self):
+        spec = SceneSpec(vertical_fov_deg=[-15.0, 15.0], obstacles=(self.VAN,), rng_seed=4)
+        assert _frame_bytes(generate_frame(spec)) == _frame_bytes(
+            generate_frame(replace(spec, vertical_fov_deg=(-15.0, 15.0))))
+
+    def test_slope_sequence_matches_all_rays_generator(self):
+        box = BoxSpec(center_x=12.0, center_y=-3.0, yaw=0.4)
+        obstacles = (box, replace(box, center_x=18.0, center_y=2.0), self.VAN)
+        for i, deg in enumerate((0, 2, 4, 0, 2, 4)):
+            spec = SceneSpec(obstacles=obstacles, ground_slope=math.radians(deg),
+                             rng_seed=40 + i)
+            assert _frame_bytes(generate_frame(spec)) == _frame_bytes(
+                generate_frame_all_rays(spec))
 
 
 class TestSlopedGround:
