@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MAX_CELLS, LidarGridError, ObstacleEstimate, as_point_array
+from .core import MAX_CELLS, GeometryMismatch, ObstacleEstimate, as_point_array
 # label_components is not called here, but perfbench/tracing.py wraps it
 # under this module's name
 from .cluster import (_component_runs, component_ids, footprints,
@@ -31,12 +31,6 @@ PLANE_NAMES = ("max_height", "mean_height", "max_intensity",
 
 # density plane: log(count + 1) / log(64), clipped to [0, 1]
 _DENSITY_NORM = math.log(64.0)
-
-
-class GeometryMismatch(LidarGridError):
-    """Attribute-grid planes disagree with the configured geometry."""
-
-    category = "geometry-mismatch"
 
 
 @dataclass(frozen=True)
@@ -209,6 +203,11 @@ class OutputAttributeGrid:
             # NaN fails both comparisons, so it is rejected too
             if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
                 raise ValueError(f"{name} scores outside [0, 1]")
+        for name in ("center_offset_x", "center_offset_y", "height"):
+            arr = getattr(self, name)
+            # min and max carry any NaN, and any infinity shows in one of them
+            if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+                raise ValueError(f"{name} has a non-finite value")
         if self.class_scores is not None:
             cs = np.asarray(self.class_scores, dtype=np.float64)
             if cs.shape[:-1] != shape:

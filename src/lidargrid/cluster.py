@@ -4,7 +4,9 @@
 splits them into horizontal runs, links each run to the runs of the next
 row it touches, and hands that run graph to one vectorized kernel,
 ``component_ids``, which the BEV route also uses to merge components
-joined by centre-offset links.  Obstacles are read off each component as
+joined by centre-offset links.  ``label_components`` hands on the sorted
+cell list with its ids (``LabelGrid``), as the BEV route carries its
+cells, and builds no raster.  Obstacles are read off each component as
 a count-weighted centroid plus its ``footprints``, shared by both routes.
 """
 
@@ -14,37 +16,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LidarGridError, ObstacleEstimate
-from .grid import CellHistogram, GridConfig, OccupancyGrid
-
-
-class DimensionMismatch(LidarGridError):
-    """Label grid and histogram shapes disagree."""
-
-    category = "dimension-mismatch"
+from .core import GeometryMismatch, ObstacleEstimate
+from .grid import CellHistogram, OccupancyGrid
 
 
 @dataclass(frozen=True, eq=False)
 class LabelGrid:
-    """Per-cell component ids: 0 = free, 1..num_components occupied.
+    """Connected components of a grid of ``shape``.
 
     ``flat`` lists the row-major indices of the occupied cells in
     ascending order and ``ids`` their 0-based component ids, as
-    ``label_flat`` returns them; a grid built by hand gets both read off
-    ``labels``.
+    ``label_flat`` returns them.
     """
 
-    labels: np.ndarray
-    num_components: int
-    flat: np.ndarray | None = None
-    ids: np.ndarray | None = None
+    flat: np.ndarray
+    ids: np.ndarray
+    shape: tuple
 
-    def __post_init__(self):
-        if self.flat is None or self.ids is None:
-            labels = np.asarray(self.labels).ravel()
-            flat = np.flatnonzero(labels)
-            object.__setattr__(self, "flat", flat)
-            object.__setattr__(self, "ids", labels[flat] - 1)
+    @property
+    def num_components(self) -> int:
+        return int(self.ids.max(initial=-1)) + 1
+
+    @property
+    def labels(self) -> np.ndarray:
+        """The dense int64 raster, 0 = free and 1..num_components occupied,
+        built on each access."""
+        out = np.zeros(self.shape, dtype=np.int64)
+        out.reshape(-1)[self.flat] = self.ids + 1
+        return out
 
 
 def component_ids(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -109,11 +108,7 @@ def label_components(grid, connectivity: int = 8) -> LabelGrid:
     """
     cells = grid.cells if isinstance(grid, OccupancyGrid) else np.asarray(grid, dtype=bool)
     flat = np.flatnonzero(cells)
-    ids = label_flat(flat, cells.shape, connectivity)
-    labels = np.zeros(cells.size, dtype=np.int64)
-    labels[flat] = ids + 1
-    return LabelGrid(labels=labels.reshape(cells.shape),
-                     num_components=int(ids.max(initial=-1)) + 1, flat=flat, ids=ids)
+    return LabelGrid(flat, label_flat(flat, cells.shape, connectivity), cells.shape)
 
 
 def _component_runs(ids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -132,24 +127,24 @@ def footprints(cells: np.ndarray, bounds: np.ndarray, cell_size: float) -> tuple
     return length, width
 
 
-def extract_obstacles(labels: LabelGrid, hist: CellHistogram, cfg: GridConfig,
+def extract_obstacles(labels: LabelGrid, hist: CellHistogram,
                       min_cells: int = 2) -> list[ObstacleEstimate]:
-    """Convert labeled components into obstacle estimates.
+    """Convert labeled components into obstacle estimates on the lattice
+    of ``hist.config``.
 
     Center is the point-count-weighted centroid of member cell centers;
     length and width are the component's ``footprints``.  Components
     smaller than ``min_cells`` cells are skipped.
     """
-    if labels.labels.shape != hist.counts.shape:
-        raise DimensionMismatch(
-            f"labels {labels.labels.shape} vs histogram {hist.counts.shape}"
-        )
-    # a hand-built grid may declare ids past its last occupied cell; they have no run
-    k = int(labels.ids.max(initial=-1)) + 1
+    cfg = hist.config
+    if not labels.shape == hist.counts.shape == (cfg.nx, cfg.ny):
+        raise GeometryMismatch(f"labels {labels.shape}, counts {hist.counts.shape}, "
+                               f"grid {cfg.nx} x {cfg.ny}")
+    k = labels.num_components
     order, bounds = _component_runs(labels.ids, k)
     # a stable order: bincount adds each component's cells in the labeler's order
     comp, flat = labels.ids[order], labels.flat[order]
-    cells = np.array(np.divmod(flat, labels.labels.shape[1])).T
+    cells = np.array(np.divmod(flat, labels.shape[1])).T
     weights = hist.counts.ravel()[flat].astype(float)
     # a component of count-zero cells weighs each cell 1: its centroid is unweighted
     weights[(np.bincount(comp, weights=weights, minlength=k) == 0.0)[comp]] = 1.0

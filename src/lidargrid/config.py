@@ -125,7 +125,9 @@ def _build(cls, mapping):
     """Build ``cls`` from a YAML mapping; keys not given keep their defaults.
 
     Sections recurse, lists become tuples and scalars are coerced through
-    the type of their default; a NaN or infinite float is rejected.
+    the type of their default; a field with no default (a box centre)
+    takes a float, as does one whose None default means "unset"
+    (``ref_lat``) unless given None.  A NaN or infinite float is rejected.
     """
     if not isinstance(mapping, dict):
         raise ValueError(f"{cls.__name__} section is not a mapping: {mapping!r}")
@@ -148,8 +150,12 @@ def _build(cls, mapping):
         elif (isinstance(default, int) and isinstance(value, float)
               and not value.is_integer()):
             raise ValueError(f"{name} must be a whole number, got {value}")
-        elif default is not None and default is not MISSING:
-            data[name] = type(default)(value)
+        elif value is not None or default is not None:
+            kind = float if default is None or default is MISSING else type(default)
+            try:
+                data[name] = kind(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name}: {exc}") from exc
         _check_finite(name, data[name])
     return cls(**data)
 

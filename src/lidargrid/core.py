@@ -41,6 +41,12 @@ class EmptyFrame(LidarGridError):
     category = "empty-frame"
 
 
+class GeometryMismatch(LidarGridError):
+    """A grid's arrays disagree with its geometry."""
+
+    category = "geometry-mismatch"
+
+
 def as_point_array(points) -> np.ndarray:
     """Coerce a point collection to a float64 array of shape (N, 4).
 
@@ -53,7 +59,9 @@ def as_point_array(points) -> np.ndarray:
         rows = []
         for p in points:
             q = tuple(p)
-            rows.append(q if len(q) == 4 else (q[0], q[1], q[2], 0.0))
+            if len(q) not in (3, 4):
+                raise ValueError(f"expected (N, 3) or (N, 4) points, got a row of {len(q)} values")
+            rows.append(q if len(q) == 4 else (*q, 0.0))
         arr = np.array(rows, dtype=float).reshape(-1, 4)
     if arr.ndim != 2 or arr.shape[1] not in (3, 4):
         raise ValueError(f"expected (N, 3) or (N, 4) points, got shape {arr.shape}")
@@ -116,6 +124,9 @@ class ObstacleEstimate:
     range: float | None = None  # derived from the center when omitted
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.center_x, self.center_y, self.height or 0.0))):
+            raise ValueError(f"need a finite center and height, got center "
+                             f"({self.center_x}, {self.center_y}) height={self.height}")
         if not (self.length >= self.width > 0.0):
             raise ValueError(
                 f"need length >= width > 0, got length={self.length} width={self.width}"

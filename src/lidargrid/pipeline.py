@@ -91,7 +91,7 @@ def run_geometric(frame: PointCloudFrame, cfg: PipelineConfig) -> PipelineResult
     labels = label_components(cleaned, cfg.cluster.connectivity)
     clock.lap("label")
 
-    obstacles = extract_obstacles(labels, hist, cfg.grid, cfg.cluster.min_cells)
+    obstacles = extract_obstacles(labels, hist, cfg.cluster.min_cells)
     clock.lap("extract")
 
     return PipelineResult(obstacles=obstacles, timings=clock.timings,

@@ -353,6 +353,17 @@ class TestClusterOutputGrid:
         with pytest.raises(ValueError, match="^confidence scores outside"):
             zero_attr(confidence=scores)
 
+    @pytest.mark.parametrize("name", ["center_offset_x", "center_offset_y", "height"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_offsets_and_heights_rejected(self, name, bad):
+        # a NaN here would give an obstacle a NaN centre or height
+        values = np.zeros((40, 40))
+        values[3, 4] = bad
+        with pytest.raises(ValueError, match=f"^{name} has a non-finite value"):
+            zero_attr(**{name: values})
+        with pytest.raises(ValueError, match=f"^{name} has a non-finite value"):
+            support_attr(np.array([3, 7]), **{name: np.array([0.0, bad])})
+
 
 @st.composite
 def attribute_grids(draw):

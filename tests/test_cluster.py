@@ -11,17 +11,24 @@ from lidargrid.bev import (
     postprocess_clusters,
 )
 from lidargrid.cluster import (
-    DimensionMismatch,
     LabelGrid,
     extract_obstacles,
     footprints,
     label_components,
 )
+from lidargrid.core import GeometryMismatch
 from lidargrid.grid import CellHistogram, GridConfig, OccupancyGrid
 
 
 def grid_of(cells):
     return OccupancyGrid(cells=np.array(cells, dtype=bool))
+
+
+def label_grid(labels):
+    """The LabelGrid listing the cells of a hand-made dense label array (0 = free)."""
+    labels = np.asarray(labels)
+    flat = np.flatnonzero(labels)
+    return LabelGrid(flat, labels.ravel()[flat] - 1, labels.shape)
 
 
 class TestLabelComponents:
@@ -135,8 +142,7 @@ class TestExtractObstacles:
         counts[ix, iy] = 4
         labels = np.zeros_like(counts)
         labels[ix, iy] = 1
-        out = extract_obstacles(LabelGrid(labels=labels, num_components=1),
-                                make_hist(counts, CFG), CFG, min_cells=1)
+        out = extract_obstacles(label_grid(labels), make_hist(counts, CFG), min_cells=1)
         assert len(out) == 1
         est = out[0]
         assert est.center_x == pytest.approx(3.15)
@@ -150,8 +156,7 @@ class TestExtractObstacles:
         counts = np.zeros((cfg.nx, cfg.ny), dtype=int)
         counts[5:22, 10:17] = 3  # 17 x 7 cells
         labels = (counts > 0).astype(np.int64)
-        out = extract_obstacles(LabelGrid(labels=labels, num_components=1),
-                                make_hist(counts, cfg), cfg)
+        out = extract_obstacles(label_grid(labels), make_hist(counts, cfg))
         assert len(out) == 1
         assert out[0].length == pytest.approx(5.1)
         assert out[0].width == pytest.approx(2.1)
@@ -164,15 +169,17 @@ class TestExtractObstacles:
         labels = np.zeros_like(counts)
         labels[0, 0] = 1
         labels[5, 5] = labels[5, 6] = 2
-        out = extract_obstacles(LabelGrid(labels=labels, num_components=2),
-                                make_hist(counts, CFG), CFG, min_cells=2)
+        out = extract_obstacles(label_grid(labels), make_hist(counts, CFG), min_cells=2)
         assert len(out) == 1
         assert out[0].length == pytest.approx(0.6)
 
     def test_dimension_mismatch(self):
-        labels = LabelGrid(labels=np.zeros((4, 4), dtype=np.int64), num_components=0)
-        with pytest.raises(DimensionMismatch):
-            extract_obstacles(labels, make_hist(np.zeros((5, 5), dtype=int), CFG), CFG)
+        labels = label_grid(np.zeros((4, 4), dtype=np.int64))
+        with pytest.raises(GeometryMismatch):
+            extract_obstacles(labels, make_hist(np.zeros((5, 5), dtype=int), CFG))
+        # counts that agree with the labels but not with the histogram's grid
+        with pytest.raises(GeometryMismatch, match="grid 20 x 20"):
+            extract_obstacles(labels, make_hist(np.zeros((4, 4), dtype=int), CFG))
 
     def test_centroid_inside_bbox_and_extent_multiples(self):
         rng = np.random.default_rng(11)
@@ -181,7 +188,7 @@ class TestExtractObstacles:
                 1, 9, (CFG.nx, CFG.ny))
             occ = grid_of(counts > 0)
             labels = label_components(occ, 8)
-            out = extract_obstacles(labels, make_hist(counts, CFG), CFG, min_cells=1)
+            out = extract_obstacles(labels, make_hist(counts, CFG), min_cells=1)
             assert len(out) == labels.num_components
             for est in out:
                 for ext in (est.length, est.width):
@@ -206,11 +213,11 @@ class TestExtractObstacles:
             1, 6, (cfg.nx, cfg.ny))
         out_fwd = extract_obstacles(
             label_components(grid_of(counts > 0), 8),
-            make_hist(counts, cfg), cfg, min_cells=1)
+            make_hist(counts, cfg), min_cells=1)
         rot = counts[::-1, ::-1].copy()
         out_rot = extract_obstacles(
             label_components(grid_of(rot > 0), 8),
-            make_hist(rot, cfg), cfg, min_cells=1)
+            make_hist(rot, cfg), min_cells=1)
         cx0 = cfg.x_min + cfg.x_max
         cy0 = cfg.y_min + cfg.y_max
         fwd = sorted((round(cx0 - e.center_x, 9), round(cy0 - e.center_y, 9),
@@ -218,6 +225,22 @@ class TestExtractObstacles:
         rot_set = sorted((round(e.center_x, 9), round(e.center_y, 9),
                           round(e.length, 9), round(e.width, 9)) for e in out_rot)
         assert fwd == rot_set
+
+    def test_lattice_comes_from_the_histogram(self):
+        rng = np.random.default_rng(17)
+        counts = (rng.random((CFG.nx, CFG.ny)) < 0.3) * rng.integers(1, 9, (CFG.nx, CFG.ny))
+        labels = label_components(grid_of(counts > 0), 8)
+        dx, dy = 12.7, -4.1
+        shifted = GridConfig(cell_size=CFG.cell_size, x_min=CFG.x_min + dx, x_max=CFG.x_max + dx,
+                             y_min=CFG.y_min + dy, y_max=CFG.y_max + dy)
+        assert (shifted.nx, shifted.ny) == (CFG.nx, CFG.ny)
+        base = extract_obstacles(labels, make_hist(counts, CFG), min_cells=1)
+        moved = extract_obstacles(labels, make_hist(counts, shifted), min_cells=1)
+        assert len(base) == len(moved) > 1
+        for a, b in zip(base, moved):
+            assert abs(b.center_x - a.center_x - dx) <= 1e-9
+            assert abs(b.center_y - a.center_y - dy) <= 1e-9
+            assert (b.length, b.width) == (a.length, a.width)
 
 
 def obstacle_fields(obstacles):
@@ -227,20 +250,15 @@ def obstacle_fields(obstacles):
 class TestLabelGridCells:
     @pytest.mark.parametrize("connectivity", [4, 8])
     def test_labeler_cells_equal_the_grid_scan(self, connectivity):
+        # the dense ``labels`` view, scanned back, lists the labeler's cells
         rng = np.random.default_rng(31)
         for p in (0.0, 0.1, 0.5, 1.0):
             labels = label_components(grid_of(rng.random((13, 17)) < p), connectivity)
-            hand = LabelGrid(labels=labels.labels, num_components=labels.num_components)
-            np.testing.assert_array_equal(labels.flat, hand.flat)
-            np.testing.assert_array_equal(labels.ids, hand.ids)
-            assert labels.flat.dtype == hand.flat.dtype
-            assert labels.ids.dtype == hand.ids.dtype
-
-    def test_hand_built_grid_reads_its_cells(self):
-        labels = np.array([[0, 2, 0], [1, 0, 2]])
-        grid = LabelGrid(labels=labels, num_components=2)
-        np.testing.assert_array_equal(grid.flat, [1, 3, 5])
-        np.testing.assert_array_equal(grid.ids, [1, 0, 1])
+            dense = labels.labels
+            assert dense.shape == (13, 17) and dense.dtype == np.int64
+            flat = np.flatnonzero(dense)
+            np.testing.assert_array_equal(labels.flat, flat)
+            np.testing.assert_array_equal(labels.ids, dense.ravel()[flat] - 1)
 
 
 class TestExtractMatchesRescan:
@@ -261,9 +279,9 @@ class TestExtractMatchesRescan:
             k = int(labels.max())
             counts = rng.integers(0, 6, shape) * (labels > 0)
             counts[labels % 3 == 0] = 0
-            grid = LabelGrid(labels=labels, num_components=k)
+            grid = label_grid(labels)
             hist = make_hist(counts, cfg)
-            assert obstacle_fields(extract_obstacles(grid, hist, cfg, min_cells)) == \
+            assert obstacle_fields(extract_obstacles(grid, hist, min_cells)) == \
                 obstacle_fields(extract_obstacles_by_rescan(grid, hist, cfg, min_cells))
 
     def test_labeled_grids(self):
@@ -272,23 +290,23 @@ class TestExtractMatchesRescan:
             counts = (rng.random((CFG.nx, CFG.ny)) < 0.4) * rng.integers(0, 9, (CFG.nx, CFG.ny))
             labels = label_components(grid_of(counts > 0), 8)
             hist = make_hist(counts, CFG)
-            assert obstacle_fields(extract_obstacles(labels, hist, CFG)) == \
+            assert obstacle_fields(extract_obstacles(labels, hist)) == \
                 obstacle_fields(extract_obstacles_by_rescan(labels, hist, CFG))
 
     def test_ids_declared_past_the_last_cell(self):
         labels = np.zeros((CFG.nx, CFG.ny), dtype=np.int64)
         labels[2:4, 3] = 1
         labels[7, 5:9] = 3
-        grid = LabelGrid(labels=labels, num_components=5)
+        grid = label_grid(labels)
         hist = make_hist(np.ones((CFG.nx, CFG.ny), dtype=int), CFG)
-        got = obstacle_fields(extract_obstacles(grid, hist, CFG))
+        got = obstacle_fields(extract_obstacles(grid, hist))
         assert len(got) == 2
         assert got == obstacle_fields(extract_obstacles_by_rescan(grid, hist, CFG))
 
     def test_no_components(self):
-        grid = LabelGrid(labels=np.zeros((CFG.nx, CFG.ny), dtype=np.int64), num_components=0)
+        grid = label_grid(np.zeros((CFG.nx, CFG.ny), dtype=np.int64))
         hist = make_hist(np.ones((CFG.nx, CFG.ny), dtype=int), CFG)
-        assert extract_obstacles(grid, hist, CFG) == []
+        assert extract_obstacles(grid, hist) == []
         assert extract_obstacles_by_rescan(grid, hist, CFG) == []
 
 
@@ -318,7 +336,7 @@ class TestFootprints:
         assert (grid_cfg.nx, grid_cfg.ny) == (n, n)
         assert bev_cfg.cell_size == grid_cfg.cell_size
         geometric = extract_obstacles(label_components(cells), make_hist(cells * 1, grid_cfg),
-                                      grid_cfg, min_cells=1)
+                                      min_cells=1)
         score, zero = cells * 1.0, np.zeros((n, n))
         attr = OutputAttributeGrid(config=bev_cfg, objectness=score, center_offset_x=zero,
                                    center_offset_y=zero, confidence=score, height=zero)

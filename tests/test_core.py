@@ -120,6 +120,15 @@ class TestObstacleEstimate:
         with pytest.raises(ValueError):
             ObstacleEstimate(center_x=0.0, center_y=1.0, length=1.0, width=2.0)
 
+    @pytest.mark.parametrize("center_x, center_y, height", [
+        (float("nan"), 0.0, None), (0.0, float("inf"), None), (1.0, 2.0, float("nan")),
+        (1.0, 2.0, -float("inf")),
+    ])
+    def test_non_finite_center_or_height_rejected(self, center_x, center_y, height):
+        with pytest.raises(ValueError, match="finite center and height"):
+            ObstacleEstimate(center_x=center_x, center_y=center_y, length=2.0, width=1.0,
+                             height=height)
+
 
 class TestFrameContainer:
     def test_xyz_intensity_views(self):
@@ -131,3 +140,9 @@ class TestFrameContainer:
         frame = PointCloudFrame(points=[(1, 2, 3, 0.4), (4, 5, 6)])
         assert len(frame) == 2
         np.testing.assert_array_equal(frame.points, [[1, 2, 3, 0.4], [4, 5, 6, 0.0]])
+
+    @pytest.mark.parametrize("rows", [[(1, 2, 3, 4, 5)], [(1, 2)], [(1, 2, 3), (1, 2, 3, 4, 5)]])
+    def test_row_of_other_width_rejected(self, rows):
+        # as an (N, 5) array is: no value is dropped
+        with pytest.raises(ValueError, match=r"expected \(N, 3\) or \(N, 4\) points"):
+            PointCloudFrame(points=rows)

@@ -224,6 +224,16 @@ class TestCsvIo:
             else:
                 assert est2.height == pytest.approx(est.height, abs=1e-6)
 
+    @pytest.mark.parametrize("row", ["1,0.05,nan,0.0,5.0,2.0,,1.0,unknown,nan",
+                                     "1,0.05,10.0,0.0,5.0,2.0,nan,1.0,unknown,10.0"])
+    def test_non_finite_center_or_height_is_schema_error(self, tmp_path, row):
+        # read back, such a row would count as a miss in evaluation
+        path = tmp_path / "obstacles.csv"
+        path.write_text("frame_id,t,center_x,center_y,length,width,height,confidence,class,range\n"
+                        "0,0.0,10.0,0.0,5.0,2.0,,1.0,unknown,10.0\n" + row + "\n")
+        with pytest.raises(SchemaError, match="line 3: need a finite center and height"):
+            read_obstacles_csv(path)
+
     def test_ground_truth_latlon_converted(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("t,lat,lon\n0.0,45.0,9.0\n1.0,45.001,9.0\n")

@@ -461,6 +461,11 @@ class TestCli:
         "synth: {azimuth_resolution_deg: 1.0e-12}",
         "synth: {azimuth_resolution_deg: 1.0e-300}",
         "synth: {obstacle_density: 1.0e+20, obstacles: [{center_x: 10, center_y: 0}]}",
+        "synth: {obstacles: [{center_x: a, center_y: 0}]}",
+        "synth: {obstacles: [{center_x: 10, center_y: null}]}",
+        "synth: {obstacles: [{center_x: [10], center_y: 0}]}",
+        "eval: {ref_lat: abc}",
+        "eval: {ref_lon: [9, 10]}",
     ], ids=["negative-cell-size", "section-not-a-mapping",
             "bad-connectivity", "yaml-syntax", "fractional-count", "nan-cell-size",
             "infinite-extent", "negative-noise", "nan-breakpoint", "nan-breakpoint-string",
@@ -474,7 +479,8 @@ class TestCli:
             "bev-over-cell-cap", "fov-one-value", "fov-three-values",
             "fov-read-as-strings", "fractional-breakpoint-count", "ground-z-is-unknown-key",
             "ransac-iterations-over-cap", "synth-beams", "synth-beams-1e29", "synth-azimuths",
-            "synth-azimuths-1e-300", "box-samples-over-cap"])
+            "synth-azimuths-1e-300", "box-samples-over-cap", "box-center-string",
+            "box-center-null", "box-center-list", "ref-lat-string", "ref-lon-list"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(text + "\n")
@@ -643,6 +649,26 @@ class TestCli:
         assert main(["bev-export", "--synth", "10001", "--out-dir", str(tmp_path)]) == 0
         order = [int(p.stem.removeprefix("frame_")) for p in sorted(tmp_path.glob("*.bev"))]
         assert order == list(range(10001))
+
+    @pytest.mark.parametrize("text, rc", [
+        ("eval: {ref_lat: abc}", 1), ("eval: {ref_lon: [9]}", 1),
+        ("eval: {ref_lat: null, ref_lon: null}", 0), ("eval: {ref_lat: 45, ref_lon: 9}", 0),
+    ])
+    def test_geodetic_reference_from_config(self, tmp_path, capsys, text, rc):
+        # null means the first truth row, here (45, 9), as no config does
+        paths = self.eval_inputs(tmp_path)
+        paths["--ground-truth"].write_text("t,lat,lon\n0.0,45.0,9.0\n0.05,45.0,9.0\n")
+        at_origin = ObstacleEstimate(center_x=0.0, center_y=0.0, length=5.0, width=2.0)
+        write_obstacles_csv(paths["--estimates"], [(i, i / 20.0, at_origin) for i in range(2)])
+        (tmp_path / "cfg.yaml").write_text(text + "\n")
+        argv = ["eval", "--config", str(tmp_path / "cfg.yaml"), "--out-dir", str(tmp_path / "o")]
+        for name, p in paths.items():
+            argv += [name, str(p)]
+        assert main(argv) == rc
+        if rc:
+            assert capsys.readouterr().err.startswith("error[config]: ref_")
+        else:
+            assert "availability 1.000" in capsys.readouterr().out
 
     def test_eval_of_good_csvs_passes(self, tmp_path):
         argv = ["eval", "--out-dir", str(tmp_path / "o")]
