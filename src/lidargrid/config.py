@@ -121,13 +121,22 @@ def _check_finite(name, value) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _holds_bool(value) -> bool:
+    """True for a YAML boolean, also inside a list."""
+    if isinstance(value, (list, tuple)):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def _build(cls, mapping):
     """Build ``cls`` from a YAML mapping; keys not given keep their defaults.
 
     Sections recurse, lists become tuples and scalars are coerced through
     the type of their default; a field with no default (a box centre)
     takes a float, as does one whose None default means "unset"
-    (``ref_lat``) unless given None.  A NaN or infinite float is rejected.
+    (``ref_lat``) unless given None.  A NaN or infinite float is rejected,
+    and so is a boolean: no field is one, and ``int(True)`` would read it
+    as 1.
     """
     if not isinstance(mapping, dict):
         raise ValueError(f"{cls.__name__} section is not a mapping: {mapping!r}")
@@ -140,6 +149,9 @@ def _build(cls, mapping):
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: "
                          f"{sorted(map(str, unknown))}")
+    for key, value in mapping.items():
+        if _holds_bool(value):
+            raise ValueError(f"{key} cannot be a boolean, got {value!r}")
     for name, value in data.items():
         f = known[name]
         default = f.default if f.default_factory is MISSING else f.default_factory()

@@ -109,7 +109,7 @@ class ObstacleEstimate:
     """One detected object in the vehicle frame.
 
     ``center_x``/``center_y`` locate the representative center, ``length``
-    and ``width`` are the footprint extents with length >= width, and
+    and ``width`` are the finite footprint extents with length >= width, and
     ``range`` is the horizontal distance from the sensor origin to the
     center (derived when not supplied).
     """
@@ -127,9 +127,9 @@ class ObstacleEstimate:
         if not all(map(math.isfinite, (self.center_x, self.center_y, self.height or 0.0))):
             raise ValueError(f"need a finite center and height, got center "
                              f"({self.center_x}, {self.center_y}) height={self.height}")
-        if not (self.length >= self.width > 0.0):
+        if not (math.isfinite(self.length) and self.length >= self.width > 0.0):
             raise ValueError(
-                f"need length >= width > 0, got length={self.length} width={self.width}"
+                f"need finite length >= width > 0, got length={self.length} width={self.width}"
             )
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")

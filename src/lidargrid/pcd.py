@@ -9,12 +9,21 @@ other whitespace separates values, as for ``np.loadtxt`` and ``split()``.
 Both directions work in bulk.  The reader opens a file once, takes the
 header line by line and the rest in one ``np.loadtxt`` call.  Only when
 that call fails or returns the wrong shape does it seek back and walk the
-body line by line, to name a bad line in a ``ParseError``.  The writer
-formats ``_BLOCK_ROWS`` rows per write with one %-format.
+body line by line, to name a bad line in a ``ParseError``.
+
+The writer prints every value exactly as ``%.9g`` does, ``_BLOCK_ROWS``
+rows at a time in numpy.  For ``1e-4 <= |v| < 1e4`` it takes the decimal
+exponent from ``log10``, the nine significant digits from one rounded
+product with an exact power of ten, and lays the fixed-notation text out
+in a 24-byte record per value from 4-digit tables, with NUL where ``%g``
+prints nothing; one ``bytes.translate`` drops the NULs.  Zero, non-finite
+values, values outside that range and near-ties, where that one rounding
+could decide the last digit, are left to Python's own ``%.9g``.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -37,10 +46,56 @@ class UnsupportedLayout(LidarGridError):
 _HEADER_KEYS = ("VERSION", "FIELDS", "SIZE", "TYPE", "COUNT", "WIDTH",
                 "HEIGHT", "VIEWPOINT", "POINTS", "DATA")
 
-# Rows formatted per write.  A block's format string and value tuple stay
-# under glibc's 128 KiB mmap threshold; blocks past it are mmapped, the
-# threshold then moves up and the process keeps a larger heap.
-_BLOCK_ROWS = 256
+# Rows formatted per step.  The step's records (96 bytes a row) and its
+# float and index temporaries (32 bytes a row each) stay under glibc's
+# 128 KiB mmap threshold; blocks past it are mmapped, the threshold then
+# moves up and the process keeps a larger heap.
+_BLOCK_ROWS = 1024
+
+
+@functools.cache
+def _format_tables():
+    """The text of 4-digit groups, as little-endian words with NUL where %g prints nothing.
+
+    Built on the first write, so that importing the module costs nothing.
+    Each table is read-only; ``k`` runs over 0..9999:
+
+    - integer parts, 8 bytes: a space, "-" or NUL, two NULs, ``lead(k)``;
+      at ``k`` for a positive value and ``k + 10000`` for a negative one;
+    - the point and the first fraction group, 8 bytes: "." and ``trail(k)``
+      at ``k`` (all NUL for 0: no point), "." and ``full(k)`` at ``k + 10000``;
+    - the other fraction groups, 4 bytes: ``trail(k)`` at ``k``, ``full(k)``
+      at ``k + 10000``.
+
+    ``full(k)`` is all four digits, ``lead(k)`` drops the leading zeros but
+    prints 0 as "0", ``trail(k)`` drops the trailing zeros.  A fraction
+    group that more digits follow takes the full form.
+    """
+    d = np.arange(48, 58, dtype=np.uint32)  # "0".."9"
+    pair = (d[:, None] | d << 8).ravel()     # "00".."99"
+    pair_lead = pair.copy()
+    pair_lead[:10] = d << 8
+    pair_trail = pair.copy()
+    pair_trail[::10] &= 0xFF
+    pair_trail[0] = 0
+    lead = pair_lead[:, None] | pair << 16
+    lead[0] = pair_lead << 16
+    trail = pair[:, None] | pair_trail << 16
+    trail[:, 0] = pair_trail
+    group = np.concatenate([trail.ravel(), (pair[:, None] | pair << 16).ravel()])
+    signed = np.array([[0x20], [0x2D20]], np.uint64) | lead.reshape(1, -1).astype(np.uint64) << 32
+    point = group.astype(np.uint64) << 8 | 0x2E
+    point[0] = 0
+    tables = signed.ravel().astype("<u8"), point.astype("<u8"), group.astype("<u4")
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+_POW10 = np.array([float(10 ** k) for k in range(13)])
+_POW10.flags.writeable = False
+# the record of a value left to Python: separator, then a %-format for it
+_FALLBACK = np.frombuffer(b" %.9g".ljust(24, b"\0"), "<u8")
 
 
 def read_frame_pcd(path, frame_id: int = 0, timestamp: float = 0.0,
@@ -160,12 +215,74 @@ def _walk_rows(path, lines: list[str], data_start: int, n_points: int,
 
 
 def write_frame_pcd(frame: PointCloudFrame, path) -> None:
-    """Write a frame as ASCII PCD with x y z intensity fields (%.9g)."""
+    """Write a frame as ASCII PCD with x y z intensity fields, each as %.9g prints it."""
     n = len(frame)
-    with open(path, "w") as fh:
-        fh.write("VERSION 0.7\nFIELDS x y z intensity\nSIZE 4 4 4 4\nTYPE F F F F\n"
-                 f"COUNT 1 1 1 1\nWIDTH {n}\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\n"
-                 f"POINTS {n}\nDATA ascii\n")
+    with open(path, "wb") as fh:
+        # every row opens with the line end before it
+        fh.write(b"VERSION 0.7\nFIELDS x y z intensity\nSIZE 4 4 4 4\nTYPE F F F F\n"
+                 b"COUNT 1 1 1 1\nWIDTH %d\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\n"
+                 b"POINTS %d\nDATA ascii" % (n, n))
         for start in range(0, n, _BLOCK_ROWS):
-            block = frame.points[start:start + _BLOCK_ROWS]
-            fh.write(("%.9g %.9g %.9g %.9g\n" * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(_format_rows(frame.points[start:start + _BLOCK_ROWS]))
+        fh.write(b"\n")
+
+
+def _format_rows(rows: np.ndarray) -> bytes:
+    """``rows`` as text, each row led by a line end, with ``%.9g`` values.
+
+    A value in ``[1e-4, 1e4)`` is printed here in fixed notation, which
+    is what %g uses for it: its 24-byte record holds the separator, sign
+    and integer part, then the point and four fraction digits, then eight
+    more, at fixed places.  The others get a record that %-formats them.
+    """
+    v = rows.ravel()
+    a = np.abs(v)
+    fallback = ~((a >= 1e-4) & (a < 1e4))
+    a[fallback] = 1.0
+    # j = x + 4 for the decimal exponent x, and the nine digits m
+    j = np.log10(a)
+    j += 4.0
+    np.floor(j, out=j)
+    j = j.clip(0, 7, out=j).astype(np.int64)  # log10 may round up to 4 below 1e4
+    s = a * _POW10.take(12 - j)
+    m = np.rint(s)
+    # s carries at most 6e-8 of rounding error: rint may differ from the
+    # rounding of the exact product only this close to a half
+    s -= m
+    fallback |= np.abs(s, out=s) >= 0.5 - 1e-6
+    off = np.flatnonzero((m < 1e8) | (m >= 1e9))
+    if off.size:
+        # log10 rounded across a power of ten, or the digits carried to 1e9
+        jo = j[off] + np.where(m[off] < 1e8, -1, 1)
+        so = a[off] * _POW10.take(12 - jo, mode="clip")
+        mo = np.rint(so)
+        j[off], m[off] = jo, mo
+        fallback[off] |= ((jo < 0) | (jo > 7) | (mo < 1e8) | (mo >= 1e9)
+                          | (np.abs(so - mo) >= 0.5 - 1e-6))
+    # the digits in units of 1e-12, in four groups; the product is exact,
+    # since m * 5**j < 2**53
+    n = (m * _POW10.take(j, mode="clip")).astype(np.int64)
+    q = n // 10000
+    g3 = n - q * 10000
+    n = q // 10000
+    g2 = q - n * 10000
+    g0 = n // 10000
+    g1 = n - g0 * 10000
+    g0 += (v < 0) * 10000
+    # a group that more digits follow keeps its trailing zeros; g2 is
+    # nonzero from here on when g2 or g3 was
+    g2 += (g3 != 0) * 10000
+    g1 += (g2 != 0) * 10000
+
+    signed_int, point_group, group = _format_tables()
+    rec = np.empty((v.size, 3), "<u8")
+    signed_int.take(g0, out=rec[:, 0], mode="clip")
+    point_group.take(g1, out=rec[:, 1], mode="clip")
+    words = rec.view("<u4")
+    group.take(g2, out=words[:, 4], mode="clip")
+    group.take(g3, out=words[:, 5], mode="clip")
+    at = np.flatnonzero(fallback)
+    rec[at] = _FALLBACK
+    rec.view(np.uint8)[::4, 0] = ord("\n")  # the separator before x
+    text = rec.tobytes().translate(None, b"\0")
+    return text % tuple(v[at].tolist()) if at.size else text

@@ -120,6 +120,13 @@ class TestObstacleEstimate:
         with pytest.raises(ValueError):
             ObstacleEstimate(center_x=0.0, center_y=1.0, length=1.0, width=2.0)
 
+    @pytest.mark.parametrize("length, width", [
+        (float("inf"), 1.0), (float("inf"), float("inf")),
+    ])
+    def test_non_finite_footprint_rejected(self, length, width):
+        with pytest.raises(ValueError, match="finite length >= width > 0"):
+            ObstacleEstimate(center_x=1.0, center_y=2.0, length=length, width=width)
+
     @pytest.mark.parametrize("center_x, center_y, height", [
         (float("nan"), 0.0, None), (0.0, float("inf"), None), (1.0, 2.0, float("nan")),
         (1.0, 2.0, -float("inf")),

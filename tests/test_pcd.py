@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import read_pcd_by_lines, write_pcd_by_rows
+from lidargrid import pcd
 from lidargrid.core import EmptyFrame, PointCloudFrame, validate_frame
 from lidargrid.pcd import ParseError, UnsupportedLayout, read_frame_pcd, write_frame_pcd
 
@@ -316,3 +319,73 @@ class TestBlockWriterMatchesRowWriter:
         write_frame_pcd(frame, tmp_path / "blocks.pcd")
         write_pcd_by_rows(frame, tmp_path / "rows.pcd")
         assert (tmp_path / "blocks.pcd").read_bytes() == (tmp_path / "rows.pcd").read_bytes()
+
+
+def written_like_rows(directory, points) -> bool:
+    """Whether write_frame_pcd gives the row writer's bytes for ``points``."""
+    frame = PointCloudFrame(points=np.asarray(points, dtype=np.float64).reshape(-1, 4))
+    write_frame_pcd(frame, directory / "blocks.pcd")
+    write_pcd_by_rows(frame, directory / "rows.pcd")
+    return (directory / "blocks.pcd").read_bytes() == (directory / "rows.pcd").read_bytes()
+
+
+def signed(values):
+    """``values`` and their negatives, padded with 0.5 to whole rows."""
+    both = np.concatenate([values, -np.asarray(values)])
+    return np.concatenate([both, np.full(-len(both) % 4, 0.5)])
+
+
+METRES = st.floats(1e-5, 1e5) | st.floats(1e-5, 1e5).map(lambda v: float(np.float32(v)))
+
+
+class TestFormatKernel:
+    """The numpy formatter against ``%.9g``, case by case."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=hnp.arrays(np.float64, st.tuples(st.integers(0, 40), st.just(4)),
+                             elements=st.builds(lambda v, neg: -v if neg else v,
+                                                METRES, st.booleans())))
+    def test_metre_range_values(self, tmp_path_factory, points):
+        assert written_like_rows(tmp_path_factory.getbasetemp(), points)
+
+    def test_near_ties(self, tmp_path):
+        # ten significant digits ending in 5: the ninth digit is decided by
+        # the binary value's side of the half, which one rounding can miss
+        rng = np.random.default_rng(21)
+        digits = rng.integers(10**8, 10**9, 2000) * 10 + 5
+        exponents = rng.integers(-5, 5, 2000)
+        values = [float(f"{d}e{e - 9}") for d, e in zip(digits.tolist(), exponents.tolist())]
+        # and exact halves r / 2**k: for odd r the ten digits r * 5**k end in 5
+        for k in range(6, 14):
+            odd = np.arange(-(-10**9 // 5**k) | 1, 10**10 // 5**k, 2)
+            values += (rng.choice(odd, min(len(odd), 100), replace=False) / 2**k).tolist()
+        assert written_like_rows(tmp_path, signed(values))
+
+    @pytest.mark.parametrize("carry", [9.99999999499, 9.9999999949999, 9.99999999500001,
+                                       9.9999999996, 99999999.95, 99999999.949])
+    def test_carries(self, tmp_path, carry):
+        # on either side of where the nine digits round up to 1e9 and the
+        # exponent goes up by one
+        values = [carry * 10.0**k for k in range(-6, 5)]
+        values += [np.nextafter(v, t) for v in values for t in (0, np.inf)]
+        assert written_like_rows(tmp_path, signed(values))
+
+    def test_powers_of_ten_and_neighbours(self, tmp_path):
+        powers = [10.0**k for k in range(-5, 6)]
+        values = powers + [np.nextafter(p, t) for p in powers for t in (0, np.inf)]
+        assert written_like_rows(tmp_path, signed(values))
+
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_frames_at_the_block_size(self, tmp_path, step):
+        n = pcd._BLOCK_ROWS + step
+        rng = np.random.default_rng(n)
+        points = rng.uniform(-40, 40, (n, 4))
+        points[::97] = 0.0  # values left to Python, in some blocks
+        assert written_like_rows(tmp_path, points)
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513])
+    def test_special_values_raise_no_warning(self, tmp_path, n):
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e-300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert written_like_rows(tmp_path, np.resize(np.array(special), (n, 4)))

@@ -19,7 +19,7 @@ from lidargrid.config import (
     default_config_yaml,
 )
 from lidargrid.core import ObstacleEstimate, PointCloudFrame, validate_frame
-from lidargrid.evaluate import write_obstacles_csv
+from lidargrid.evaluate import OBSTACLE_CSV_HEADER, write_obstacles_csv
 from lidargrid.grid import project_to_grid
 from lidargrid.pcd import read_frame_pcd, write_frame_pcd
 from lidargrid.pipeline import (
@@ -498,6 +498,20 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error[config]: rng_seed")
 
+    @pytest.mark.parametrize("text, key", [
+        ("cluster: {min_cells: true}", "min_cells"),
+        ("eval: {gate: true}", "gate"),
+        ("ransac: {distance_threshold: false}", "distance_threshold"),
+    ])
+    def test_yaml_boolean_is_config_error(self, tmp_path, capsys, text, key):
+        # True would otherwise pass as 1 and False as 0
+        cfg_path = tmp_path / "bool.yaml"
+        cfg_path.write_text(text + "\n")
+        rc = main(["detect", "--synth", "1", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error[config]: {key} cannot be a boolean")
+
     def test_noise_floor_key_is_unknown(self, tmp_path, capsys):
         # a floor f is the breakpoint table with counts max(c, f)
         cfg_path = tmp_path / "floor.yaml"
@@ -585,6 +599,22 @@ class TestCli:
         rc = main(argv)
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error[schema]: {path}")
+
+    @pytest.mark.parametrize("field", ["length", "width"])
+    def test_infinite_footprint_is_schema_error(self, tmp_path, capsys, field):
+        # it would read back as an obstacle of infinite extent
+        paths = self.eval_inputs(tmp_path)
+        path = paths["--estimates"]
+        lines = path.read_text().splitlines()
+        row = lines[2].split(",")
+        row[OBSTACLE_CSV_HEADER.index(field)] = "inf"
+        path.write_text("\n".join(lines[:2] + [",".join(row)]) + "\n")
+        argv = ["eval", "--out-dir", str(tmp_path / "o")]
+        for name, p in paths.items():
+            argv += [name, str(p)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error[schema]: {path}: line 3: need finite length >= width > 0")
 
     @pytest.mark.parametrize("flag, text", [
         ("--ground-truth", "t,X,Y\n0.1,10.0,0.0\n0.0,10.0,0.0\n0.05,10.0,0.0\n"),
