@@ -145,13 +145,16 @@ def fit_plane_ransac(points, params: RansacParams = RansacParams()) -> PlaneMode
 
     Deterministic per ``params.rng_seed``, though a seed now gives other
     planes than the per-sample ``rng.choice`` of earlier versions.  The
-    cloud is held as one (3, n) float64 copy and a float32 copy for
-    scoring, so every reduction runs along a row.  The winning sampled
-    plane is refined by a least-squares fit on its inliers when that does
-    not reduce the inlier count or violate the tilt limit.
+    candidates are scored in float32 on samples of the cloud: above 2000
+    points they are ranked on every ``max(8, n // 1024)``-th point (about
+    1024 points, however dense the sensor), and the 8 best are counted on
+    every 4th point.  Only the winner is counted on every point, in
+    float64, and that count is held to ``min_inlier_ratio``.  The winner
+    is refined by a least-squares fit on its inliers when that does not
+    reduce the inlier count or violate the tilt limit.
 
     Raises DegenerateInput for < 3 or collinear points and NoPlaneFound
-    when no candidate reaches ``min_inlier_ratio``.
+    when the winner's inlier ratio is below ``min_inlier_ratio``.
     """
     xyz = np.ascontiguousarray(as_point_array(points)[:, :3].T)
     n = xyz.shape[1]
@@ -163,34 +166,30 @@ def fit_plane_ransac(points, params: RansacParams = RansacParams()) -> PlaneMode
 
     rng = np.random.default_rng(params.rng_seed)
     normals, offsets, valid = _candidate_planes(xyz, params, rng)
-    xyz32 = xyz.astype(np.float32)
-
-    # two-stage scoring: rank all candidates on a strided subsample, then
-    # count exactly only for the leaders (identical result in practice,
-    # an order of magnitude less memory traffic)
     finalists = np.flatnonzero(valid)
-    if finalists.size > 8 and n > 2000:
-        sub = xyz32[:, ::8]
-        sub_counts = _count_inliers(sub, normals[finalists], offsets[finalists],
-                                    params.distance_threshold)
-        order = np.argsort(-sub_counts, kind="stable")
-        finalists = finalists[order[:8]]
     if finalists.size == 0:
         raise NoPlaneFound("no candidate plane within the tilt limit")
 
-    counts = _count_inliers(xyz32, normals[finalists], offsets[finalists],
-                            params.distance_threshold)
+    # ranking needs a bounded number of points, not n (preemptive RANSAC,
+    # Nister 2003); the ratio is held to the winner's exact count below
+    stride = 1
+    if n > 2000:
+        if finalists.size > 8:
+            sample = xyz[:, ::max(8, n // 1024)].astype(np.float32)
+            ranked = _count_inliers(sample, normals[finalists], offsets[finalists],
+                                    params.distance_threshold)
+            finalists = finalists[np.argsort(-ranked, kind="stable")[:8]]
+        stride = 4
+    counts = _count_inliers(xyz[:, ::stride].astype(np.float32), normals[finalists],
+                            offsets[finalists], params.distance_threshold)
     best = int(finalists[int(np.argmax(counts))])
-    best_count = int(counts.max())
-    if best_count < params.min_inlier_ratio * n:
-        raise NoPlaneFound(
-            f"best inlier ratio {max(best_count, 0) / n:.3f} "
-            f"below minimum {params.min_inlier_ratio}"
-        )
     normal, offset = normals[best], float(offsets[best])
 
     inliers = np.abs(normal @ xyz + offset) <= params.distance_threshold
     best_count = int(inliers.sum())
+    if best_count < params.min_inlier_ratio * n:
+        raise NoPlaneFound(f"best inlier ratio {best_count / n:.3f} "
+                           f"below minimum {params.min_inlier_ratio}")
     # orthogonal regression on the inliers: the normal is their direction
     # of least scatter, skipped when they are collinear
     centroid, eigvals, eigvecs = _scatter(np.compress(inliers, xyz, axis=1))

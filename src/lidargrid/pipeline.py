@@ -12,7 +12,7 @@ post-processing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -172,12 +172,16 @@ class BenchReport:
 def bench(cfg: PipelineConfig, n_frames: int, seed: int = 0) -> BenchReport:
     """Time each lap of ``run_pipeline`` over ``n_frames`` synthetic frames.
 
-    Rows follow the route's laps, then ``total`` (each frame's summed laps).
+    The frames are the flat bench scene seen by ``cfg.synth``'s sensor:
+    its beams, field of view, azimuth step, range and height.  Rows
+    follow the route's laps, then ``total`` (each frame's summed laps).
     Frame generation is untimed; the first frame runs once to warm caches.
     """
     if n_frames < 1:
         raise ConfigError("n_frames must be >= 1")
-    frames = [generate_frame(bench_scene(seed + i), frame_id=i,
+    sensor = {name: getattr(cfg.synth, name) for name in (
+        "beam_count", "vertical_fov_deg", "azimuth_resolution_deg", "max_range", "sensor_height")}
+    frames = [generate_frame(replace(bench_scene(seed + i), **sensor), frame_id=i,
                              timestamp=i / FRAME_RATE_HZ).frame for i in range(n_frames)]
     run_pipeline(frames[0], cfg)
     laps = [run_pipeline(frame, cfg).timings for frame in frames]

@@ -207,8 +207,10 @@ def _count_inliers_rows(xyz, normals, offsets, threshold):
 def fit_plane_by_choice(points, params: RansacParams = RansacParams()) -> PlaneModel:
     """Reference RANSAC ground fit: one ``rng.choice(n, 3, replace=False)``
     per sample and scoring on the (n, 3) row layout, with the same
-    checks, subsample ranking, 8 finalists, float64 recount and guarded
-    least-squares refit as ``fit_plane_ransac``."""
+    checks, 8 finalists, float64 recount (which ``min_inlier_ratio`` is
+    held to) and guarded least-squares refit as ``fit_plane_ransac``.
+    Above 2000 points it ranks on every 8th point and counts the
+    finalists on every point, so its ranking work grows with n."""
     xyz = as_point_array(points)[:, :3]
     n = xyz.shape[0]
     if n < 3:
@@ -239,12 +241,12 @@ def fit_plane_by_choice(points, params: RansacParams = RansacParams()) -> PlaneM
     counts = _count_inliers_rows(xyz, normals[finalists], offsets[finalists],
                                  params.distance_threshold)
     best = int(finalists[int(np.argmax(counts))])
-    if int(counts.max()) < params.min_inlier_ratio * n:
-        raise NoPlaneFound("best inlier ratio below minimum")
     normal, offset = normals[best], float(offsets[best])
 
     inliers = np.abs(xyz @ normal + offset) <= params.distance_threshold
     best_count = int(inliers.sum())
+    if best_count < params.min_inlier_ratio * n:
+        raise NoPlaneFound("best inlier ratio below minimum")
     centroid, eigvals, eigvecs = _scatter_rows(xyz[inliers])
     r_normal = eigvecs[:, 0] if eigvecs[2, 0] >= 0.0 else -eigvecs[:, 0]
     r_normal = r_normal / float(np.linalg.norm(r_normal))
@@ -268,9 +270,11 @@ def _count_inliers_by_row_sums(pts, normals, offsets, threshold):
 def fit_plane_by_row_sums(points, params: RansacParams = RansacParams()) -> PlaneModel:
     """Reference for ``fit_plane_ransac`` with the same candidates
     (``_candidate_planes``) and scatter (``_scatter``): the full-cloud
-    collinearity check runs on every call and candidates are scored by
-    summing bool rows, on the same (3, n) layout, so the plane, offset,
-    count and every exception must come out identical."""
+    collinearity check runs on every call; above 2000 points candidates
+    are ranked on every ``max(8, n // 1024)``-th point and the 8 best
+    counted on every 4th, by summing bool rows on the same (3, n) layout;
+    and the winner's float64 count is held to ``min_inlier_ratio``.  So
+    the plane, offset, count and every exception must come out identical."""
     if not (isinstance(points, np.ndarray) and points.ndim == 2
             and points.shape[1] in (3, 4)):
         points = as_point_array(points)
@@ -284,27 +288,28 @@ def fit_plane_by_row_sums(points, params: RansacParams = RansacParams()) -> Plan
 
     rng = np.random.default_rng(params.rng_seed)
     normals, offsets, valid = _candidate_planes(xyz, params, rng)
-    xyz32 = xyz.astype(np.float32)
     finalists = np.flatnonzero(valid)
-    if finalists.size > 8 and n > 2000:
-        sub_counts = _count_inliers_by_row_sums(xyz32[:, ::8], normals[finalists],
-                                                offsets[finalists], params.distance_threshold)
-        finalists = finalists[np.argsort(-sub_counts, kind="stable")[:8]]
     if finalists.size == 0:
         raise NoPlaneFound("no candidate plane within the tilt limit")
-    counts = _count_inliers_by_row_sums(xyz32, normals[finalists], offsets[finalists],
+    stride = 1
+    if n > 2000:
+        if finalists.size > 8:
+            sample = xyz[:, ::max(8, n // 1024)].astype(np.float32)
+            ranked = _count_inliers_by_row_sums(sample, normals[finalists],
+                                                offsets[finalists], params.distance_threshold)
+            finalists = finalists[np.argsort(-ranked, kind="stable")[:8]]
+        stride = 4
+    counts = _count_inliers_by_row_sums(xyz[:, ::stride].astype(np.float32),
+                                        normals[finalists], offsets[finalists],
                                         params.distance_threshold)
     best = int(finalists[int(np.argmax(counts))])
-    best_count = int(counts.max())
-    if best_count < params.min_inlier_ratio * n:
-        raise NoPlaneFound(
-            f"best inlier ratio {max(best_count, 0) / n:.3f} "
-            f"below minimum {params.min_inlier_ratio}"
-        )
     normal, offset = normals[best], float(offsets[best])
 
     inliers = np.abs(normal @ xyz + offset) <= params.distance_threshold
     best_count = int(inliers.sum())
+    if best_count < params.min_inlier_ratio * n:
+        raise NoPlaneFound(f"best inlier ratio {best_count / n:.3f} "
+                           f"below minimum {params.min_inlier_ratio}")
     centroid, eigvals, eigvecs = _scatter(np.compress(inliers, xyz, axis=1))
     r_normal = eigvecs[:, 0] if eigvecs[2, 0] >= 0.0 else -eigvecs[:, 0]
     r_normal = r_normal / float(np.linalg.norm(r_normal))

@@ -13,6 +13,7 @@ from lidargrid.ground import (
     NoPlaneFound,
     PlaneModel,
     RansacParams,
+    _count_inliers,
     _sample_triples,
     fit_plane_ransac,
     split_ground,
@@ -140,6 +141,66 @@ class TestFitPlane:
             assert abs(mine.offset - ref.offset) <= 0.02, f"scene {seed}"
             assert mine.inlier_ratio >= ref.inlier_ratio - 0.005, f"scene {seed}"
 
+    def test_dense_sensor_agrees_with_per_sample_choice_oracle(self):
+        # 64 beams at 0.1 degrees, about 114k points: the candidates are
+        # ranked on about 1k of them
+        params = RansacParams()
+        for seed, deg in itertools.product(range(3), (0.0, 2.0, 4.0)):
+            pts = generate_frame(dense_bench_scene(seed, deg)).frame.points
+            mine = fit_plane_ransac(pts, params)
+            ref = fit_plane_by_choice(pts, params)
+            angle = math.degrees(math.acos(min(1.0, float(mine.normal @ ref.normal))))
+            assert angle <= 0.25, f"seed {seed}, {deg} deg: planes {angle:.3f} deg apart"
+            assert abs(mine.offset - ref.offset) <= 0.02, f"seed {seed}, {deg} deg"
+            assert mine.inlier_ratio >= ref.inlier_ratio - 0.005, f"seed {seed}, {deg} deg"
+
+    @pytest.mark.parametrize("beams, step", [(16, 0.2), (64, 0.1)])
+    def test_ranking_sample_is_bounded(self, monkeypatch, beams, step):
+        seen = []  # (candidates, points) of each scoring call
+
+        def spy(pts, normals, offsets, threshold):
+            seen.append((len(normals), pts.shape[1]))
+            return _count_inliers(pts, normals, offsets, threshold)
+
+        monkeypatch.setattr("lidargrid.ground._count_inliers", spy)
+        scene = replace(bench_scene(1), beam_count=beams, azimuth_resolution_deg=step)
+        pts = generate_frame(scene).frame.points
+        fit_plane_ransac(pts)
+        (ranked, rank_points), (finalists, final_points) = seen
+        assert ranked > 8 and rank_points <= 2 * 1024
+        assert finalists == 8 and final_points == -(-len(pts) // 4)
+
+    def test_ratio_held_to_the_exact_count(self):
+        # the upper layer is 1e-11 m beyond the threshold: inside it in
+        # float32, outside in float64, so only half the cloud is an inlier
+        rng = np.random.default_rng(0)
+        pts = np.zeros((200, 3))
+        pts[:, :2] = rng.uniform(-5.0, 5.0, (200, 2))
+        pts[100:, 2] = 0.15000000001
+        with pytest.raises(NoPlaneFound, match="0.500 below minimum 0.6"):
+            fit_plane_ransac(pts, RansacParams(min_inlier_ratio=0.6))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(10, 5000), seed=st.integers(0, 2**32 - 1),
+           gap=st.sampled_from([0.1, 0.15, 0.15000000001, 0.2, 0.5]),
+           share=st.floats(0.0, 1.0), min_ratio=st.floats(0.0, 1.0),
+           noise=st.sampled_from([0.0, 0.01, 0.1]))
+    def test_returned_ratio_meets_the_minimum(self, n, seed, gap, share, min_ratio, noise):
+        rng = np.random.default_rng(seed)
+        pts = flat_cloud(n, 0.0, rng, spread=5.0, noise=noise)
+        pts[rng.random(n) < share, 2] += gap
+        params = RansacParams(min_inlier_ratio=min_ratio, rng_seed=seed % 1000)
+        try:
+            plane = fit_plane_ransac(pts, params)
+        except NoPlaneFound:
+            return
+        assert plane.inlier_ratio >= min_ratio
+
+
+def dense_bench_scene(seed, deg):
+    return replace(bench_scene(seed), beam_count=64, azimuth_resolution_deg=0.1,
+                   ground_slope=math.radians(deg))
+
 
 def fit_outcome(fit, points, params=RansacParams()):
     """Everything a fit returns, to the bit, or its exception class and message."""
@@ -171,6 +232,12 @@ class TestFitMatchesRowSumOracle:
                             ground_slope=math.radians((0.0, 2.0, 4.0)[i % 3]))
             points = generate_frame(scene).frame.points
             assert_fit_matches_row_sums(points, params)
+
+    @pytest.mark.parametrize("deg", [0.0, 2.0, 4.0])
+    def test_dense_sensor_frames(self, deg):
+        # ranked on every 111th point, finalists on every 4th
+        points = generate_frame(dense_bench_scene(7, deg)).frame.points
+        assert_fit_matches_row_sums(points)
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(3, 2000), seed=st.integers(0, 2**32 - 1),

@@ -219,6 +219,25 @@ class TestBench:
         assert report.rows[-1][1] == report.total_mean_ms
         assert abs(report.total_mean_ms - stage_sum) <= 1e-9
 
+    def test_default_sensor_gives_the_bench_scene(self, monkeypatch):
+        made = []
+
+        def spy(spec, **kwargs):
+            labeled = generate_frame(spec, **kwargs)
+            made.append(labeled.frame.points)
+            return labeled
+
+        monkeypatch.setattr(pipeline, "generate_frame", spy)
+        bench(PipelineConfig(), n_frames=2, seed=4)
+        assert len(made) == 2
+        for i, points in enumerate(made):
+            assert points.tobytes() == generate_frame(bench_scene(4 + i)).frame.points.tobytes()
+
+    def test_configured_sensor_is_measured(self):
+        cfg = PipelineConfig()
+        dense = replace(cfg, synth=replace(cfg.synth, beam_count=32))
+        assert bench(dense, n_frames=1).mean_points > bench(cfg, n_frames=1).mean_points
+
 
 class TestConfig:
     def test_default_yaml_round_trips(self):
