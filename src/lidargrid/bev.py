@@ -287,10 +287,8 @@ def cluster_output_grid(attr: OutputAttributeGrid, objectness_threshold: float,
     offx = attr.center_offset_x.reshape(-1)[pos]
     offy = attr.center_offset_y.reshape(-1)[pos]
 
-    t_i = np.floor((cx + offx + cfg.range) / cfg.cell_size).astype(np.int64)
-    t_j = np.floor((cy + offy + cfg.range) / cfg.cell_size).astype(np.int64)
-    src = np.flatnonzero((t_i >= 0) & (t_i < n) & (t_j >= 0) & (t_j < n))
-    target = t_i[src] * n + t_j[src]
+    r = cfg.range
+    src, target = cell_index(cx + offx, cy + offy, (-r, -r), (r, r), cfg.cell_size, (n, n))
     dst = np.searchsorted(flat, target).clip(max=flat.size - 1)
     hit = flat[dst] == target
     group = component_ids(int(base.max()) + 1, base[src[hit]], base[dst[hit]])

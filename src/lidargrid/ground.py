@@ -17,7 +17,7 @@ from .core import MAX_CELLS, LidarGridError, as_point_array
 
 
 class DegenerateInput(LidarGridError):
-    """Fewer than 3 points, or all points collinear."""
+    """Fewer than 3 points, all points collinear, or a scatter that overflows."""
 
     category = "degenerate-input"
 
@@ -134,27 +134,31 @@ def _count_inliers(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
 
 def _scatter(xyz: np.ndarray):
     """Centroid, ascending eigenvalues and eigenvectors of a (3, n) cloud's scatter."""
-    centroid = xyz.mean(axis=1)
-    centered = xyz - centroid[:, None]
-    eigvals, eigvecs = np.linalg.eigh(np.einsum("in,jn->ij", centered, centered))
+    with np.errstate(over="ignore", invalid="ignore"):
+        centroid = xyz.mean(axis=1)
+        centered = xyz - centroid[:, None]
+        scatter = np.einsum("in,jn->ij", centered, centered)
+    if not np.isfinite(scatter).all():
+        raise DegenerateInput("point coordinates too large to fit a plane")
+    eigvals, eigvecs = np.linalg.eigh(scatter)
     return centroid, eigvals, eigvecs
 
 
 def fit_plane_ransac(points, params: RansacParams = RansacParams()) -> PlaneModel:
     """Fit the dominant near-horizontal plane by random sample consensus.
 
-    Deterministic per ``params.rng_seed``, though a seed now gives other
-    planes than the per-sample ``rng.choice`` of earlier versions.  The
-    candidates are scored in float32 on samples of the cloud: above 2000
-    points they are ranked on every ``max(8, n // 1024)``-th point (about
-    1024 points, however dense the sensor), and the 8 best are counted on
-    every 4th point.  Only the winner is counted on every point, in
-    float64, and that count is held to ``min_inlier_ratio``.  The winner
-    is refined by a least-squares fit on its inliers when that does not
-    reduce the inlier count or violate the tilt limit.
+    Deterministic per ``params.rng_seed``.  The candidates are scored in
+    float32 on samples of the cloud: above 2000 points they are ranked on
+    every ``max(8, n // 1024)``-th point (about 1024 points, however dense
+    the sensor), and the 8 best are counted on every 4th point.  Only the
+    winner is counted on every point, in float64, and that count is held
+    to ``min_inlier_ratio``.  The winner is refined by a least-squares fit
+    on its inliers when that does not reduce the inlier count or violate
+    the tilt limit.
 
-    Raises DegenerateInput for < 3 or collinear points and NoPlaneFound
-    when the winner's inlier ratio is below ``min_inlier_ratio``.
+    Raises DegenerateInput for < 3 or collinear points, or coordinates
+    whose scatter overflows, and NoPlaneFound when the winner's inlier
+    ratio is below ``min_inlier_ratio``.
     """
     xyz = np.ascontiguousarray(as_point_array(points)[:, :3].T)
     n = xyz.shape[1]

@@ -15,10 +15,10 @@ The writer prints every value exactly as ``%.9g`` does, ``_BLOCK_ROWS``
 rows at a time in numpy.  For ``1e-4 <= |v| < 1e4`` it takes the decimal
 exponent from ``log10``, the nine significant digits from one rounded
 product with an exact power of ten, and lays the fixed-notation text out
-in a 24-byte record per value from 4-digit tables, with NUL where ``%g``
-prints nothing; one ``bytes.translate`` drops the NULs.  Zero, non-finite
-values, values outside that range and near-ties, where that one rounding
-could decide the last digit, are left to Python's own ``%.9g``.
+in a 24-byte record per value from tables of 4-digit text padded with NUL;
+one ``bytes.translate`` drops every NUL.  Zero, non-finite values, values
+outside that range and near-ties, where that one rounding could decide the
+last digit, are left to Python's own ``%.9g``.
 """
 
 from __future__ import annotations
@@ -55,38 +55,19 @@ _BLOCK_ROWS = 1024
 
 @functools.cache
 def _format_tables():
-    """The text of 4-digit groups, as little-endian words with NUL where %g prints nothing.
+    """Read-only tables of 4-digit text, each entry padded with NUL.
 
-    Built on the first write, so that importing the module costs nothing.
-    Each table is read-only; ``k`` runs over 0..9999:
-
-    - integer parts, 8 bytes: a space, "-" or NUL, two NULs, ``lead(k)``;
-      at ``k`` for a positive value and ``k + 10000`` for a negative one;
-    - the point and the first fraction group, 8 bytes: "." and ``trail(k)``
-      at ``k`` (all NUL for 0: no point), "." and ``full(k)`` at ``k + 10000``;
-    - the other fraction groups, 4 bytes: ``trail(k)`` at ``k``, ``full(k)``
-      at ``k + 10000``.
-
-    ``full(k)`` is all four digits, ``lead(k)`` drops the leading zeros but
-    prints 0 as "0", ``trail(k)`` drops the trailing zeros.  A fraction
-    group that more digits follow takes the full form.
+    Built on the first write.  Each holds one form of ``k`` at ``k`` and the
+    other at ``k + 10000``: the separator and a positive or negative integer
+    part; the point and a last or non-last first fraction group (no point
+    for 0); a last or non-last later fraction group.
     """
-    d = np.arange(48, 58, dtype=np.uint32)  # "0".."9"
-    pair = (d[:, None] | d << 8).ravel()     # "00".."99"
-    pair_lead = pair.copy()
-    pair_lead[:10] = d << 8
-    pair_trail = pair.copy()
-    pair_trail[::10] &= 0xFF
-    pair_trail[0] = 0
-    lead = pair_lead[:, None] | pair << 16
-    lead[0] = pair_lead << 16
-    trail = pair[:, None] | pair_trail << 16
-    trail[:, 0] = pair_trail
-    group = np.concatenate([trail.ravel(), (pair[:, None] | pair << 16).ravel()])
-    signed = np.array([[0x20], [0x2D20]], np.uint64) | lead.reshape(1, -1).astype(np.uint64) << 32
-    point = group.astype(np.uint64) << 8 | 0x2E
-    point[0] = 0
-    tables = signed.ravel().astype("<u8"), point.astype("<u8"), group.astype("<u4")
+    full = [b"%04d" % k for k in range(10000)]
+    lead = [s.lstrip(b"0") or b"0" for s in full]
+    trail = [s.rstrip(b"0") for s in full]
+    tables = (np.array([b" " + s for s in lead] + [b" -" + s for s in lead], "S8").view("<u8"),
+              np.array([s and b"." + s for s in trail] + [b"." + s for s in full], "S8").view("<u8"),
+              np.array(trail + full, "S4").view("<u4"))
     for table in tables:
         table.flags.writeable = False
     return tables

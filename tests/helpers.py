@@ -458,9 +458,10 @@ def cluster_output_grid_by_loop(attr: OutputAttributeGrid, objectness_threshold:
     centers = cfg.cell_centers()
     tx = centers[ii] + attr.center_offset_x[ii, jj]
     ty = centers[jj] + attr.center_offset_y[ii, jj]
-    t_i = np.floor((tx + cfg.range) / cfg.cell_size).astype(np.int64)
-    t_j = np.floor((ty + cfg.range) / cfg.cell_size).astype(np.int64)
-    in_grid = (t_i >= 0) & (t_i < n) & (t_j >= 0) & (t_j < n)
+    # a target in [-range, range) whose quotient rounds up to n is in the last cell
+    in_grid = (tx >= -cfg.range) & (tx < cfg.range) & (ty >= -cfg.range) & (ty < cfg.range)
+    t_i = np.minimum(np.floor((tx + cfg.range) / cfg.cell_size).astype(np.int64), n - 1)
+    t_j = np.minimum(np.floor((ty + cfg.range) / cfg.cell_size).astype(np.int64), n - 1)
     valid = in_grid.copy()
     valid[in_grid] &= mask[t_i[in_grid], t_j[in_grid]]
 

@@ -22,6 +22,7 @@ from lidargrid.bev import (
 )
 from lidargrid.cli import main
 from lidargrid.config import PipelineConfig
+from lidargrid.grid import cell_index
 from lidargrid.pipeline import front_half
 from lidargrid.synth import generate_frame
 
@@ -323,6 +324,23 @@ class TestClusterOutputGrid:
         attr = zero_attr(objectness=obj, center_offset_x=off)
         clusters = cluster_output_grid(attr, 0.5)
         assert len(clusters) == 1
+
+    def test_offset_target_binned_as_cell_index(self):
+        # the target's quotient rounds up to n; cell_index puts it in the last
+        # row, so the two cells form one cluster
+        cfg = BevConfig()
+        n = cfg.image_size
+        cells = np.array([300 * n + 336, 671 * n + 336])
+        off_x = np.array([29.999999999999996 - cfg.cell_centers()[300], 0.0])
+        r = cfg.range
+        assert cell_index(np.array([29.999999999999996]), np.array([0.0]), (-r, -r), (r, r),
+                          cfg.cell_size, (n, n))[1].tolist() == [cells[1]]
+        attr = OutputAttributeGrid(config=cfg, objectness=np.ones(2), confidence=np.ones(2),
+                                   center_offset_x=off_x, center_offset_y=np.zeros(2),
+                                   height=np.zeros(2), cells=cells)
+        clusters = cluster_output_grid(attr, 0.5)
+        assert [c.size for c in clusters] == [2]
+        assert_same_clusters(clusters, cluster_output_grid_by_loop(dense_attr(attr), 0.5))
 
     def test_threshold_monotone(self):
         rng = np.random.default_rng(17)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -64,6 +65,16 @@ class TestFitPlane:
         pts = np.array([[float(i), 2.0 * i, 3.0 * i] for i in range(30)])
         with pytest.raises(DegenerateInput):
             fit_plane_ransac(pts)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e308])
+    def test_coordinates_too_large_degenerate(self, scale):
+        # their scatter overflows to inf, which eigh cannot take
+        rng = np.random.default_rng(5)
+        pts = np.column_stack([scale * rng.uniform(-1, 1, (500, 2)), rng.uniform(-1, 1, 500)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInput, match="too large"):
+                fit_plane_ransac(pts)
 
     def test_tilt_limit_rejects_steep_plane(self):
         rng = np.random.default_rng(7)

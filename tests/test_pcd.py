@@ -389,3 +389,22 @@ class TestFormatKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert written_like_rows(tmp_path, np.resize(np.array(special), (n, 4)))
+
+
+K = np.arange(10000.0)
+# values whose 4-digit group k, for every k in 0..9999, takes each role in
+# the writer's tables; all far from a rounding tie, so none is left to Python
+TABLE_ROLES = {
+    "integer part": K + 0.5,
+    "last first fraction group": 1.0 + K / 1e4,
+    "first fraction group with more after it": 1.0 + K / 1e4 + 1e-5,
+    "last second fraction group": 1e-4 + K * 1e-8,
+    "second fraction group with more after it": 1e-4 + K * 1e-8 + 1e-9,
+    "third fraction group": 1e-4 + K * 1e-12,
+}
+
+
+class TestTableEntries:
+    @pytest.mark.parametrize("role", TABLE_ROLES)
+    def test_every_entry_in_each_role(self, tmp_path, role):
+        assert written_like_rows(tmp_path, signed(TABLE_ROLES[role]))

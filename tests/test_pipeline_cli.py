@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import fields, is_dataclass, replace
 from types import SimpleNamespace
 
@@ -411,6 +412,29 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error[no-plane]")
         assert [p.name for p in out_dir.glob("*.bev")] == ["frame_0000.bev"]
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--input", "{scene}"],
+        ["detect", "--input", "{scene}", "--pipeline", "bev"],
+        ["bev-export", "--input", "{scene}"],
+        ["detect", "--synth", "1", "--config", "{config}"],
+    ], ids=["detect", "detect-bev", "bev-export", "synth-noise"])
+    def test_huge_coordinates_are_degenerate_input(self, tmp_path, capsys, argv):
+        scene = tmp_path / "scene"
+        scene.mkdir()
+        rng = np.random.default_rng(0)
+        points = np.column_stack([rng.uniform(-1, 1, (50, 2)) * 1e200,
+                                  rng.uniform(-1, 1, 50), np.zeros(50)])
+        write_frame_pcd(PointCloudFrame(points), scene / "frame_0000.pcd")
+        config = tmp_path / "noise.yaml"
+        config.write_text("synth: {noise_sigma: 1.0e+300}\n")
+        argv = [a.format(scene=scene, config=config) for a in argv]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv + ["--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error[degenerate-input]: point coordinates")
+        assert caught == []
 
     def test_module_error_exit_code_and_category(self, tmp_path, capsys):
         missing = tmp_path / "empty"
