@@ -59,26 +59,27 @@ def _frame_name(i: int, count: int, suffix: str) -> str:
     return f"frame_{i:0{max(4, len(str(count - 1)))}d}{suffix}"
 
 
+def _synth_run(cfg: PipelineConfig, count: int):
+    """Frame i of the synthetic run: seed ``rng_seed + i``, id i, time ``i / FRAME_RATE_HZ``."""
+    for i in range(count):
+        spec = replace(cfg.synth, rng_seed=cfg.synth.rng_seed + i)
+        yield generate_frame(spec, frame_id=i, timestamp=i / FRAME_RATE_HZ).frame
+
+
 def _input_frames(args, cfg: PipelineConfig):
-    """Yield frames from a PCD directory or the configured synthetic scene."""
-    if args.input is not None:
-        paths = sorted(Path(args.input).glob("*.pcd"))
-        if not paths:
-            raise InputError(f"no .pcd files in {args.input}")
-        for i, path in enumerate(paths):
-            yield read_frame_pcd(path, frame_id=i, timestamp=i / FRAME_RATE_HZ)
-    else:
-        base = cfg.synth.rng_seed
-        for i in range(args.synth):
-            spec = replace(cfg.synth, rng_seed=base + i)
-            yield generate_frame(spec, frame_id=i, timestamp=i / FRAME_RATE_HZ).frame
+    """(count, lazy frames) from a PCD directory or the synthetic run."""
+    if args.input is None:
+        return args.synth, _synth_run(cfg, args.synth)
+    paths = sorted(Path(args.input).glob("*.pcd"))
+    if not paths:
+        raise InputError(f"no .pcd files in {args.input}")
+    return len(paths), (read_frame_pcd(path, frame_id=i, timestamp=i / FRAME_RATE_HZ)
+                        for i, path in enumerate(paths))
 
 
-def cmd_detect(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+def cmd_detect(args, cfg: PipelineConfig, out: Path) -> int:
     rows = []
-    for frame in _input_frames(args, cfg):
+    for frame in _input_frames(args, cfg)[1]:
         result = run_pipeline(frame, cfg)
         for est in result.obstacles:
             rows.append((frame.frame_id, frame.timestamp, est))
@@ -88,32 +89,23 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def cmd_synth(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+def cmd_synth(args, cfg: PipelineConfig, out: Path) -> int:
     if not cfg.synth.obstacles:
         print("note: synth scene has no obstacles; gt.csv will be empty",
               file=sys.stderr)
-    base = cfg.synth.rng_seed
-    gt_rows = []
-    for i in range(args.frames):
-        spec = replace(cfg.synth, rng_seed=base + i)
-        labeled = generate_frame(spec, frame_id=i, timestamp=i / FRAME_RATE_HZ)
-        write_frame_pcd(labeled.frame, out / _frame_name(i, args.frames, ".pcd"))
-        if spec.obstacles:
-            box = spec.obstacles[0]
-            gt_rows.append((i / FRAME_RATE_HZ, box.center_x, box.center_y))
+    times = []
+    for i, frame in enumerate(_synth_run(cfg, args.frames)):
+        write_frame_pcd(frame, out / _frame_name(i, args.frames, ".pcd"))
+        times.append(frame.timestamp)
     ev.write_csv(out / "gt.csv", ["t", "X", "Y"],
-                 [[repr(t), repr(float(x)), repr(float(y))] for t, x, y in gt_rows])
-    ev.write_csv(out / "ego.csv", ["t", "X", "Y", "psi"],
-                 [[repr(i / FRAME_RATE_HZ), "0.0", "0.0", "0.0"] for i in range(args.frames)])
+                 [[t, box.center_x, box.center_y]
+                  for t in times for box in cfg.synth.obstacles[:1]])
+    ev.write_csv(out / "ego.csv", ["t", "X", "Y", "psi"], [[t, 0.0, 0.0, 0.0] for t in times])
     print(f"wrote {args.frames} frames + gt.csv + ego.csv to {out}")
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+def cmd_eval(args, cfg: PipelineConfig, out: Path) -> int:
     est_rows = ev.read_obstacles_csv(args.estimates)
     gt_t, gt_x, gt_y = ev.read_ground_truth_csv(
         args.ground_truth, ref_lat=cfg.eval.ref_lat, ref_lon=cfg.eval.ref_lon)
@@ -134,24 +126,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+def cmd_bench(args, cfg: PipelineConfig, out: Path) -> int:
     report = bench(cfg, args.frames, seed=args.seed or 0)
     print(report.table())
     path = out / "bench.csv"
     ev.write_csv(path, ["stage", "mean_ms", "p95_ms"],
-                 [[stage, repr(mean_ms), repr(p95_ms)] for stage, mean_ms, p95_ms in report.rows]
-                 + [["achieved_hz", repr(report.achieved_hz), ""]])
+                 report.rows + [("achieved_hz", report.achieved_hz, None)])
     print(f"wrote {path}")
     return 0
 
 
-def cmd_bev_export(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
-    count = args.synth or len(list(Path(args.input).glob("*.pcd")))
-    for i, frame in enumerate(_input_frames(args, cfg)):
+def cmd_bev_export(args, cfg: PipelineConfig, out: Path) -> int:
+    count, frames = _input_frames(args, cfg)
+    for i, frame in enumerate(frames):
         _, _, levelled = front_half(frame, cfg)
         channels = extract_channels(levelled, cfg.bev)
         channels.save(out / _frame_name(i, count, ".bev"))
@@ -168,20 +155,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the commented default config and exit")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, pipeline=True):
+    def common(p, pipeline=True, frames=False):
         p.add_argument("--config", help="YAML config file")
         p.add_argument("--seed", type=int, help="override RNG seeds")
         p.add_argument("--out-dir", default="out", help="output directory")
         if pipeline:
             p.add_argument("--pipeline", choices=["geometric", "bev"],
                            help="override the configured pipeline")
+        if frames:
+            src = p.add_mutually_exclusive_group(required=True)
+            src.add_argument("--input", help="directory of ASCII .pcd frames")
+            src.add_argument("--synth", type=int, metavar="N",
+                             help="generate N synthetic frames instead")
 
     p = sub.add_parser("detect", help="run detection over frames")
-    common(p)
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--input", help="directory of ASCII .pcd frames")
-    src.add_argument("--synth", type=int, metavar="N",
-                     help="generate N synthetic frames instead")
+    common(p, frames=True)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("synth", help="write synthetic PCD frames + ground truth")
@@ -204,10 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("bev-export", help="write binary channel images")
-    common(p, pipeline=False)
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--input", help="directory of ASCII .pcd frames")
-    src.add_argument("--synth", type=int, metavar="N")
+    common(p, pipeline=False, frames=True)
     p.set_defaults(func=cmd_bev_export)
 
     return parser
@@ -223,7 +208,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        return args.func(args, _load_cfg(args), _out_dir(args))
     except LidarGridError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return 1

@@ -231,21 +231,20 @@ OBSTACLE_CSV_HEADER = ["frame_id", "t", "center_x", "center_y", "length",
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header line, then ``rows``, in the csv module's default dialect."""
+    """Write a header line, then ``rows``, in the csv module's default dialect:
+    None as an empty field, text as it is, any other value as repr(float(v))."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([v if isinstance(v, str) else "" if v is None else repr(float(v))
+                          for v in row] for row in rows)
 
 
 def write_obstacles_csv(path, rows) -> None:
     """Write (frame_id, t, ObstacleEstimate) triples to the flat schema."""
     write_csv(path, OBSTACLE_CSV_HEADER, ([
-        int(frame_id), repr(float(t)),
-        repr(float(est.center_x)), repr(float(est.center_y)),
-        repr(float(est.length)), repr(float(est.width)),
-        "" if est.height is None else repr(float(est.height)),
-        repr(float(est.confidence)), est.class_tag, repr(float(est.range)),
+        str(int(frame_id)), t, est.center_x, est.center_y, est.length, est.width,
+        est.height, est.confidence, est.class_tag, est.range,
     ] for frame_id, t, est in rows))
 
 
@@ -337,19 +336,16 @@ def evaluate_detections(estimate_rows, gt_t, gt_x, gt_y, ego_t, ego_x, ego_y,
 
 def write_offset_stats_csv(path, result: EvalResult) -> None:
     write_csv(path, ["axis", "delta", "sigma", "availability"], [
-        [axis, repr(stats.mean_offset), repr(stats.std), repr(stats.availability)]
+        [axis, stats.mean_offset, stats.std, stats.availability]
         for axis, stats in (("longitudinal", result.longitudinal),
                             ("lateral", result.lateral))])
 
 
 def write_dimension_stats_csv(path, dims: DimensionStats) -> None:
     write_csv(path, ["E_l", "sigma_l", "E_w", "sigma_w"], [[
-        repr(dims.mean_length), repr(dims.std_length),
-        repr(dims.mean_width), repr(dims.std_width)]])
+        dims.mean_length, dims.std_length, dims.mean_width, dims.std_width]])
 
 
 def write_comparison_csv(path, result: EvalResult) -> None:
-    write_csv(path, ["t", "x_loc_gt", "y_loc_gt", "x_loc_est", "y_loc_est"], [
-        [repr(t), repr(xg), repr(yg), "" if xe is None else repr(xe),
-         "" if ye is None else repr(ye)]
-        for t, xg, yg, xe, ye in result.comparison_rows])
+    write_csv(path, ["t", "x_loc_gt", "y_loc_gt", "x_loc_est", "y_loc_est"],
+              result.comparison_rows)

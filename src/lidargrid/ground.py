@@ -17,7 +17,7 @@ from .core import MAX_CELLS, LidarGridError, as_point_array
 
 
 class DegenerateInput(LidarGridError):
-    """Fewer than 3 points, all points collinear, or a scatter that overflows."""
+    """Fewer than 3 points, all points collinear, or coordinates too large to fit."""
 
     category = "degenerate-input"
 
@@ -134,12 +134,9 @@ def _count_inliers(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
 
 def _scatter(xyz: np.ndarray):
     """Centroid, ascending eigenvalues and eigenvectors of a (3, n) cloud's scatter."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        centroid = xyz.mean(axis=1)
-        centered = xyz - centroid[:, None]
-        scatter = np.einsum("in,jn->ij", centered, centered)
-    if not np.isfinite(scatter).all():
-        raise DegenerateInput("point coordinates too large to fit a plane")
+    centroid = xyz.mean(axis=1)
+    centered = xyz - centroid[:, None]
+    scatter = np.einsum("in,jn->ij", centered, centered)
     eigvals, eigvecs = np.linalg.eigh(scatter)
     return centroid, eigvals, eigvecs
 
@@ -156,14 +153,20 @@ def fit_plane_ransac(points, params: RansacParams = RansacParams()) -> PlaneMode
     on its inliers when that does not reduce the inlier count or violate
     the tilt limit.
 
-    Raises DegenerateInput for < 3 or collinear points, or coordinates
-    whose scatter overflows, and NoPlaneFound when the winner's inlier
-    ratio is below ``min_inlier_ratio``.
+    Raises DegenerateInput for < 3 or collinear points, or a coordinate
+    not strictly inside +-``float32 max / 4``, and NoPlaneFound when the
+    winner's inlier ratio is below ``min_inlier_ratio``.
     """
     xyz = np.ascontiguousarray(as_point_array(points)[:, :3].T)
     n = xyz.shape[1]
     if n < 3:
         raise DegenerateInput(f"plane fit needs >= 3 points, got {n}")
+    # a float32 distance sums three coordinate terms (together under
+    # sqrt(3) * bound for a unit normal) and an offset (the same), so it stays
+    # under 0.87 * float32 max; nor can the float64 scatter or cross products overflow
+    bound = np.finfo(np.float32).max / 4
+    if not (-bound < xyz.min() and xyz.max() < bound):
+        raise DegenerateInput("point coordinates too large to fit a plane")
     _, eigvals, _ = _scatter(xyz)
     if eigvals[1] <= 1e-12 * max(1.0, eigvals[2]):
         raise DegenerateInput("all points collinear")

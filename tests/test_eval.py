@@ -224,6 +224,14 @@ class TestCsvIo:
             else:
                 assert est2.height == pytest.approx(est.height, abs=1e-6)
 
+    def test_numbers_written_as_float_reprs(self, tmp_path):
+        # integer ids and values of any numeric type: the id as an integer,
+        # None as an empty field, every other number as repr(float(v))
+        est = ObstacleEstimate(center_x=10, center_y=0, length=5, width=2, height=None)
+        path = tmp_path / "obstacles.csv"
+        write_obstacles_csv(path, [(np.int64(3), 0, est)])
+        assert path.read_text().splitlines()[1] == "3,0.0,10.0,0.0,5.0,2.0,,1.0,unknown,10.0"
+
     @pytest.mark.parametrize("row", ["1,0.05,nan,0.0,5.0,2.0,,1.0,unknown,nan",
                                      "1,0.05,10.0,0.0,5.0,2.0,nan,1.0,unknown,10.0"])
     def test_non_finite_center_or_height_is_schema_error(self, tmp_path, row):

@@ -66,9 +66,10 @@ class TestFitPlane:
         with pytest.raises(DegenerateInput):
             fit_plane_ransac(pts)
 
-    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e308])
+    @pytest.mark.parametrize("scale", [1e39, 1e50, 1e100, 1e150, 1e160, 1e200, 1e308])
     def test_coordinates_too_large_degenerate(self, scale):
-        # their scatter overflows to inf, which eigh cannot take
+        # past float32 max / 4 the float32 scoring casts overflow (1e39), the
+        # candidate normals' norms (1e150) and the scatter (1e160) overflow
         rng = np.random.default_rng(5)
         pts = np.column_stack([scale * rng.uniform(-1, 1, (500, 2)), rng.uniform(-1, 1, 500)])
         with warnings.catch_warnings():

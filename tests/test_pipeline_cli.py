@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+import lidargrid.cli
 import lidargrid.pipeline as pipeline
 from helpers import band_then_crop_counts
 from lidargrid.cli import main
@@ -389,6 +390,7 @@ class TestCli:
         assert lines[0] == "stage,mean_ms,p95_ms"
         stages = [line.split(",")[0] for line in lines[1:]]
         assert stages == list(GEOMETRIC_STAGES) + ["total", "achieved_hz"]
+        assert lines[-1].split(",")[2] == ""  # achieved_hz has no p95
 
     def test_bev_export(self, tmp_path):
         out_dir = tmp_path / "bev"
@@ -413,17 +415,21 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error[no-plane]")
         assert [p.name for p in out_dir.glob("*.bev")] == ["frame_0000.bev"]
 
-    @pytest.mark.parametrize("argv", [
-        ["detect", "--input", "{scene}"],
-        ["detect", "--input", "{scene}", "--pipeline", "bev"],
-        ["bev-export", "--input", "{scene}"],
-        ["detect", "--synth", "1", "--config", "{config}"],
-    ], ids=["detect", "detect-bev", "bev-export", "synth-noise"])
-    def test_huge_coordinates_are_degenerate_input(self, tmp_path, capsys, argv):
+    # past float32 max / 4: at 1e50 the fit's float32 scoring cast overflows,
+    # at 1e150 the candidate normals' norms, at 1e200 the scatter
+    @pytest.mark.parametrize("argv, scale", [
+        pytest.param(argv, scale, id=name if scale == 1e200 else f"{name}-{scale:g}")
+        for scale in (1e200, 1e50, 1e150)
+        for name, argv in (("detect", ["detect", "--input", "{scene}"]),
+                           ("detect-bev", ["detect", "--input", "{scene}", "--pipeline", "bev"]),
+                           ("bev-export", ["bev-export", "--input", "{scene}"]))
+    ] + [pytest.param(["detect", "--synth", "1", "--config", "{config}"], 1e200,
+                      id="synth-noise")])
+    def test_huge_coordinates_are_degenerate_input(self, tmp_path, capsys, argv, scale):
         scene = tmp_path / "scene"
         scene.mkdir()
         rng = np.random.default_rng(0)
-        points = np.column_stack([rng.uniform(-1, 1, (50, 2)) * 1e200,
+        points = np.column_stack([rng.uniform(-1, 1, (50, 2)) * scale,
                                   rng.uniform(-1, 1, 50), np.zeros(50)])
         write_frame_pcd(PointCloudFrame(points), scene / "frame_0000.pcd")
         config = tmp_path / "noise.yaml"
@@ -435,6 +441,33 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error[degenerate-input]: point coordinates")
         assert caught == []
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["synth", "--frames", "2"], {"generate_frame": 2, "write_frame_pcd": 2}),
+        (["detect", "--synth", "2"], {"generate_frame": 2}),
+        (["detect", "--input", "{scene}"], {"read_frame_pcd": 2}),
+        (["bev-export", "--synth", "1"], {"generate_frame": 1}),
+        (["bev-export", "--input", "{scene}"], {"read_frame_pcd": 2}),
+    ], ids=["synth", "detect-synth", "detect-input", "bev-export-synth", "bev-export-input"])
+    def test_frames_made_through_the_cli_module_names(self, tmp_path, monkeypatch,
+                                                      argv, calls):
+        # the benchmark traces these calls by wrapping the names in lidargrid.cli
+        scene = tmp_path / "scene"
+        assert main(["synth", "--frames", "2", "--out-dir", str(scene)]) == 0
+        counts = dict.fromkeys(("generate_frame", "read_frame_pcd", "write_frame_pcd"), 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(f"lidargrid.cli.{name}",
+                                counting(name, getattr(lidargrid.cli, name)))
+        argv = [a.format(scene=scene) for a in argv]
+        assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 0
+        assert counts == {**dict.fromkeys(counts, 0), **calls}
 
     def test_module_error_exit_code_and_category(self, tmp_path, capsys):
         missing = tmp_path / "empty"
@@ -706,8 +739,8 @@ class TestCli:
             "error[schema]: frame 0 has two timestamps, 0.0 and 0.05")
 
     def test_synth_names_sort_in_frame_order_past_9999(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("lidargrid.cli.generate_frame",
-                            lambda spec, frame_id, timestamp: SimpleNamespace(frame=None))
+        monkeypatch.setattr("lidargrid.cli.generate_frame", lambda spec, frame_id, timestamp:
+                            SimpleNamespace(frame=SimpleNamespace(timestamp=timestamp)))
         monkeypatch.setattr("lidargrid.cli.write_frame_pcd", lambda frame, path: path.touch())
         assert main(["synth", "--frames", "10001", "--out-dir", str(tmp_path)]) == 0
         order = [int(p.stem.removeprefix("frame_")) for p in sorted(tmp_path.glob("*.pcd"))]
