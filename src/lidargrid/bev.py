@@ -41,12 +41,12 @@ class BevConfig:
     range: float = 30.0
 
     def __post_init__(self):
-        if self.image_size < 1:
+        if not self.image_size >= 1:
             raise ValueError("image_size must be >= 1")
         if self.image_size ** 2 > MAX_CELLS:
             raise ValueError(f"image_size {self.image_size} gives more than {MAX_CELLS} cells")
-        if self.range <= 0.0:
-            raise ValueError("range must be > 0")
+        if not 0.0 < self.range < math.inf:
+            raise ValueError("range must be > 0 and finite")
 
     @property
     def cell_size(self) -> float:

@@ -1,6 +1,8 @@
 """Pipeline configuration: one YAML tree with a section per module.
 
-The dataclasses are the only place that holds a default.  ``_build``
+The dataclasses are the only place that holds a default, and their
+``__post_init__`` the only place that checks a value, NaN and infinity
+included, so YAML and the Python API refuse the same values.  ``_build``
 walks their fields to read a YAML mapping, and ``default_config_yaml``
 walks ``PipelineConfig()`` with the same fields to write the commented
 template, so the template always loads back to ``PipelineConfig()``.
@@ -30,7 +32,7 @@ class ClusterParams:
     def __post_init__(self):
         if self.connectivity not in (4, 8):
             raise ValueError("connectivity must be 4 or 8")
-        if self.min_cells < 1:
+        if not self.min_cells >= 1:
             raise ValueError("min_cells must be >= 1")
 
 
@@ -53,8 +55,11 @@ class EvalParams:
     ref_lon: float | None = None
 
     def __post_init__(self):
-        if not self.gate > 0.0:
-            raise ValueError("gate must be > 0")
+        if not 0.0 < self.gate < math.inf:
+            raise ValueError("gate must be > 0 and finite")
+        refs = [v for v in (self.ref_lat, self.ref_lon) if v is not None]
+        if not all(map(math.isfinite, (self.lever_arm_x, self.lever_arm_y, *refs))):
+            raise ValueError("lever arm and geodetic reference must be finite")
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,7 @@ class PipelineConfig:
     def __post_init__(self):
         if self.pipeline not in ("geometric", "bev"):
             raise ValueError("pipeline must be 'geometric' or 'bev'")
-        if self.kernel_radius < 1:
+        if not self.kernel_radius >= 1:
             raise ValueError("kernel_radius must be >= 1")
         if 2 * self.kernel_radius + 1 > min(self.grid.nx, self.grid.ny):
             raise ValueError(f"kernel_radius {self.kernel_radius} is too wide for the "
@@ -112,15 +117,6 @@ _NOTES = {
 }
 
 
-def _check_finite(name, value) -> None:
-    """Raise ValueError on a NaN or infinite float anywhere in ``value``."""
-    if isinstance(value, (list, tuple)):
-        for v in value:
-            _check_finite(name, v)
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-
-
 def _holds_bool(value) -> bool:
     """True for a YAML boolean, also inside a list."""
     if isinstance(value, (list, tuple)):
@@ -134,9 +130,9 @@ def _build(cls, mapping):
     Sections recurse, lists become tuples and scalars are coerced through
     the type of their default; a field with no default (a box centre)
     takes a float, as does one whose None default means "unset"
-    (``ref_lat``) unless given None.  A NaN or infinite float is rejected,
-    and so is a boolean: no field is one, and ``int(True)`` would read it
-    as 1.
+    (``ref_lat``) unless given None.  A boolean is rejected: no field is
+    one, and ``int(True)`` would read it as 1.  These are the rules of
+    reading YAML; the values themselves are checked by the dataclasses.
     """
     if not isinstance(mapping, dict):
         raise ValueError(f"{cls.__name__} section is not a mapping: {mapping!r}")
@@ -166,9 +162,8 @@ def _build(cls, mapping):
             kind = float if default is None or default is MISSING else type(default)
             try:
                 data[name] = kind(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{name}: {exc}") from exc
-        _check_finite(name, data[name])
     return cls(**data)
 
 
@@ -180,7 +175,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
     """
     try:
         return _build(PipelineConfig, data or {})
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

@@ -39,13 +39,13 @@ class GridConfig:
     z_max: float = 3.0
 
     def __post_init__(self):
-        if self.cell_size <= 0.0:
-            raise ValueError("cell_size must be > 0")
-        if self.x_max <= self.x_min or self.y_max <= self.y_min:
+        if not 0.0 < self.cell_size < math.inf:
+            raise ValueError("cell_size must be > 0 and finite")
+        if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("grid extent must be non-empty")
-        if self.z_max <= self.z_min:
-            raise ValueError("z_max must be > z_min")
-        # each side first, so that a side too long to count is rejected too
+        if not -math.inf < self.z_min < self.z_max < math.inf:
+            raise ValueError("z_max must be > z_min, both finite")
+        # each side first, so that a side too long (or infinite) to count is rejected too
         sides = ((self.x_max - self.x_min) / self.cell_size,
                  (self.y_max - self.y_min) / self.cell_size)
         if max(sides) > MAX_CELLS or self.nx * self.ny > MAX_CELLS:
@@ -107,9 +107,9 @@ class ThresholdProfile:
             raise ValueError("count thresholds must be whole numbers")
         if not bps or bps[0][0] != 0.0:
             raise ValueError("first breakpoint must start at range 0")
-        starts = [r for r, _ in bps]
+        starts = [r for r, _ in bps] + [math.inf]
         if not all(b > a for a, b in zip(starts, starts[1:])):  # NaN fails too
-            raise ValueError("breakpoint ranges must be strictly increasing")
+            raise ValueError("breakpoint ranges must be strictly increasing and finite")
         counts = [c for _, c in bps]
         if any(c < 1 for c in counts):
             raise ValueError("count thresholds must be >= 1")

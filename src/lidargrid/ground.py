@@ -39,13 +39,13 @@ class RansacParams:
     def __post_init__(self):
         if not 1 <= self.max_iterations <= MAX_CELLS:
             raise ValueError(f"max_iterations must be in [1, {MAX_CELLS}]")
-        if self.distance_threshold <= 0.0:
-            raise ValueError("distance_threshold must be > 0")
+        if not 0.0 < self.distance_threshold < math.inf:
+            raise ValueError("distance_threshold must be > 0 and finite")
         if not 0.0 <= self.min_inlier_ratio <= 1.0:
             raise ValueError("min_inlier_ratio outside [0, 1]")
         if not 0.0 <= self.max_plane_tilt <= math.pi / 2:
             raise ValueError("max_plane_tilt outside [0, pi/2]")
-        if self.rng_seed < 0:
+        if not self.rng_seed >= 0:
             raise ValueError("rng_seed must be >= 0")
 
 
@@ -61,10 +61,12 @@ class PlaneModel:
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float).reshape(3)
         norm = float(np.linalg.norm(n))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"normal must be unit length, |n| = {norm}")
-        if n[2] <= 0.0:
+        if not n[2] > 0.0:
             raise ValueError("normal must point upward (n.z > 0)")
+        if not math.isfinite(self.offset):
+            raise ValueError(f"offset must be finite, got {self.offset}")
         object.__setattr__(self, "normal", n)
 
     def signed_distance(self, points) -> np.ndarray:

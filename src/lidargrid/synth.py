@@ -46,8 +46,10 @@ class BoxSpec:
     clearance: float = 0.3
 
     def __post_init__(self):
-        if min(self.length, self.width, self.height) <= 0.0:
-            raise ValueError("box dimensions must be > 0")
+        if not all(0.0 < v < math.inf for v in (self.length, self.width, self.height)):
+            raise ValueError("box dimensions must be > 0 and finite")
+        if not all(map(math.isfinite, (self.center_x, self.center_y, self.yaw, self.clearance))):
+            raise ValueError("box center, yaw and clearance must be finite")
 
 
 @dataclass(frozen=True)
@@ -71,23 +73,26 @@ class SceneSpec:
     obstacle_density: float = 150.0
 
     def __post_init__(self):
-        if self.beam_count < 1:
+        if not self.beam_count >= 1:
             raise ValueError("beam_count must be >= 1")
-        if self.azimuth_resolution_deg <= 0.0:
-            raise ValueError("azimuth_resolution_deg must be > 0")
+        if not 0.0 < self.azimuth_resolution_deg < math.inf:
+            raise ValueError("azimuth_resolution_deg must be > 0 and finite")
         per_beam = 360.0 / self.azimuth_resolution_deg  # float: it may not fit an int
         if self.beam_count > MAX_CELLS or self.beam_count * per_beam > MAX_CELLS:
             raise ValueError(f"the scan has more than {MAX_CELLS} rays")
         fov = tuple(self.vertical_fov_deg)
         if len(fov) != 2 or not all(isinstance(v, Real) and math.isfinite(v) for v in fov):
             raise ValueError(f"vertical_fov_deg must be two finite numbers, got {fov}")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.obstacle_density < 0.0:
-            raise ValueError("obstacle_density must be >= 0")
-        if self.max_range <= 0.0:
-            raise ValueError("max_range must be > 0")
-        if self.rng_seed < 0:
+        object.__setattr__(self, "vertical_fov_deg", fov)
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be >= 0 and finite")
+        if not 0.0 <= self.obstacle_density < math.inf:
+            raise ValueError("obstacle_density must be >= 0 and finite")
+        if not 0.0 < self.max_range < math.inf:
+            raise ValueError("max_range must be > 0 and finite")
+        if not all(map(math.isfinite, (self.ground_slope, self.sensor_height))):
+            raise ValueError("ground_slope and sensor_height must be finite")
+        if not self.rng_seed >= 0:
             raise ValueError("rng_seed must be >= 0")
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         if any(self.obstacle_density * b.length * b.width > MAX_CELLS for b in self.obstacles):
@@ -215,12 +220,15 @@ def _may_enter(box: BoxSpec, dirs: np.ndarray) -> np.ndarray:
             & (cross * cross <= radius * radius * (hx * hx + hy * hy)))
 
 
-def _entry_t(spec: SceneSpec, box: BoxSpec, dirs: np.ndarray) -> np.ndarray:
-    """``_box_entry_t``, slab-testing only the directions that may enter."""
+def _nearest_entry_t(spec: SceneSpec, boxes, dirs: np.ndarray) -> np.ndarray:
+    """Ray parameter of the first entry into any of ``boxes``, +inf where
+    none is entered: the minimum of ``_box_entry_t`` over the boxes, each
+    slab-testing only the directions that may enter it."""
     t = np.full(dirs.shape[0], np.inf)
-    rows = np.flatnonzero(_may_enter(box, dirs))
-    if rows.size:
-        t[rows] = _box_entry_t(spec, box, dirs[rows])
+    for box in boxes:
+        rows = np.flatnonzero(_may_enter(box, dirs))
+        if rows.size:
+            t[rows] = np.minimum(t[rows], _box_entry_t(spec, box, dirs[rows]))
     return t
 
 
@@ -246,14 +254,10 @@ def generate_frame(spec: SceneSpec, frame_id: int = 0,
     output never exceeds one return per sensor ray.
     """
     rng = np.random.default_rng(spec.rng_seed)
-    dirs, t_ground = _scan(spec.beam_count, tuple(spec.vertical_fov_deg),
+    dirs, t_ground = _scan(spec.beam_count, spec.vertical_fov_deg,
                            spec.azimuth_resolution_deg, spec.ground_slope,
                            spec.sensor_height, spec.max_range)
-    blocked = np.zeros(t_ground.size, dtype=bool)
-    for box in spec.obstacles:
-        blocked |= _entry_t(spec, box, dirs) < t_ground
-
-    ground_mask = ~blocked
+    ground_mask = _nearest_entry_t(spec, spec.obstacles, dirs) >= t_ground
     t_hit = np.compress(ground_mask, t_ground)
     t_hit += rng.normal(0.0, spec.noise_sigma, size=t_hit.size)
     box_pts = []
@@ -265,11 +269,9 @@ def generate_frame(spec: SceneSpec, frame_id: int = 0,
         keep = (dist > 1e-9) & (dist <= spec.max_range)
         pts, dist = np.compress(keep, pts, axis=0), np.compress(keep, dist)
         pdirs = pts / dist[:, None]
-        visible = _ground_hit_t(spec, pdirs) >= dist - 1e-9
-        for j, other in enumerate(spec.obstacles):
-            if j == b:
-                continue
-            visible &= _entry_t(spec, other, pdirs) >= dist - 1e-9
+        others = spec.obstacles[:b] + spec.obstacles[b + 1:]
+        visible = np.minimum(_ground_hit_t(spec, pdirs),
+                             _nearest_entry_t(spec, others, pdirs)) >= dist - 1e-9
         pts, pdirs = np.compress(visible, pts, axis=0), np.compress(visible, pdirs, axis=0)
         pts += pdirs * rng.normal(0.0, spec.noise_sigma, size=pts.shape[0])[:, None]
         box_pts.append(pts)

@@ -347,6 +347,19 @@ class TestSampleTriples:
         assert chi2 < 98.32, f"chi-square {chi2:.1f} over 60 triples"
 
 
+class TestPlaneModel:
+    @pytest.mark.parametrize("normal, offset", [
+        ([0.0, 0.0, math.nan], 0.0), ([math.nan, 0.0, 1.0], 0.0),
+        ([0.0, 0.0, 1.0], math.nan), ([0.0, 0.0, 1.0], math.inf),
+        ([0.0, 0.0, 1.0], -math.inf),
+    ])
+    def test_non_finite_plane_rejected(self, normal, offset):
+        # a NaN normal or offset made every signed distance NaN
+        with pytest.raises(ValueError):
+            PlaneModel(normal=np.array(normal), offset=offset, inlier_count=1,
+                       inlier_ratio=1.0)
+
+
 class TestSplitGround:
     def test_points_on_plane_all_ground(self):
         plane = PlaneModel(normal=np.array([0.0, 0, 1]), offset=0.0,

@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,6 +42,40 @@ SLOPES_DEG = (0.0, 2.0, 4.0, 6.0)
 
 def van_scene(seed=0, **kwargs):
     return SceneSpec(obstacles=(VAN,), rng_seed=seed, **kwargs)
+
+
+def number_paths(node, kind, path=(), declared=""):
+    """Paths of the ``kind`` (float or int) numbers in a config tree: every
+    field declared ``kind`` (an unset ``ref_lat`` included) and every such
+    number in a tuple (a box's fields, a breakpoint's start or count)."""
+    if is_dataclass(node):
+        for f in fields(node):
+            yield from number_paths(getattr(node, f.name), kind, path + (f.name,),
+                                    str(f.type))
+    elif isinstance(node, tuple):
+        for i, item in enumerate(node):
+            yield from number_paths(item, kind, path + (i,))
+    elif type(node) is kind or declared in (kind.__name__, f"{kind.__name__} | None"):
+        yield path
+
+
+# every float NaN and +-inf, every whole number NaN
+NON_FINITE = ([(path, bad) for path in number_paths(PipelineConfig(), float)
+               for bad in (math.nan, math.inf, -math.inf)]
+              + [(path, math.nan) for path in number_paths(PipelineConfig(), int)])
+
+
+def set_path(node, path, value):
+    """A copy of a dataclass, dict or tuple tree with ``value`` at ``path``;
+    each dataclass on the way is built again, so its checks run."""
+    if not path:
+        return value
+    key, rest = path[0], path[1:]
+    if isinstance(node, tuple):
+        return node[:key] + (set_path(node[key], rest, value),) + node[key + 1:]
+    if isinstance(node, dict):
+        return {**node, key: set_path(node[key], rest, value)}
+    return replace(node, **{key: set_path(getattr(node, key), rest, value)})
 
 
 class TestRunGeometric:
@@ -277,6 +311,18 @@ class TestConfig:
 
     def test_empty_dict_gives_defaults(self):
         assert config_from_dict({}) == PipelineConfig()
+
+    def test_plain_dict_of_the_config_loads_back(self):
+        assert config_from_dict(asdict(PipelineConfig())) == PipelineConfig()
+
+    @pytest.mark.parametrize("path, bad", NON_FINITE, ids=[
+        ".".join(map(str, path)) + f"={bad}" for path, bad in NON_FINITE])
+    def test_non_finite_number_rejected_by_its_class_and_by_yaml(self, path, bad):
+        # the constructor is the one check: the Python API and YAML agree
+        with pytest.raises(ValueError):
+            set_path(PipelineConfig(), path, bad)
+        with pytest.raises(ConfigError):
+            config_from_dict(set_path(asdict(PipelineConfig()), path, bad))
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
@@ -542,6 +588,9 @@ class TestCli:
         "synth: {obstacles: [{center_x: [10], center_y: 0}]}",
         "eval: {ref_lat: abc}",
         "eval: {ref_lon: [9, 10]}",
+        "profile: {breakpoints: [[0, .inf]]}",
+        "grid: {cell_size: 1" + "0" * 400 + "}",
+        "profile: {breakpoints: [[0, 1" + "0" * 400 + "]]}",
     ], ids=["negative-cell-size", "section-not-a-mapping",
             "bad-connectivity", "yaml-syntax", "fractional-count", "nan-cell-size",
             "infinite-extent", "negative-noise", "nan-breakpoint", "nan-breakpoint-string",
@@ -556,7 +605,8 @@ class TestCli:
             "fov-read-as-strings", "fractional-breakpoint-count", "ground-z-is-unknown-key",
             "ransac-iterations-over-cap", "synth-beams", "synth-beams-1e29", "synth-azimuths",
             "synth-azimuths-1e-300", "box-samples-over-cap", "box-center-string",
-            "box-center-null", "box-center-list", "ref-lat-string", "ref-lon-list"])
+            "box-center-null", "box-center-list", "ref-lat-string", "ref-lon-list",
+            "infinite-breakpoint-count", "cell-size-past-float", "breakpoint-count-past-float"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(text + "\n")

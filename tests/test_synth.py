@@ -13,8 +13,8 @@ from lidargrid.synth import (
     BoxSpec,
     SceneSpec,
     _box_entry_t,
-    _entry_t,
     _may_enter,
+    _nearest_entry_t,
     _ray_directions,
     _scan,
     expected_obstacles,
@@ -204,6 +204,11 @@ class TestScanCache:
         assert _frame_bytes(generate_frame(spec)) == _frame_bytes(
             generate_frame(replace(spec, vertical_fov_deg=(-15.0, 15.0))))
 
+    def test_list_field_of_view_is_stored_as_a_tuple(self):
+        spec = SceneSpec(vertical_fov_deg=[-15.0, 15.0])
+        assert spec.vertical_fov_deg == (-15.0, 15.0)
+        assert spec == SceneSpec() and hash(spec) == hash(SceneSpec())
+
     def test_slope_sequence_matches_all_rays_generator(self):
         box = BoxSpec(center_x=12.0, center_y=-3.0, yaw=0.4)
         obstacles = (box, replace(box, center_x=18.0, center_y=2.0), self.VAN)
@@ -361,4 +366,4 @@ class TestCulledRayTests:
         enters = np.isfinite(entry)
         assert enters.any()
         assert _may_enter(box, dirs)[enters].all()
-        np.testing.assert_array_equal(_entry_t(spec, box, dirs), entry)
+        np.testing.assert_array_equal(_nearest_entry_t(spec, (box,), dirs), entry)
