@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MAX_CELLS, GeometryMismatch, ObstacleEstimate, as_point_array
+from .core import MAX_CELLS, GeometryMismatch, ObstacleEstimate, as_point_array, check_whole
 # label_components is not called here, but perfbench/tracing.py wraps it
 # under this module's name
 from .cluster import (_component_runs, component_ids, footprints,
@@ -41,8 +41,7 @@ class BevConfig:
     range: float = 30.0
 
     def __post_init__(self):
-        if not self.image_size >= 1:
-            raise ValueError("image_size must be >= 1")
+        check_whole("image_size", self.image_size, 1)
         if self.image_size ** 2 > MAX_CELLS:
             raise ValueError(f"image_size {self.image_size} gives more than {MAX_CELLS} cells")
         if not 0.0 < self.range < math.inf:

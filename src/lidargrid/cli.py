@@ -39,8 +39,7 @@ def _load_cfg(args) -> PipelineConfig:
     if getattr(args, "pipeline", None):
         cfg = replace(cfg, pipeline=args.pipeline)
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg,
-                      ransac=replace(cfg.ransac, rng_seed=args.seed),
+        cfg = replace(cfg, ransac=replace(cfg.ransac, rng_seed=args.seed),
                       synth=replace(cfg.synth, rng_seed=args.seed))
     return cfg
 
@@ -127,7 +126,7 @@ def cmd_eval(args, cfg: PipelineConfig, out: Path) -> int:
 
 
 def cmd_bench(args, cfg: PipelineConfig, out: Path) -> int:
-    report = bench(cfg, args.frames, seed=args.seed or 0)
+    report = bench(cfg, args.frames, seed=cfg.synth.rng_seed)
     print(report.table())
     path = out / "bench.csv"
     ev.write_csv(path, ["stage", "mean_ms", "p95_ms"],
@@ -155,9 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the commented default config and exit")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, pipeline=True, frames=False):
+    def common(p, pipeline=True, frames=False, seed=True):
         p.add_argument("--config", help="YAML config file")
-        p.add_argument("--seed", type=int, help="override RNG seeds")
+        if seed:
+            p.add_argument("--seed", type=int, help="override RNG seeds")
         p.add_argument("--out-dir", default="out", help="output directory")
         if pipeline:
             p.add_argument("--pipeline", choices=["geometric", "bev"],
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("eval", help="score estimates against ground truth")
-    common(p, pipeline=False)
+    common(p, pipeline=False, seed=False)  # scoring draws no random number
     p.add_argument("--estimates", required=True, help="obstacles CSV")
     p.add_argument("--ground-truth", required=True, help="t,lat,lon or t,X,Y CSV")
     p.add_argument("--ego", required=True, help="t,X,Y,psi CSV")

@@ -1,11 +1,11 @@
 """Pipeline configuration: one YAML tree with a section per module.
 
 The dataclasses are the only place that holds a default, and their
-``__post_init__`` the only place that checks a value, NaN and infinity
-included, so YAML and the Python API refuse the same values.  ``_build``
-walks their fields to read a YAML mapping, and ``default_config_yaml``
-walks ``PipelineConfig()`` with the same fields to write the commented
-template, so the template always loads back to ``PipelineConfig()``.
+``__post_init__`` the only place that checks a value (a NaN, an infinity
+or a fractional count too), so YAML and the Python API refuse the same
+values.  ``_build`` walks their fields to read a YAML mapping, and
+``default_config_yaml`` walks ``PipelineConfig()`` to write the
+commented template, so the template always loads back to it.
 Angles named in ``_DEGREES`` are radians in the dataclasses and appear
 in YAML as ``<name>_deg`` keys.
 """
@@ -18,7 +18,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 import yaml
 
 from .bev import BevConfig
-from .core import ConfigError
+from .core import ConfigError, check_whole
 from .grid import GridConfig, ThresholdProfile
 from .ground import RansacParams
 from .synth import BoxSpec, SceneSpec
@@ -32,8 +32,7 @@ class ClusterParams:
     def __post_init__(self):
         if self.connectivity not in (4, 8):
             raise ValueError("connectivity must be 4 or 8")
-        if not self.min_cells >= 1:
-            raise ValueError("min_cells must be >= 1")
+        check_whole("min_cells", self.min_cells, 1)
 
 
 @dataclass(frozen=True)
@@ -80,8 +79,7 @@ class PipelineConfig:
     def __post_init__(self):
         if self.pipeline not in ("geometric", "bev"):
             raise ValueError("pipeline must be 'geometric' or 'bev'")
-        if not self.kernel_radius >= 1:
-            raise ValueError("kernel_radius must be >= 1")
+        check_whole("kernel_radius", self.kernel_radius, 1)
         if 2 * self.kernel_radius + 1 > min(self.grid.nx, self.grid.ny):
             raise ValueError(f"kernel_radius {self.kernel_radius} is too wide for the "
                              f"{self.grid.nx} x {self.grid.ny} grid: its opening clears every cell")
@@ -128,11 +126,12 @@ def _build(cls, mapping):
     """Build ``cls`` from a YAML mapping; keys not given keep their defaults.
 
     Sections recurse, lists become tuples and scalars are coerced through
-    the type of their default; a field with no default (a box centre)
+    the type of their default, but a fraction given for a count is left
+    for its class to refuse; a field with no default (a box centre)
     takes a float, as does one whose None default means "unset"
-    (``ref_lat``) unless given None.  A boolean is rejected: no field is
-    one, and ``int(True)`` would read it as 1.  These are the rules of
-    reading YAML; the values themselves are checked by the dataclasses.
+    (``ref_lat``) unless given None.  A boolean is rejected (``int(True)``
+    would read it as 1), and so is an angle under both its keys.  These
+    are the rules of reading YAML; the dataclasses check the values.
     """
     if not isinstance(mapping, dict):
         raise ValueError(f"{cls.__name__} section is not a mapping: {mapping!r}")
@@ -140,6 +139,8 @@ def _build(cls, mapping):
     data = dict(mapping)
     for name in _DEGREES:
         if name in known and f"{name}_deg" in data:
+            if name in data:
+                raise ValueError(f"give {name} or {name}_deg, not both")
             data[name] = math.radians(data.pop(f"{name}_deg"))
     unknown = set(data) - set(known)
     if unknown:
@@ -155,9 +156,8 @@ def _build(cls, mapping):
             data[name] = tuple(_build(BoxSpec, box) for box in value)
         elif is_dataclass(default):
             data[name] = _build(type(default), value)
-        elif (isinstance(default, int) and isinstance(value, float)
-              and not value.is_integer()):
-            raise ValueError(f"{name} must be a whole number, got {value}")
+        elif isinstance(default, int) and isinstance(value, float):
+            data[name] = int(value) if value.is_integer() else value
         elif value is not None or default is not None:
             kind = float if default is None or default is MISSING else type(default)
             try:

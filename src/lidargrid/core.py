@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -17,6 +18,12 @@ import numpy as np
 # 40,000 and 451,584 cells; at the cap the BEV export's six float32
 # planes take 805 MB.
 MAX_CELLS = 2 ** 25
+
+
+def check_whole(name: str, value, low: int = 0, high: float = math.inf) -> None:
+    """Refuse all but an integer in [low, high]: a bool, a fraction, a NaN or an inf."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value <= high:
+        raise ValueError(f"{name} must be a whole number in [{low}, {high}], got {value!r}")
 
 
 class LidarGridError(Exception):
@@ -136,7 +143,7 @@ class ObstacleEstimate:
         r = math.hypot(self.center_x, self.center_y)
         if self.range is None:
             object.__setattr__(self, "range", r)
-        elif abs(self.range - r) > 1e-9:
+        elif not abs(self.range - r) <= 1e-9:  # NaN fails too
             raise ValueError(f"range {self.range} inconsistent with center ({r})")
 
 

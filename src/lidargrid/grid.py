@@ -14,12 +14,13 @@ cell (``cell_index``, shared with the BEV raster).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import MAX_CELLS, as_point_array
+from .core import MAX_CELLS, as_point_array, check_whole
 
 
 @dataclass(frozen=True)
@@ -102,18 +103,17 @@ class ThresholdProfile:
     breakpoints: tuple = ((0.0, 5), (10.0, 3), (20.0, 2))
 
     def __post_init__(self):
-        bps = tuple((float(r), int(c)) for r, c in self.breakpoints)
-        if any(float(c) != n for (_, c), (_, n) in zip(self.breakpoints, bps)):
-            raise ValueError("count thresholds must be whole numbers")
+        # YAML lists arrive unconverted, so a count of 5.0 or "5" reads as 5
+        bps = tuple((float(r), int(c) if isinstance(c, (float, str)) and float(c).is_integer()
+                     else c) for r, c in self.breakpoints)
         if not bps or bps[0][0] != 0.0:
             raise ValueError("first breakpoint must start at range 0")
         starts = [r for r, _ in bps] + [math.inf]
         if not all(b > a for a, b in zip(starts, starts[1:])):  # NaN fails too
             raise ValueError("breakpoint ranges must be strictly increasing and finite")
-        counts = [c for _, c in bps]
-        if any(c < 1 for c in counts):
-            raise ValueError("count thresholds must be >= 1")
-        if any(b > a for a, b in zip(counts, counts[1:])):
+        for _, c in bps:  # a count must fit a float, so 10**400 is refused
+            check_whole("count thresholds", c, 1, sys.float_info.max)
+        if any(b > a for (_, a), (_, b) in zip(bps, bps[1:])):
             raise ValueError("count thresholds must be non-increasing with range")
         object.__setattr__(self, "breakpoints", bps)
 
@@ -168,8 +168,7 @@ def _fold_square(grid: OccupancyGrid, kernel_radius: int, fold) -> OccupancyGrid
     free: the r cells at each end of a line have a partner off the grid,
     so they are folded with False.
     """
-    if kernel_radius < 1:
-        raise ValueError("kernel_radius must be >= 1")
+    check_whole("kernel_radius", kernel_radius, 1)
     r = kernel_radius
     out = grid.cells
     for axis in (1, 0):

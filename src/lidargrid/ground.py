@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_CELLS, LidarGridError, as_point_array
+from .core import MAX_CELLS, LidarGridError, as_point_array, check_whole
 
 
 class DegenerateInput(LidarGridError):
@@ -37,16 +37,14 @@ class RansacParams:
     max_plane_tilt: float = math.radians(15.0)
 
     def __post_init__(self):
-        if not 1 <= self.max_iterations <= MAX_CELLS:
-            raise ValueError(f"max_iterations must be in [1, {MAX_CELLS}]")
+        check_whole("max_iterations", self.max_iterations, 1, MAX_CELLS)
         if not 0.0 < self.distance_threshold < math.inf:
             raise ValueError("distance_threshold must be > 0 and finite")
         if not 0.0 <= self.min_inlier_ratio <= 1.0:
             raise ValueError("min_inlier_ratio outside [0, 1]")
         if not 0.0 <= self.max_plane_tilt <= math.pi / 2:
             raise ValueError("max_plane_tilt outside [0, pi/2]")
-        if not self.rng_seed >= 0:
-            raise ValueError("rng_seed must be >= 0")
+        check_whole("rng_seed", self.rng_seed)
 
 
 @dataclass(frozen=True, eq=False)

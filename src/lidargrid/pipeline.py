@@ -19,7 +19,7 @@ import numpy as np
 from . import bev as bev_mod
 from .cluster import extract_obstacles, label_components
 from .config import PipelineConfig
-from .core import ConfigError, ObstacleEstimate, PointCloudFrame, ValidatedFrame, validate_frame
+from .core import ObstacleEstimate, PointCloudFrame, ValidatedFrame, check_whole, validate_frame
 from .grid import morph_open_close, occupancy_from_counts, project_to_grid
 # split_ground is not called here, but perfbench/tracing.py wraps it
 # under this module's name
@@ -177,8 +177,7 @@ def bench(cfg: PipelineConfig, n_frames: int, seed: int = 0) -> BenchReport:
     follow the route's laps, then ``total`` (each frame's summed laps).
     Frame generation is untimed; the first frame runs once to warm caches.
     """
-    if n_frames < 1:
-        raise ConfigError("n_frames must be >= 1")
+    check_whole("n_frames", n_frames, 1)
     sensor = {name: getattr(cfg.synth, name) for name in (
         "beam_count", "vertical_fov_deg", "azimuth_resolution_deg", "max_range", "sensor_height")}
     frames = [generate_frame(replace(bench_scene(seed + i), **sensor), frame_id=i,

@@ -25,7 +25,7 @@ from numbers import Real
 
 import numpy as np
 
-from .core import MAX_CELLS, ObstacleEstimate, PointCloudFrame
+from .core import MAX_CELLS, ObstacleEstimate, PointCloudFrame, check_whole
 
 GROUND_LABEL = -1
 
@@ -73,8 +73,7 @@ class SceneSpec:
     obstacle_density: float = 150.0
 
     def __post_init__(self):
-        if not self.beam_count >= 1:
-            raise ValueError("beam_count must be >= 1")
+        check_whole("beam_count", self.beam_count, 1)
         if not 0.0 < self.azimuth_resolution_deg < math.inf:
             raise ValueError("azimuth_resolution_deg must be > 0 and finite")
         per_beam = 360.0 / self.azimuth_resolution_deg  # float: it may not fit an int
@@ -92,8 +91,7 @@ class SceneSpec:
             raise ValueError("max_range must be > 0 and finite")
         if not all(map(math.isfinite, (self.ground_slope, self.sensor_height))):
             raise ValueError("ground_slope and sensor_height must be finite")
-        if not self.rng_seed >= 0:
-            raise ValueError("rng_seed must be >= 0")
+        check_whole("rng_seed", self.rng_seed)
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         if any(self.obstacle_density * b.length * b.width > MAX_CELLS for b in self.obstacles):
             raise ValueError(f"a box takes more than {MAX_CELLS} samples")

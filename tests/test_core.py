@@ -116,6 +116,12 @@ class TestObstacleEstimate:
             ObstacleEstimate(center_x=3.0, center_y=4.0, length=2.0, width=1.0,
                              range=6.0)
 
+    def test_nan_range_rejected(self):
+        # abs(nan - r) > 1e-9 is False, so a NaN range once passed the check
+        with pytest.raises(ValueError, match="range nan inconsistent"):
+            ObstacleEstimate(center_x=3.0, center_y=4.0, length=2.0, width=1.0,
+                             range=float("nan"))
+
     def test_width_over_length_rejected(self):
         with pytest.raises(ValueError):
             ObstacleEstimate(center_x=0.0, center_y=1.0, length=1.0, width=2.0)

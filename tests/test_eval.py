@@ -242,6 +242,13 @@ class TestCsvIo:
         with pytest.raises(SchemaError, match="line 3: need a finite center and height"):
             read_obstacles_csv(path)
 
+    def test_nan_range_is_schema_error(self, tmp_path):
+        path = tmp_path / "obstacles.csv"
+        path.write_text("frame_id,t,center_x,center_y,length,width,height,confidence,class,range\n"
+                        "0,0.0,10.0,0.0,5.0,2.0,,1.0,unknown,nan\n")
+        with pytest.raises(SchemaError, match="line 2: range nan inconsistent"):
+            read_obstacles_csv(path)
+
     def test_ground_truth_latlon_converted(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("t,lat,lon\n0.0,45.0,9.0\n1.0,45.001,9.0\n")

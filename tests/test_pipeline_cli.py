@@ -64,6 +64,11 @@ NON_FINITE = ([(path, bad) for path in number_paths(PipelineConfig(), float)
                for bad in (math.nan, math.inf, -math.inf)]
               + [(path, math.nan) for path in number_paths(PipelineConfig(), int)])
 
+# every whole-number field, breakpoint counts included, given each value
+# that is not an integer (a bool counts as none)
+NOT_WHOLE = [(path, bad) for path in number_paths(PipelineConfig(), int)
+             for bad in (2.5, math.inf, -math.inf, math.nan, True)]
+
 
 def set_path(node, path, value):
     """A copy of a dataclass, dict or tuple tree with ``value`` at ``path``;
@@ -323,6 +328,36 @@ class TestConfig:
             set_path(PipelineConfig(), path, bad)
         with pytest.raises(ConfigError):
             config_from_dict(set_path(asdict(PipelineConfig()), path, bad))
+
+    @pytest.mark.parametrize("path, bad", NOT_WHOLE, ids=[
+        ".".join(map(str, path)) + f"={bad}" for path, bad in NOT_WHOLE])
+    def test_whole_number_field_refuses_a_non_integer(self, path, bad):
+        # one check in the class: the Python API refuses what YAML refuses
+        with pytest.raises(ValueError):
+            set_path(PipelineConfig(), path, bad)
+        with pytest.raises(ConfigError):
+            config_from_dict(set_path(asdict(PipelineConfig()), path, bad))
+
+    @pytest.mark.parametrize("text, min_cells", [
+        ("cluster: {min_cells: 2.0}", 2),
+        ('cluster: {min_cells: "3"}', 3),
+        ("profile: {breakpoints: [[0, 5.0], [10, 3], [20, 2]]}", 2),
+        ('profile: {breakpoints: [[0, "5"], [10, 3.0], [20, 2]]}', 2),
+    ])
+    def test_whole_float_and_integer_string_read_as_ints(self, text, min_cells):
+        cfg = config_from_dict(yaml.safe_load(text))
+        assert cfg.cluster.min_cells == min_cells
+        assert type(cfg.cluster.min_cells) is int
+        assert cfg.profile == PipelineConfig().profile
+        assert all(type(c) is int for _, c in cfg.profile.breakpoints)
+
+    @pytest.mark.parametrize("section, name", [("ransac", "max_plane_tilt"),
+                                               ("synth", "ground_slope")])
+    def test_angle_under_both_keys_rejected(self, section, name):
+        # one of the two values was silently dropped
+        with pytest.raises(ConfigError, match=f"give {name} or {name}_deg, not both"):
+            config_from_dict({section: {name: 0.1, f"{name}_deg": 2.0}})
+        assert getattr(getattr(config_from_dict({section: {name: 0.1}}), section), name) == 0.1
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
@@ -825,6 +860,40 @@ class TestCli:
             assert capsys.readouterr().err.startswith("error[config]: ref_")
         else:
             assert "availability 1.000" in capsys.readouterr().out
+
+    def test_nan_range_is_schema_error(self, tmp_path, capsys):
+        paths = self.eval_inputs(tmp_path)
+        path = paths["--estimates"]
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + [lines[2].rsplit(",", 1)[0] + ",nan"]) + "\n")
+        argv = ["eval", "--out-dir", str(tmp_path / "o")]
+        for name, p in paths.items():
+            argv += [name, str(p)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error[schema]: {path}: line 3: range nan inconsistent")
+
+    def test_eval_takes_no_seed(self, tmp_path, capsys):
+        # scoring draws no random number, so a seed would change nothing
+        argv = ["eval", "--seed", "1", "--out-dir", str(tmp_path / "o")]
+        for name, p in self.eval_inputs(tmp_path).items():
+            argv += [name, str(p)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --seed 1" in err and "Traceback" not in err
+
+    def test_bench_starts_at_the_configured_seed(self, tmp_path, capsys):
+        cfg_path = tmp_path / "seed.yaml"
+        cfg_path.write_text("synth: {rng_seed: 7}\n")
+        assert main(["bench", "--frames", "2", "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path / "o")]) == 0
+        cfg = config_from_dict({"synth": {"rng_seed": 7}})
+        points = {seed: f"mean_points={bench(cfg, 2, seed=seed).mean_points:.0f}"
+                  for seed in (0, 7)}
+        assert points[0] != points[7]
+        assert points[7] in capsys.readouterr().out
 
     def test_eval_of_good_csvs_passes(self, tmp_path):
         argv = ["eval", "--out-dir", str(tmp_path / "o")]
