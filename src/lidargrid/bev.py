@@ -19,7 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MAX_CELLS, GeometryMismatch, ObstacleEstimate, as_point_array, check_whole
+from .core import (MAX_CELLS, GeometryMismatch, ObstacleEstimate, as_point_array, check_real,
+                   check_whole)
 # label_components is not called here, but perfbench/tracing.py wraps it
 # under this module's name
 from .cluster import (_component_runs, component_ids, footprints,
@@ -44,8 +45,7 @@ class BevConfig:
         check_whole("image_size", self.image_size, 1)
         if self.image_size ** 2 > MAX_CELLS:
             raise ValueError(f"image_size {self.image_size} gives more than {MAX_CELLS} cells")
-        if not 0.0 < self.range < math.inf:
-            raise ValueError("range must be > 0 and finite")
+        check_real("range", self.range, 0.0, open_low=True)
 
     @property
     def cell_size(self) -> float:

@@ -1,9 +1,9 @@
 """Pipeline configuration: one YAML tree with a section per module.
 
 The dataclasses are the only place that holds a default, and their
-``__post_init__`` the only place that checks a value (a NaN, an infinity
-or a fractional count too), so YAML and the Python API refuse the same
-values.  ``_build`` walks their fields to read a YAML mapping, and
+``__post_init__`` the only place that checks a value (a boolean, a NaN,
+an infinity or a fractional count too), so YAML and the Python API refuse
+the same values.  ``_build`` walks their fields to read a YAML mapping, and
 ``default_config_yaml`` walks ``PipelineConfig()`` to write the
 commented template, so the template always loads back to it.
 Angles named in ``_DEGREES`` are radians in the dataclasses and appear
@@ -18,7 +18,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 import yaml
 
 from .bev import BevConfig
-from .core import ConfigError, check_whole
+from .core import ConfigError, check_real, check_whole
 from .grid import GridConfig, ThresholdProfile
 from .ground import RansacParams
 from .synth import BoxSpec, SceneSpec
@@ -30,6 +30,7 @@ class ClusterParams:
     min_cells: int = 2
 
     def __post_init__(self):
+        check_whole("connectivity", self.connectivity, 4, 8)
         if self.connectivity not in (4, 8):
             raise ValueError("connectivity must be 4 or 8")
         check_whole("min_cells", self.min_cells, 1)
@@ -41,8 +42,8 @@ class BevPipelineParams:
     min_confidence: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 <= self.objectness_threshold <= 1.0 and 0.0 <= self.min_confidence <= 1.0):
-            raise ValueError("objectness_threshold and min_confidence must be in [0, 1]")
+        check_real("objectness_threshold", self.objectness_threshold, 0.0, 1.0)
+        check_real("min_confidence", self.min_confidence, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -54,11 +55,10 @@ class EvalParams:
     ref_lon: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.gate < math.inf:
-            raise ValueError("gate must be > 0 and finite")
-        refs = [v for v in (self.ref_lat, self.ref_lon) if v is not None]
-        if not all(map(math.isfinite, (self.lever_arm_x, self.lever_arm_y, *refs))):
-            raise ValueError("lever arm and geodetic reference must be finite")
+        check_real("gate", self.gate, 0.0, open_low=True)
+        for name in ("lever_arm_x", "lever_arm_y", "ref_lat", "ref_lon"):
+            if getattr(self, name) is not None or name.startswith("lever"):  # a ref may be unset
+                check_real(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -115,13 +115,6 @@ _NOTES = {
 }
 
 
-def _holds_bool(value) -> bool:
-    """True for a YAML boolean, also inside a list."""
-    if isinstance(value, (list, tuple)):
-        return any(_holds_bool(v) for v in value)
-    return isinstance(value, bool)
-
-
 def _build(cls, mapping):
     """Build ``cls`` from a YAML mapping; keys not given keep their defaults.
 
@@ -129,9 +122,9 @@ def _build(cls, mapping):
     the type of their default, but a fraction given for a count is left
     for its class to refuse; a field with no default (a box centre)
     takes a float, as does one whose None default means "unset"
-    (``ref_lat``) unless given None.  A boolean is rejected (``int(True)``
-    would read it as 1), and so is an angle under both its keys.  These
-    are the rules of reading YAML; the dataclasses check the values.
+    (``ref_lat``).  None and a boolean reach the class as they are
+    (``int(True)`` would read as 1); an angle under both its keys is
+    refused.  These are the rules of reading YAML; the classes check values.
     """
     if not isinstance(mapping, dict):
         raise ValueError(f"{cls.__name__} section is not a mapping: {mapping!r}")
@@ -141,14 +134,12 @@ def _build(cls, mapping):
         if name in known and f"{name}_deg" in data:
             if name in data:
                 raise ValueError(f"give {name} or {name}_deg, not both")
-            data[name] = math.radians(data.pop(f"{name}_deg"))
+            deg = data.pop(f"{name}_deg")
+            data[name] = deg if isinstance(deg, bool) else math.radians(deg)
     unknown = set(data) - set(known)
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: "
                          f"{sorted(map(str, unknown))}")
-    for key, value in mapping.items():
-        if _holds_bool(value):
-            raise ValueError(f"{key} cannot be a boolean, got {value!r}")
     for name, value in data.items():
         f = known[name]
         default = f.default if f.default_factory is MISSING else f.default_factory()
@@ -158,7 +149,7 @@ def _build(cls, mapping):
             data[name] = _build(type(default), value)
         elif isinstance(default, int) and isinstance(value, float):
             data[name] = int(value) if value.is_integer() else value
-        elif value is not None or default is not None:
+        elif value is not None and not isinstance(value, bool):
             kind = float if default is None or default is MISSING else type(default)
             try:
                 data[name] = kind(value)
@@ -184,7 +175,7 @@ def load_config(path) -> PipelineConfig:
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh)
-    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+    except (OSError, ValueError, yaml.YAMLError) as exc:  # ValueError: a bad byte, 4300+ digits
         raise ConfigError(f"{path}: {exc}") from exc
     return config_from_dict(data)
 

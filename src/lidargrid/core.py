@@ -8,8 +8,9 @@ as float64 arrays of shape (N, 4) with columns x, y, z, intensity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -22,8 +23,22 @@ MAX_CELLS = 2 ** 25
 
 def check_whole(name: str, value, low: int = 0, high: float = math.inf) -> None:
     """Refuse all but an integer in [low, high]: a bool, a fraction, a NaN or an inf."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value <= high:
+    if isinstance(value, bool):
+        raise ValueError(f"{name} cannot be a boolean, got {value!r}")
+    if not isinstance(value, Integral) or not low <= value <= high:
         raise ValueError(f"{name} must be a whole number in [{low}, {high}], got {value!r}")
+
+
+def check_real(name: str, value, low: float = -math.inf, high: float = math.inf,
+               open_low: bool = False) -> None:
+    """Refuse all but a number a float holds, in [low, high] or, if ``open_low``,
+    in (low, high]: a bool, a string, None, a NaN, an inf or 10**400."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} cannot be a boolean, got {value!r}")
+    if not (isinstance(value, Real) and abs(value) <= sys.float_info.max
+            and (low < value if open_low else low <= value) and value <= high):
+        raise ValueError(f"{name} must be a finite number in {'(' if open_low else '['}"
+                         f"{low}, {high}], got {value!r}")
 
 
 class LidarGridError(Exception):

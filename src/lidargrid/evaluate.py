@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConfigError, LidarGridError, ObstacleEstimate
+from .core import ConfigError, LidarGridError, ObstacleEstimate, check_real
 
 EARTH_RADIUS_M = 6_378_137.0
 
@@ -112,8 +112,7 @@ def transform_to_local(ego: EgoPose, target_x: float, target_y: float) -> Relati
 
 def associate(estimates, gt: RelativePosition, gate: float) -> ObstacleEstimate | None:
     """Nearest estimate to the ground truth within ``gate`` meters, else None."""
-    if gate <= 0.0:
-        raise ValueError("gate must be > 0")
+    check_real("gate", gate, 0.0, open_low=True)
     best = None
     best_d = gate
     for est in estimates:

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MAX_CELLS, as_point_array, check_whole
+from .core import MAX_CELLS, as_point_array, check_real, check_whole
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,12 @@ class GridConfig:
     z_max: float = 3.0
 
     def __post_init__(self):
-        if not 0.0 < self.cell_size < math.inf:
-            raise ValueError("cell_size must be > 0 and finite")
+        check_real("cell_size", self.cell_size, 0.0, open_low=True)
+        for name in ("x_min", "x_max", "y_min", "y_max", "z_min"):
+            check_real(name, getattr(self, name))
+        check_real("z_max", self.z_max, self.z_min, open_low=True)
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("grid extent must be non-empty")
-        if not -math.inf < self.z_min < self.z_max < math.inf:
-            raise ValueError("z_max must be > z_min, both finite")
         # each side first, so that a side too long (or infinite) to count is rejected too
         sides = ((self.x_max - self.x_min) / self.cell_size,
                  (self.y_max - self.y_min) / self.cell_size)
@@ -103,14 +103,15 @@ class ThresholdProfile:
     breakpoints: tuple = ((0.0, 5), (10.0, 3), (20.0, 2))
 
     def __post_init__(self):
+        for r, _ in self.breakpoints:  # before float() reads a true start as 1.0
+            check_real("breakpoints", r)
         # YAML lists arrive unconverted, so a count of 5.0 or "5" reads as 5
         bps = tuple((float(r), int(c) if isinstance(c, (float, str)) and float(c).is_integer()
                      else c) for r, c in self.breakpoints)
         if not bps or bps[0][0] != 0.0:
             raise ValueError("first breakpoint must start at range 0")
-        starts = [r for r, _ in bps] + [math.inf]
-        if not all(b > a for a, b in zip(starts, starts[1:])):  # NaN fails too
-            raise ValueError("breakpoint ranges must be strictly increasing and finite")
+        if any(b <= a for (a, _), (b, _) in zip(bps, bps[1:])):
+            raise ValueError("breakpoint ranges must be strictly increasing")
         for _, c in bps:  # a count must fit a float, so 10**400 is refused
             check_whole("count thresholds", c, 1, sys.float_info.max)
         if any(b > a for (_, a), (_, b) in zip(bps, bps[1:])):

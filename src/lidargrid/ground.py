@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_CELLS, LidarGridError, as_point_array, check_whole
+from .core import MAX_CELLS, LidarGridError, as_point_array, check_real, check_whole
 
 
 class DegenerateInput(LidarGridError):
@@ -38,12 +38,9 @@ class RansacParams:
 
     def __post_init__(self):
         check_whole("max_iterations", self.max_iterations, 1, MAX_CELLS)
-        if not 0.0 < self.distance_threshold < math.inf:
-            raise ValueError("distance_threshold must be > 0 and finite")
-        if not 0.0 <= self.min_inlier_ratio <= 1.0:
-            raise ValueError("min_inlier_ratio outside [0, 1]")
-        if not 0.0 <= self.max_plane_tilt <= math.pi / 2:
-            raise ValueError("max_plane_tilt outside [0, pi/2]")
+        check_real("distance_threshold", self.distance_threshold, 0.0, open_low=True)
+        check_real("min_inlier_ratio", self.min_inlier_ratio, 0.0, 1.0)
+        check_real("max_plane_tilt", self.max_plane_tilt, 0.0, math.pi / 2)
         check_whole("rng_seed", self.rng_seed)
 
 

@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Real
 
 import numpy as np
 
-from .core import MAX_CELLS, ObstacleEstimate, PointCloudFrame, check_whole
+from .core import MAX_CELLS, ObstacleEstimate, PointCloudFrame, check_real, check_whole
 
 GROUND_LABEL = -1
 
@@ -46,10 +45,10 @@ class BoxSpec:
     clearance: float = 0.3
 
     def __post_init__(self):
-        if not all(0.0 < v < math.inf for v in (self.length, self.width, self.height)):
-            raise ValueError("box dimensions must be > 0 and finite")
-        if not all(map(math.isfinite, (self.center_x, self.center_y, self.yaw, self.clearance))):
-            raise ValueError("box center, yaw and clearance must be finite")
+        for name in ("center_x", "center_y", "yaw", "clearance"):
+            check_real(name, getattr(self, name))
+        for name in ("length", "width", "height"):
+            check_real(name, getattr(self, name), 0.0, open_low=True)
 
 
 @dataclass(frozen=True)
@@ -74,23 +73,21 @@ class SceneSpec:
 
     def __post_init__(self):
         check_whole("beam_count", self.beam_count, 1)
-        if not 0.0 < self.azimuth_resolution_deg < math.inf:
-            raise ValueError("azimuth_resolution_deg must be > 0 and finite")
+        check_real("azimuth_resolution_deg", self.azimuth_resolution_deg, 0.0, open_low=True)
         per_beam = 360.0 / self.azimuth_resolution_deg  # float: it may not fit an int
         if self.beam_count > MAX_CELLS or self.beam_count * per_beam > MAX_CELLS:
             raise ValueError(f"the scan has more than {MAX_CELLS} rays")
         fov = tuple(self.vertical_fov_deg)
-        if len(fov) != 2 or not all(isinstance(v, Real) and math.isfinite(v) for v in fov):
-            raise ValueError(f"vertical_fov_deg must be two finite numbers, got {fov}")
+        if len(fov) != 2:
+            raise ValueError(f"vertical_fov_deg must be two numbers, got {fov}")
+        for v in fov:
+            check_real("vertical_fov_deg", v)
         object.__setattr__(self, "vertical_fov_deg", fov)
-        if not 0.0 <= self.noise_sigma < math.inf:
-            raise ValueError("noise_sigma must be >= 0 and finite")
-        if not 0.0 <= self.obstacle_density < math.inf:
-            raise ValueError("obstacle_density must be >= 0 and finite")
-        if not 0.0 < self.max_range < math.inf:
-            raise ValueError("max_range must be > 0 and finite")
-        if not all(map(math.isfinite, (self.ground_slope, self.sensor_height))):
-            raise ValueError("ground_slope and sensor_height must be finite")
+        check_real("noise_sigma", self.noise_sigma, 0.0)
+        check_real("obstacle_density", self.obstacle_density, 0.0)
+        check_real("max_range", self.max_range, 0.0, open_low=True)
+        check_real("ground_slope", self.ground_slope)
+        check_real("sensor_height", self.sensor_height)
         check_whole("rng_seed", self.rng_seed)
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         if any(self.obstacle_density * b.length * b.width > MAX_CELLS for b in self.obstacles):

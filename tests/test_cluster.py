@@ -15,6 +15,7 @@ from lidargrid.cluster import (
     extract_obstacles,
     footprints,
     label_components,
+    label_flat,
 )
 from lidargrid.core import GeometryMismatch
 from lidargrid.grid import CellHistogram, GridConfig, OccupancyGrid
@@ -43,6 +44,10 @@ class TestLabelComponents:
         out = label_components(grid_of(np.zeros((5, 5))))
         assert out.num_components == 0
         assert not out.labels.any()
+
+    def test_flat_labeler_refuses_other_connectivity(self):
+        with pytest.raises(ValueError, match="connectivity must be 4 or 8"):
+            label_flat(np.array([0, 3]), (2, 2), connectivity=6)
 
     def test_diagonal_connectivity_difference(self):
         cells = np.array([[1, 0], [0, 1]], dtype=bool)

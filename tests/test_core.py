@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,9 @@ from lidargrid.core import (
     EmptyFrame,
     ObstacleEstimate,
     PointCloudFrame,
+    as_point_array,
+    check_real,
+    check_whole,
     validate_frame,
 )
 
@@ -142,6 +147,12 @@ class TestObstacleEstimate:
             ObstacleEstimate(center_x=center_x, center_y=center_y, length=2.0, width=1.0,
                              height=height)
 
+    @pytest.mark.parametrize("confidence", [1.5, -0.1, math.nan])
+    def test_confidence_outside_unit_interval_rejected(self, confidence):
+        with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+            ObstacleEstimate(center_x=1.0, center_y=2.0, length=2.0, width=1.0,
+                             confidence=confidence)
+
 
 class TestFrameContainer:
     def test_xyz_intensity_views(self):
@@ -154,8 +165,36 @@ class TestFrameContainer:
         assert len(frame) == 2
         np.testing.assert_array_equal(frame.points, [[1, 2, 3, 0.4], [4, 5, 6, 0.0]])
 
+    def test_array_of_other_width_rejected(self):
+        with pytest.raises(ValueError, match=r"got shape \(2, 5\)"):
+            as_point_array(np.zeros((2, 5)))
+
     @pytest.mark.parametrize("rows", [[(1, 2, 3, 4, 5)], [(1, 2)], [(1, 2, 3), (1, 2, 3, 4, 5)]])
     def test_row_of_other_width_rejected(self, rows):
         # as an (N, 5) array is: no value is dropped
         with pytest.raises(ValueError, match=r"expected \(N, 3\) or \(N, 4\) points"):
             PointCloudFrame(points=rows)
+
+
+class TestNumberChecks:
+    @pytest.mark.parametrize("value", [0.5, 1, 0.0, np.float64(0.25)])
+    def test_real_in_interval_passes(self, value):
+        check_real("x", value, 0.0, 1.0)
+
+    @pytest.mark.parametrize("value", [None, "0.5", [0.5], math.nan, math.inf, -math.inf,
+                                       10 ** 400, -0.1, 1.5])
+    def test_real_refuses_all_but_a_finite_number_in_range(self, value):
+        with pytest.raises(ValueError, match=r"^x must be a finite number in \[0.0, 1.0\]"):
+            check_real("x", value, 0.0, 1.0)
+
+    def test_real_open_low_end_refuses_the_bound(self):
+        check_real("x", 1e-300, 0.0, open_low=True)
+        with pytest.raises(ValueError, match=r"^x must be a finite number in \(0.0, inf\]"):
+            check_real("x", 0.0, 0.0, open_low=True)
+
+    @pytest.mark.parametrize("check", [check_real, check_whole])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_both_checks_word_a_boolean_alike(self, check, value):
+        # True would otherwise pass as 1 and False as 0
+        with pytest.raises(ValueError, match=f"^x cannot be a boolean, got {value}$"):
+            check("x", value)

@@ -63,6 +63,11 @@ class TestGeodeticToPlane:
         with pytest.raises(InvalidLatitude):
             geodetic_to_plane(10.0, 0.0, 100.0, 0.0)
 
+    @pytest.mark.parametrize("lon, ref_lon", [(math.nan, 9.0), (9.0, math.inf)])
+    def test_non_finite_longitude(self, lon, ref_lon):
+        with pytest.raises(ValueError, match="longitude must be finite"):
+            geodetic_to_plane(45.0, lon, 45.0, ref_lon)
+
 
 class TestTransformToLocal:
     def test_identity_at_zero_heading(self):
@@ -115,6 +120,13 @@ class TestAssociate:
         with pytest.raises(ValueError):
             associate([], self.GT, 0.0)
 
+    @pytest.mark.parametrize("gate", [math.nan, True, math.inf, -1.0])
+    def test_gate_not_a_positive_finite_number_rejected(self, gate):
+        # a NaN gate passed `gate <= 0.0` and then matched nothing, even at
+        # distance 0; True passed as a gate of 1 m
+        with pytest.raises(ValueError, match="^gate "):
+            associate([est_at(11.0, 0.0)], self.GT, gate)
+
 
 class TestOffsetStats:
     def test_constant_errors(self):
@@ -129,6 +141,11 @@ class TestOffsetStats:
         stats = offset_stats(pairs, "longitudinal", 2)
         assert stats.mean_offset == pytest.approx(0.0)
         assert stats.std == pytest.approx(1.0)
+
+    def test_unknown_axis_rejected(self):
+        pairs = [(est_at(10.0, 0.0), RelativePosition(10.0, 0.0))]
+        with pytest.raises(ValueError, match="unknown axis 'vertical'"):
+            offset_stats(pairs, "vertical", 1)
 
     def test_availability(self):
         pairs = [(est_at(10.0, 0.0), RelativePosition(10.0, 0.0))] * 5
@@ -278,6 +295,11 @@ class TestEvaluateDetections:
     def series(n=10):
         t = np.arange(n, dtype=float)
         return t, np.full(n, 0.0), np.full(n, 0.0), np.zeros(n)
+
+    def test_no_rows_is_empty_series(self):
+        ego_t, ego_x, ego_y, ego_psi = self.series()
+        with pytest.raises(EmptySeries, match="no estimates to evaluate"):
+            evaluate_detections([], ego_t, ego_x, ego_y, ego_t, ego_x, ego_y, ego_psi)
 
     def test_identity_estimates(self):
         ego_t, ego_x, ego_y, ego_psi = self.series()

@@ -359,6 +359,11 @@ class TestPlaneModel:
             PlaneModel(normal=np.array(normal), offset=offset, inlier_count=1,
                        inlier_ratio=1.0)
 
+    @pytest.mark.parametrize("normal", [[0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+    def test_normal_not_pointing_up_rejected(self, normal):
+        with pytest.raises(ValueError, match=r"normal must point upward"):
+            PlaneModel(normal=np.array(normal), offset=0.0, inlier_count=1, inlier_ratio=1.0)
+
 
 class TestSplitGround:
     def test_points_on_plane_all_ground(self):

@@ -276,6 +276,15 @@ class TestReaderErrors:
         except (ParseError, UnsupportedLayout):
             pass
 
+    @pytest.mark.parametrize("key", ["FIELDS", "POINTS"])
+    def test_missing_header_line(self, tmp_path, key):
+        path = tmp_path / "short.pcd"
+        text = pcd_text(["x", "y", "z"], [[1, 2, 3]])
+        path.write_text("".join(line for line in text.splitlines(keepends=True)
+                                if not line.startswith(key)))
+        with pytest.raises(ParseError, match=f"missing {key} declaration"):
+            read_frame_pcd(path)
+
     def test_negative_points(self, tmp_path):
         path = tmp_path / "neg.pcd"
         path.write_text(pcd_text(["x", "y", "z"], [], points=-1))

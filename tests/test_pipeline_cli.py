@@ -15,6 +15,7 @@ from lidargrid.cli import main
 from lidargrid.config import (
     _DEGREES,
     _NOTES,
+    ClusterParams,
     ConfigError,
     PipelineConfig,
     config_from_dict,
@@ -68,6 +69,12 @@ NON_FINITE = ([(path, bad) for path in number_paths(PipelineConfig(), float)
 # that is not an integer (a bool counts as none)
 NOT_WHOLE = [(path, bad) for path in number_paths(PipelineConfig(), int)
              for bad in (2.5, math.inf, -math.inf, math.nan, True)]
+
+# every real-valued field, breakpoint starts and field-of-view ends included,
+# given each value that is not a number (None is an unset ref_lat or ref_lon)
+NOT_REAL = [(path, bad) for path in number_paths(PipelineConfig(), float)
+            for bad in (True, "1.0", None)
+            if not (bad is None and path[-1] in ("ref_lat", "ref_lon"))]
 
 
 def set_path(node, path, value):
@@ -337,6 +344,25 @@ class TestConfig:
             set_path(PipelineConfig(), path, bad)
         with pytest.raises(ConfigError):
             config_from_dict(set_path(asdict(PipelineConfig()), path, bad))
+
+    @pytest.mark.parametrize("path, bad", NOT_REAL, ids=[
+        ".".join(map(str, path)) + f"={bad!r}" for path, bad in NOT_REAL])
+    def test_real_field_refuses_what_is_not_a_number(self, path, bad):
+        # one check in the class: from Python a bool once passed as 0 or 1,
+        # and a string or None raised TypeError
+        with pytest.raises(ValueError):
+            set_path(PipelineConfig(), path, bad)
+        if bad is True:
+            key = next(k for k in reversed(path) if isinstance(k, str))
+            with pytest.raises(ConfigError, match=f"^{key} cannot be a boolean"):
+                config_from_dict(set_path(asdict(PipelineConfig()), path, bad))
+
+    def test_whole_float_connectivity_refused_from_python_read_as_int_from_yaml(self):
+        # 4.0 in (4, 8) holds, so a float once got through
+        with pytest.raises(ValueError, match="connectivity"):
+            ClusterParams(connectivity=4.0)
+        cfg = config_from_dict(yaml.safe_load("cluster: {connectivity: 4.0}"))
+        assert cfg.cluster.connectivity == 4 and type(cfg.cluster.connectivity) is int
 
     @pytest.mark.parametrize("text, min_cells", [
         ("cluster: {min_cells: 2.0}", 2),
@@ -626,6 +652,8 @@ class TestCli:
         "profile: {breakpoints: [[0, .inf]]}",
         "grid: {cell_size: 1" + "0" * 400 + "}",
         "profile: {breakpoints: [[0, 1" + "0" * 400 + "]]}",
+        'profile: {breakpoints: [[0, 5], ["10", 3]]}',
+        "cluster: {min_cells: 1" + "0" * 4999 + "}",
     ], ids=["negative-cell-size", "section-not-a-mapping",
             "bad-connectivity", "yaml-syntax", "fractional-count", "nan-cell-size",
             "infinite-extent", "negative-noise", "nan-breakpoint", "nan-breakpoint-string",
@@ -641,7 +669,8 @@ class TestCli:
             "ransac-iterations-over-cap", "synth-beams", "synth-beams-1e29", "synth-azimuths",
             "synth-azimuths-1e-300", "box-samples-over-cap", "box-center-string",
             "box-center-null", "box-center-list", "ref-lat-string", "ref-lon-list",
-            "infinite-breakpoint-count", "cell-size-past-float", "breakpoint-count-past-float"])
+            "infinite-breakpoint-count", "cell-size-past-float", "breakpoint-count-past-float",
+            "breakpoint-start-string", "integer-past-4300-digits"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(text + "\n")
@@ -663,6 +692,11 @@ class TestCli:
         ("cluster: {min_cells: true}", "min_cells"),
         ("eval: {gate: true}", "gate"),
         ("ransac: {distance_threshold: false}", "distance_threshold"),
+        ("synth: {vertical_fov_deg: [true, 10]}", "vertical_fov_deg"),
+        ("profile: {breakpoints: [[0, 5], [true, 3]]}", "breakpoints"),
+        ("ransac: {max_plane_tilt_deg: true}", "max_plane_tilt"),
+        ("synth: {obstacles: [{center_x: true, center_y: 0}]}", "center_x"),
+        ("cluster: {connectivity: true}", "connectivity"),
     ])
     def test_yaml_boolean_is_config_error(self, tmp_path, capsys, text, key):
         # True would otherwise pass as 1 and False as 0
@@ -921,6 +955,22 @@ class TestCli:
         rc = main(argv)
         assert rc == 1
         assert capsys.readouterr().err.startswith("error[config]")
+
+    def test_synth_without_obstacles_notes_an_empty_ground_truth(self, tmp_path, capsys):
+        # a synth section without obstacles has none
+        cfg_path = tmp_path / "empty.yaml"
+        cfg_path.write_text("synth: {noise_sigma: 0.01}\n")
+        assert main(["synth", "--frames", "1", "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err.startswith("note: synth scene has no obstacles")
+        assert (tmp_path / "o" / "gt.csv").read_text().splitlines() == ["t,X,Y"]
+
+    def test_out_of_memory_is_memory_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(frame, cfg):
+            raise MemoryError("cannot allocate the grid")
+        monkeypatch.setattr(lidargrid.cli, "run_pipeline", exhausted)
+        assert main(["detect", "--synth", "1", "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error[memory]: cannot allocate the grid\n"
 
     @pytest.mark.parametrize("argv, blocked", [
         (["detect", "--synth", "1"], "obstacles.csv"),

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import generate_frame_all_rays
+from lidargrid.core import PointCloudFrame
 from lidargrid.synth import (
     GROUND_LABEL,
     BoxSpec,
+    LabeledFrame,
     SceneSpec,
     _box_entry_t,
     _may_enter,
@@ -52,6 +54,11 @@ class TestGroundOnly:
                        if e < 0 and spec.sensor_height / math.tan(
                            math.radians(abs(e))) <= spec.max_range)
         assert len(labeled.frame) == downward * n_azimuths
+
+    def test_labels_must_cover_every_point(self):
+        frame = PointCloudFrame(points=np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="labels must cover every point"):
+            LabeledFrame(frame=frame, labels=[GROUND_LABEL, GROUND_LABEL])
 
 
 class TestBoxes:
