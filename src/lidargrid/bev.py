@@ -217,6 +217,15 @@ class OutputAttributeGrid:
 DetectorFn = Callable[[ChannelImage], OutputAttributeGrid]
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D array without NaN, bit for bit: the
+    mean of its one or two middle values.  ``np.median`` itself imports
+    ``numpy.ma`` on its first call in a process, about 16 ms."""
+    half = values.size // 2
+    kth = (half,) if values.size % 2 else (half - 1, half)
+    return float(np.mean(np.partition(values, kth)[kth[0]:half + 1]))
+
+
 def height_gap_detector(channels: ChannelImage,
                         min_height: float = 0.25) -> OutputAttributeGrid:
     """Heuristic stand-in predictor that suppresses the road surface.
@@ -230,7 +239,7 @@ def height_gap_detector(channels: ChannelImage,
     """
     max_h, mean_h, *_, occupancy = channels.values  # PLANE_NAMES order
     occ = occupancy > 0
-    ground = float(np.median(mean_h[occ].astype(np.float64))) if occ.any() else 0.0
+    ground = _median(mean_h[occ].astype(np.float64)) if occ.any() else 0.0
     rise = max_h[occ].astype(np.float64) - ground
     hit = rise >= min_height
     score = hit.astype(np.float64)

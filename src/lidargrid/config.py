@@ -18,7 +18,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 import yaml
 
 from .bev import BevConfig
-from .core import ConfigError, check_real, check_whole
+from .core import ConfigError, check_real, check_tuple, check_whole
 from .grid import GridConfig, ThresholdProfile
 from .ground import RansacParams
 from .synth import BoxSpec, SceneSpec
@@ -124,7 +124,9 @@ def _build(cls, mapping):
     takes a float, as does one whose None default means "unset"
     (``ref_lat``).  None and a boolean reach the class as they are
     (``int(True)`` would read as 1); an angle under both its keys is
-    refused.  These are the rules of reading YAML; the classes check values.
+    refused, and a ``<name>_deg`` value that is not a real number is
+    refused under that key before it is converted.  These are the rules
+    of reading YAML; the classes check values.
     """
     if not isinstance(mapping, dict):
         raise ValueError(f"{cls.__name__} section is not a mapping: {mapping!r}")
@@ -134,8 +136,8 @@ def _build(cls, mapping):
         if name in known and f"{name}_deg" in data:
             if name in data:
                 raise ValueError(f"give {name} or {name}_deg, not both")
-            deg = data.pop(f"{name}_deg")
-            data[name] = deg if isinstance(deg, bool) else math.radians(deg)
+            check_real(f"{name}_deg", data[f"{name}_deg"])
+            data[name] = math.radians(data.pop(f"{name}_deg"))
     unknown = set(data) - set(known)
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: "
@@ -144,7 +146,7 @@ def _build(cls, mapping):
         f = known[name]
         default = f.default if f.default_factory is MISSING else f.default_factory()
         if name == "obstacles":
-            data[name] = tuple(_build(BoxSpec, box) for box in value)
+            data[name] = tuple(_build(BoxSpec, box) for box in check_tuple(name, value))
         elif is_dataclass(default):
             data[name] = _build(type(default), value)
         elif isinstance(default, int) and isinstance(value, float):

@@ -41,6 +41,19 @@ def check_real(name: str, value, low: float = -math.inf, high: float = math.inf,
                          f"{low}, {high}], got {value!r}")
 
 
+def check_tuple(name: str, value, length: int | None = None) -> tuple:
+    """``value`` as a tuple: refuse what does not iterate (None, a number)
+    and, given ``length``, a sequence of any other length."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        items = None
+    if items is None or length not in (None, len(items)):
+        raise ValueError(f"{name} must be a list{'' if length is None else f' of {length}'}, "
+                         f"got {value!r}")
+    return items
+
+
 class LidarGridError(Exception):
     """Base class for all package errors.
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MAX_CELLS, as_point_array, check_real, check_whole
+from .core import MAX_CELLS, as_point_array, check_real, check_tuple, check_whole
 
 
 @dataclass(frozen=True)
@@ -103,11 +103,13 @@ class ThresholdProfile:
     breakpoints: tuple = ((0.0, 5), (10.0, 3), (20.0, 2))
 
     def __post_init__(self):
-        for r, _ in self.breakpoints:  # before float() reads a true start as 1.0
+        pairs = [check_tuple("breakpoints", bp, 2)
+                 for bp in check_tuple("breakpoints", self.breakpoints)]
+        for r, _ in pairs:  # before float() reads a true start as 1.0
             check_real("breakpoints", r)
         # YAML lists arrive unconverted, so a count of 5.0 or "5" reads as 5
         bps = tuple((float(r), int(c) if isinstance(c, (float, str)) and float(c).is_integer()
-                     else c) for r, c in self.breakpoints)
+                     else c) for r, c in pairs)
         if not bps or bps[0][0] != 0.0:
             raise ValueError("first breakpoint must start at range 0")
         if any(b <= a for (a, _), (b, _) in zip(bps, bps[1:])):

@@ -14,6 +14,7 @@ from lidargrid.bev import (
     ChannelImage,
     GeometryMismatch,
     OutputAttributeGrid,
+    _median,
     cluster_output_grid,
     extract_channels,
     height_gap_detector,
@@ -168,6 +169,17 @@ class TestHeightGapDetector:
             np.testing.assert_array_equal(attr.height, np.where(hit, max_h - ground, 0.0))
             for off in (attr.center_offset_x, attr.center_offset_y):
                 assert off.shape == (CFG.image_size, CFG.image_size) and not off.any()
+
+    def test_median_is_numpys_bit_for_bit(self):
+        # float32 mean heights widened to float64, as the detector takes
+        # them; few distinct values, so that most arrays hold ties (and
+        # both zeros, which np.median's mean turns into +0.0)
+        rng = np.random.default_rng(31)
+        pool = np.concatenate([rng.normal(0.0, 2.0, 12).astype(np.float32), [0.0, -0.0]])
+        for size in range(1, 65):
+            for _ in range(20):
+                values = rng.choice(pool, size).astype(np.float64)
+                assert np.float64(_median(values)).tobytes() == np.median(values).tobytes()
 
 
 class TestSerialization:

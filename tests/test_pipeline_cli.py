@@ -23,7 +23,7 @@ from lidargrid.config import (
 )
 from lidargrid.core import ObstacleEstimate, PointCloudFrame, validate_frame
 from lidargrid.evaluate import OBSTACLE_CSV_HEADER, write_obstacles_csv
-from lidargrid.grid import project_to_grid
+from lidargrid.grid import ThresholdProfile, project_to_grid
 from lidargrid.pcd import read_frame_pcd, write_frame_pcd
 from lidargrid.pipeline import (
     BENCH_BOXES,
@@ -356,6 +356,33 @@ class TestConfig:
             key = next(k for k in reversed(path) if isinstance(k, str))
             with pytest.raises(ConfigError, match=f"^{key} cannot be a boolean"):
                 config_from_dict(set_path(asdict(PipelineConfig()), path, bad))
+
+    @pytest.mark.parametrize("cls, field, bad", [
+        (SceneSpec, "vertical_fov_deg", None),
+        (SceneSpec, "vertical_fov_deg", 10.0),
+        (SceneSpec, "obstacles", None),
+        (SceneSpec, "obstacles", ({"center_x": 1, "center_y": 2},)),
+        (ThresholdProfile, "breakpoints", None),
+        (ThresholdProfile, "breakpoints", (5,)),
+        (ThresholdProfile, "breakpoints", ((0.0, 5, 1),)),
+    ])
+    def test_malformed_list_field_names_itself(self, cls, field, bad):
+        # these once raised TypeError or AttributeError naming no field
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            cls(**{field: bad})
+
+    @pytest.mark.parametrize("data, key", [
+        ({"synth": {"vertical_fov_deg": None}}, "vertical_fov_deg"),
+        ({"synth": {"obstacles": None}}, "obstacles"),
+        ({"profile": {"breakpoints": None}}, "breakpoints"),
+        ({"profile": {"breakpoints": [5]}}, "breakpoints"),
+        ({"ransac": {"max_plane_tilt_deg": "20"}}, "max_plane_tilt_deg"),
+        ({"ransac": {"max_plane_tilt_deg": None}}, "max_plane_tilt_deg"),
+        ({"synth": {"ground_slope_deg": [2]}}, "ground_slope_deg"),
+    ])
+    def test_malformed_yaml_value_names_its_key(self, data, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            config_from_dict(data)
 
     def test_whole_float_connectivity_refused_from_python_read_as_int_from_yaml(self):
         # 4.0 in (4, 8) holds, so a float once got through
@@ -694,7 +721,7 @@ class TestCli:
         ("ransac: {distance_threshold: false}", "distance_threshold"),
         ("synth: {vertical_fov_deg: [true, 10]}", "vertical_fov_deg"),
         ("profile: {breakpoints: [[0, 5], [true, 3]]}", "breakpoints"),
-        ("ransac: {max_plane_tilt_deg: true}", "max_plane_tilt"),
+        ("ransac: {max_plane_tilt_deg: true}", "max_plane_tilt_deg"),
         ("synth: {obstacles: [{center_x: true, center_y: 0}]}", "center_x"),
         ("cluster: {connectivity: true}", "connectivity"),
     ])

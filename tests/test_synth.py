@@ -9,15 +9,21 @@ from hypothesis import strategies as st
 
 from helpers import generate_frame_all_rays
 from lidargrid.core import PointCloudFrame
+from lidargrid.pipeline import bench_scene
 from lidargrid.synth import (
     GROUND_LABEL,
     BoxSpec,
     LabeledFrame,
     SceneSpec,
     _box_entry_t,
+    _box_z_span,
+    _ground_returns,
+    _ground_table,
     _may_enter,
+    _may_hide,
     _nearest_entry_t,
     _ray_directions,
+    _sample_box_points,
     _scan,
     expected_obstacles,
     generate_frame,
@@ -374,3 +380,128 @@ class TestCulledRayTests:
         assert enters.any()
         assert _may_enter(box, dirs)[enters].all()
         np.testing.assert_array_equal(_nearest_entry_t(spec, (box,), dirs), entry)
+
+
+class TestGroundReturnsCache:
+    """The per-scene table: the ground returns of one sensor, ground and
+    box set, shared by frames of every seed."""
+
+    VAN = BoxSpec(center_x=10.0, center_y=0.0)
+
+    def test_seeds_share_one_entry(self):
+        _ground_returns.cache_clear()
+        generate_frame(SceneSpec(obstacles=(self.VAN,), rng_seed=1))
+        generate_frame(SceneSpec(obstacles=(self.VAN,), rng_seed=2))
+        info = _ground_returns.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    @pytest.mark.parametrize("obstacles", [
+        (), (replace(VAN, center_x=10.5),), (VAN, replace(VAN, center_y=5.0)),
+    ])
+    def test_changed_box_set_gets_its_own_entry(self, obstacles):
+        _ground_returns.cache_clear()
+        generate_frame(SceneSpec(obstacles=(self.VAN,)))
+        generate_frame(SceneSpec(obstacles=obstacles))
+        info = _ground_returns.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+
+    def test_cached_arrays_are_read_only(self):
+        dirs, t_ground = _ground_table(SceneSpec(obstacles=(self.VAN,)))
+        with pytest.raises(ValueError):
+            dirs[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            t_ground[0] = 1.0
+
+    def test_table_holds_the_unshadowed_rays(self):
+        spec = SceneSpec(obstacles=(self.VAN,))
+        all_dirs, all_t = TestScanCache._entry(spec)
+        dirs, t_ground = _ground_table(spec)
+        lit = _box_entry_t(spec, self.VAN, all_dirs) >= all_t
+        assert 0 < len(dirs) < len(all_dirs)
+        np.testing.assert_array_equal(dirs, all_dirs[lit])
+        np.testing.assert_array_equal(t_ground, all_t[lit])
+
+
+def _box_samples(spec, box, count, rng):
+    """Points of ``box`` as ``generate_frame`` samples them, with the corners
+    of its footprint at its bottom and top added, and their distances."""
+    z_lo, z_hi = _box_z_span(spec, box)
+    pts = _sample_box_points(box, z_lo, z_hi, count, rng)
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    corners = [(box.center_x + c * u * box.length / 2 - s * v * box.width / 2,
+                box.center_y + s * u * box.length / 2 + c * v * box.width / 2, z)
+               for u in (-1, 1) for v in (-1, 1) for z in (z_lo, z_hi)]
+    pts = np.vstack([pts, corners])
+    dist = np.sqrt(np.add.reduce(pts * pts, axis=1))
+    keep = dist > 1e-9
+    return pts[keep], dist[keep]
+
+
+@st.composite
+def box_pairs(draw):
+    """A box anywhere and another box anywhere or within a few meters of it."""
+    box = draw(st.one_of(boxes(), boxes().map(lambda b: replace(
+        b, center_x=b.center_x / 20.0, center_y=b.center_y / 20.0))))
+    other = draw(boxes())
+    if draw(st.booleans()):
+        other = replace(other, center_x=box.center_x + other.center_x / 8.0,
+                        center_y=box.center_y + other.center_y / 8.0)
+    return box, other
+
+
+class TestBoxPairRule:
+    """``_may_hide`` drops a box pair only where no sample of the one can be
+    hidden by the other."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(box_pairs(), st.floats(-0.2, 0.2), st.integers(0, 2**31))
+    def test_dropped_pair_hides_no_sample(self, pair, slope, seed):
+        box, other = pair
+        if _may_hide(other, box):
+            return
+        spec = SceneSpec(ground_slope=slope)
+        pts, dist = _box_samples(spec, box, 400, np.random.default_rng(seed))
+        assert (_box_entry_t(spec, other, pts / dist[:, None]) >= dist - 1e-9).all()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_dropped_pair_hides_no_sample_near_the_edge(self, seed):
+        # the other box sits just past the rule's azimuth or range edge
+        rng = np.random.default_rng(seed)
+        box = BoxSpec(center_x=float(rng.uniform(5, 30)), center_y=float(rng.uniform(-5, 5)),
+                      yaw=float(rng.uniform(-math.pi, math.pi)), height=3.0, clearance=-1.0)
+        d = math.hypot(box.center_x, box.center_y)
+        r = math.hypot(box.length, box.width) / 2.0
+        az = math.atan2(box.center_y, box.center_x)
+        spec = SceneSpec()
+        pts, dist = _box_samples(spec, box, 2000, rng)
+        for other in (
+            # tangent cones: the other circle just outside the box's azimuth span
+            replace(box, center_x=d * math.cos(az + 2 * math.asin(r / d) + 1e-6),
+                    center_y=d * math.sin(az + 2 * math.asin(r / d) + 1e-6)),
+            # straight behind, its circle starting just past the box's far edge
+            replace(box, center_x=(d + 2 * r + 1e-6) * math.cos(az),
+                    center_y=(d + 2 * r + 1e-6) * math.sin(az)),
+        ):
+            assert not _may_hide(other, box)
+            assert (_box_entry_t(spec, other, pts / dist[:, None]) >= dist - 1e-9).all()
+
+    def test_box_in_the_far_half_hides_samples(self):
+        # a post inside the van's far half, on its line of sight: its circle
+        # starts past the van's centre but before the van's far edge
+        van = BoxSpec(center_x=10.0, center_y=0.0)
+        post = BoxSpec(center_x=12.0, center_y=0.0, length=0.5, width=0.5, height=3.0)
+        spec = SceneSpec()
+        pts, dist = _box_samples(spec, van, 2000, np.random.default_rng(0))
+        assert _may_hide(post, van)
+        assert (_box_entry_t(spec, post, pts / dist[:, None]) < dist - 1e-9).any()
+
+    def test_bench_scene_keeps_two_of_twelve_pairs(self):
+        scene = bench_scene(0).obstacles
+        kept = [(i, j) for i, box in enumerate(scene) for j, other in enumerate(scene)
+                if i != j and _may_hide(other, box)]
+        assert len(scene) == 4 and len(kept) == 2
+
+    def test_sensor_inside_a_circle_keeps_the_pair(self):
+        over = BoxSpec(center_x=0.5, center_y=0.0)
+        far = BoxSpec(center_x=-40.0, center_y=30.0)
+        assert _may_hide(over, far) and _may_hide(far, over)
