@@ -153,11 +153,12 @@ def extract_channels(points, cfg: BevConfig) -> ChannelImage:
     np.maximum.at(max_z, slot, z)
     np.maximum.at(max_i, slot, inten)
 
-    values = np.stack([  # PLANE_NAMES order
-        max_z, np.bincount(slot, weights=z, minlength=m) / counts,
-        max_i, np.bincount(slot, weights=inten, minlength=m) / counts,
-        np.clip(np.log1p(counts) / _DENSITY_NORM, 0.0, 1.0), np.ones(m),
-    ]).astype(np.float32)
+    # filled plane by plane, PLANE_NAMES order; assignment rounds as astype does
+    values = np.empty((len(PLANE_NAMES), m), dtype=np.float32)
+    values[0], values[2], values[5] = max_z, max_i, 1.0
+    values[1] = np.bincount(slot, weights=z, minlength=m) / counts
+    values[3] = np.bincount(slot, weights=inten, minlength=m) / counts
+    values[4] = np.clip(np.log1p(counts) / _DENSITY_NORM, 0.0, 1.0)
     return ChannelImage(cells=cells, values=values, config=cfg)
 
 
@@ -276,8 +277,9 @@ def cluster_output_grid(attr: OutputAttributeGrid, objectness_threshold: float,
     grid lists them) are first joined by grid connectivity; each cell is
     additionally joined with the cell its center-offset vector points
     into (skipped when that cell is outside the grid or below threshold).
-    With all offsets zero this reduces to plain connected-component
-    labeling.  Clusters come out in raster order of their first cell.
+    A cell whose offsets are both zero, of either sign, points into itself
+    and is not binned.  With all offsets zero this is plain labeling of
+    connected components.  Clusters come out in raster order of their first cell.
     """
     if not 0.0 <= objectness_threshold <= 1.0:
         raise ValueError("objectness_threshold outside [0, 1]")
@@ -295,8 +297,11 @@ def cluster_output_grid(attr: OutputAttributeGrid, objectness_threshold: float,
     offx = attr.center_offset_x.reshape(-1)[pos]
     offy = attr.center_offset_y.reshape(-1)[pos]
 
+    moved = np.flatnonzero((offx != 0.0) | (offy != 0.0))  # a zero offset links nothing
     r = cfg.range
-    src, target = cell_index(cx + offx, cy + offy, (-r, -r), (r, r), cfg.cell_size, (n, n))
+    src, target = cell_index(cx[moved] + offx[moved], cy[moved] + offy[moved],
+                             (-r, -r), (r, r), cfg.cell_size, (n, n))
+    src = moved[src]
     dst = np.searchsorted(flat, target).clip(max=flat.size - 1)
     hit = flat[dst] == target
     group = component_ids(int(base.max()) + 1, base[src[hit]], base[dst[hit]])

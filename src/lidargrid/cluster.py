@@ -49,19 +49,20 @@ class LabelGrid:
 def component_ids(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Connected components of the undirected graph on nodes ``0..n-1``.
 
-    ``u`` and ``v`` list the edges.  Returns one dense component id per
-    node, numbered in order of each component's smallest node.  Each
-    round hooks the larger root of every edge whose ends still differ
+    ``u`` and ``v`` list the edges.  Returns one dense ``intp`` component
+    id per node, numbered in order of each component's smallest node.
+    Each round hooks the larger root of every edge whose ends still differ
     onto the smaller one, then pointer-jumps until every node points at
     its root; roots only ever decrease, so a component's final root is
-    its smallest node.
+    its smallest node.  A component's id is then the count of roots
+    before its own: a prefix count of ``root == node``, with no sort.
     """
     root = np.arange(n)
     while True:
         ru, rv = root[u], root[v]
         split = ru != rv
         if not split.any():
-            return np.unique(root, return_inverse=True)[1]
+            return (np.cumsum(root == np.arange(n)) - 1)[root]
         u, v, ru, rv = u[split], v[split], ru[split], rv[split]
         np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
         jumped = root[root]

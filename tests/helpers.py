@@ -70,6 +70,30 @@ def flood_fill_labels(cells: np.ndarray, connectivity: int) -> np.ndarray:
     return labels
 
 
+def component_ids_by_bfs(n: int, u, v) -> list:
+    """Component id of each node of the undirected graph on ``0..n-1`` with
+    edges ``u[k]``-``v[k]``, by breadth-first search from each unvisited node
+    in ascending order, so ids follow each component's smallest node."""
+    neighbours = [[] for _ in range(n)]
+    for a, b in zip(u, v):
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    ids = [-1] * n
+    next_id = 0
+    for start in range(n):
+        if ids[start] >= 0:
+            continue
+        ids[start] = next_id
+        queue = [start]
+        for node in queue:
+            for other in neighbours[node]:
+                if ids[other] < 0:
+                    ids[other] = next_id
+                    queue.append(other)
+        next_id += 1
+    return ids
+
+
 def same_partition(labels_a: np.ndarray, labels_b: np.ndarray) -> bool:
     """True when two label grids induce identical partitions of the cells."""
     a = np.asarray(labels_a).ravel()

@@ -400,9 +400,9 @@ def attribute_grids(draw):
     """Random detector output with its threshold and connectivity.
 
     Objectness is random, sparse, all zero or all one.  Each cell's
-    centre offset is zero, a few cells long (often into a below-threshold
-    cell), up to a grid width long (often just past an edge) or far off
-    the grid.
+    centre offset is zero, -0.0, a few cells long (often into a
+    below-threshold cell), up to a grid width long (often just past an
+    edge) or far off the grid.
     """
     n = draw(st.integers(1, 14))
     cfg = BevConfig(image_size=n, range=draw(st.sampled_from([0.5, 3.0, 7.5])))
@@ -418,7 +418,7 @@ def attribute_grids(draw):
         near = rng.uniform(-3.0, 3.0, (2, n, n)) * cfg.cell_size
         across = rng.uniform(-2.0, 2.0, (2, n, n)) * cfg.range
         far = rng.choice([-1.0, 1.0], (2, n, n)) * rng.uniform(2.0, 50.0, (2, n, n)) * cfg.range
-        offset = np.choose(rng.integers(0, 4, (2, n, n)), [offset, near, across, far])
+        offset = np.choose(rng.integers(0, 5, (2, n, n)), [offset, -offset, near, across, far])
     classes = draw(st.sampled_from([None, 0, 1, 3]))
     attr = OutputAttributeGrid(
         config=cfg, objectness=obj,

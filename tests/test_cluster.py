@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import extract_obstacles_by_rescan, flood_fill_labels, same_partition
+from helpers import (component_ids_by_bfs, extract_obstacles_by_rescan, flood_fill_labels,
+                     same_partition)
 from lidargrid.bev import (
     BevConfig,
     OutputAttributeGrid,
@@ -12,6 +13,7 @@ from lidargrid.bev import (
 )
 from lidargrid.cluster import (
     LabelGrid,
+    component_ids,
     extract_obstacles,
     footprints,
     label_components,
@@ -30,6 +32,40 @@ def label_grid(labels):
     labels = np.asarray(labels)
     flat = np.flatnonzero(labels)
     return LabelGrid(flat, labels.ravel()[flat] - 1, labels.shape)
+
+
+@st.composite
+def graphs(draw):
+    """A node count (0 included) and intp edge arrays with isolated nodes,
+    self-loops and duplicate and reversed edges."""
+    n = draw(st.integers(0, 40))
+    node = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    if edges:
+        again = draw(st.lists(st.tuples(st.sampled_from(edges), st.booleans()), max_size=n))
+        edges += [e[::-1] if flip else e for e, flip in again]
+    edges += [(a, a) for a in draw(st.lists(node, max_size=5 if n else 0))]
+    edges = draw(st.permutations(edges))
+    u = np.array([a for a, _ in edges], dtype=np.intp)
+    v = np.array([b for _, b in edges], dtype=np.intp)
+    return n, u, v
+
+
+EMPTY = np.zeros(0, dtype=np.intp)
+
+
+class TestComponentIds:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs())
+    @example((0, EMPTY, EMPTY))
+    # components {0, 4}, {1}, {2, 3, 5}, edges listed from the largest node down
+    @example((6, np.array([5, 4, 3, 2], dtype=np.intp), np.array([3, 0, 5, 3], dtype=np.intp)))
+    def test_ids_equal_bfs_by_smallest_node(self, graph):
+        n, u, v = graph
+        ids = component_ids(n, u, v)
+        assert ids.dtype == np.intp
+        assert ids.shape == (n,)
+        assert ids.tolist() == component_ids_by_bfs(n, u.tolist(), v.tolist())
 
 
 class TestLabelComponents:
