@@ -281,8 +281,7 @@ def cluster_output_grid(attr: OutputAttributeGrid, objectness_threshold: float,
     and is not binned.  With all offsets zero this is plain labeling of
     connected components.  Clusters come out in raster order of their first cell.
     """
-    if not 0.0 <= objectness_threshold <= 1.0:
-        raise ValueError("objectness_threshold outside [0, 1]")
+    check_real("objectness_threshold", objectness_threshold, 0.0, 1.0)
     cfg = attr.config
     n = cfg.image_size
     # positions in the flattened attributes; on a raster they are the cells
@@ -332,6 +331,8 @@ def postprocess_clusters(clusters, min_confidence: float, cfg: BevConfig,
     offset; length and width are the cluster's ``footprints``; the height
     attribute is averaged.
     """
+    check_real("min_confidence", min_confidence, 0.0, 1.0)
+    check_whole("min_cells", min_cells, 1)
     kept = [c for c in clusters
             if not (c.mean_confidence < min_confidence or c.size < min_cells)]
     if not kept:

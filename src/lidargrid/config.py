@@ -56,9 +56,11 @@ class EvalParams:
 
     def __post_init__(self):
         check_real("gate", self.gate, 0.0, open_low=True)
-        for name in ("lever_arm_x", "lever_arm_y", "ref_lat", "ref_lon"):
-            if getattr(self, name) is not None or name.startswith("lever"):  # a ref may be unset
-                check_real(name, getattr(self, name))
+        check_real("lever_arm_x", self.lever_arm_x)
+        check_real("lever_arm_y", self.lever_arm_y)
+        for name, bound in (("ref_lat", 90.0), ("ref_lon", math.inf)):
+            if getattr(self, name) is not None:  # a reference may be unset
+                check_real(name, getattr(self, name), -bound, bound)
 
 
 @dataclass(frozen=True)

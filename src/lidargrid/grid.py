@@ -107,9 +107,11 @@ class ThresholdProfile:
                  for bp in check_tuple("breakpoints", self.breakpoints)]
         for r, _ in pairs:  # before float() reads a true start as 1.0
             check_real("breakpoints", r)
-        # YAML lists arrive unconverted, so a count of 5.0 or "5" reads as 5
-        bps = tuple((float(r), int(c) if isinstance(c, (float, str)) and float(c).is_integer()
-                     else c) for r, c in pairs)
+        # YAML lists arrive unconverted, so a count of 5.0 or "5" reads as 5;
+        # any other string ("5.0", 4300+ digits) is left for check_whole
+        bps = tuple((float(r), int(c) if (isinstance(c, float)
+                                          or isinstance(c, str) and c.isdecimal())
+                     and float(c).is_integer() else c) for r, c in pairs)
         if not bps or bps[0][0] != 0.0:
             raise ValueError("first breakpoint must start at range 0")
         if any(b <= a for (a, _), (b, _) in zip(bps, bps[1:])):

@@ -15,10 +15,10 @@ detection quality can be scored exactly.  The rays and their ground hits
 depend only on the sensor and the ground, so ``_scan`` builds that table
 once for each and frames share it read-only.  Which of those rays return
 from the ground depends on the boxes too, so ``_ground_returns`` cuts
-that table once per sensor, ground and box set (``_scan``'s key plus
-``obstacles``; the last eight are kept, about 0.4 MB each for the default
-sensor).  A frame then draws only its random parts: range noise on
-those hits, and the box samples.  A box's samples are tested only
+them from ``_scan``'s table once per sensor, ground and box set, on its
+own cache miss (the last eight are kept, about 0.4 MB each for the
+default sensor).  A frame then draws only its random parts: range noise
+on those hits, and the box samples.  A box's samples are tested only
 against the boxes that ``_may_hide`` them, a conservative test on the
 boxes' circumscribed circles; in the bench scene 2 of the 12 pairs are
 kept.  Frames are byte-identical to testing every ray and every pair.
@@ -206,18 +206,25 @@ def _box_entry_t(spec: SceneSpec, box: BoxSpec, dirs: np.ndarray) -> np.ndarray:
     return np.where(hit, np.maximum(t_in, 0.0), np.inf)
 
 
+def _circle(box: BoxSpec) -> tuple[float, float]:
+    """Distance of the box centre from the sensor, and the radius of the
+    box's circumscribed circle, padded against rounding."""
+    dist = math.hypot(box.center_x, box.center_y)
+    radius = math.hypot(box.length, box.width) / 2.0
+    return dist, radius + 1e-9 * (radius + dist) + 1e-9
+
+
 def _may_enter(box: BoxSpec, dirs: np.ndarray) -> np.ndarray:
     """Directions that can enter the box: a superset of those that do.
 
     A ray enters the box only where its horizontal part passes the box's
-    circumscribed circle (padded against rounding) ahead of the sensor.
-    With the sensor inside the circle every direction is kept.
+    ``_circle`` ahead of the sensor.  With the sensor inside the circle
+    every direction is kept.
     """
-    radius = math.hypot(box.length, box.width) / 2.0
-    radius += 1e-9 * radius + 1e-9
-    cx, cy = box.center_x, box.center_y
-    if math.hypot(cx, cy) <= radius:
+    dist, radius = _circle(box)
+    if dist <= radius:
         return np.ones(dirs.shape[0], dtype=bool)
+    cx, cy = box.center_x, box.center_y
     hx, hy = dirs[:, 0], dirs[:, 1]
     cross = hx * cy - hy * cx
     return ((hx * cx + hy * cy >= 0.0)
@@ -236,32 +243,14 @@ def _nearest_entry_t(spec: SceneSpec, boxes, dirs: np.ndarray) -> np.ndarray:
     return t
 
 
-class _Carried:
-    """An argument that a cached function takes outside its key: all
-    instances hash and compare equal, so the other arguments must fix it."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __hash__(self):
-        return 0
-
-    def __eq__(self, other):
-        return isinstance(other, _Carried)
-
-
 @lru_cache(maxsize=8)
-def _ground_returns(beam_count: int, vertical_fov_deg: tuple, azimuth_resolution_deg: float,
-                    ground_slope: float, sensor_height: float, max_range: float,
-                    obstacles: tuple, scan: _Carried):
+def _ground_returns(sensor: tuple, obstacles: tuple):
     """Read-only directions and ground hits of the rays that return from
-    the ground: the rays of ``scan`` (``_scan``'s table for the same key)
-    not shadowed by a box.  One table per sensor, ground and box set; it
-    holds nothing drawn from the seed."""
-    dirs, t_ground = scan.value
-    spec = SceneSpec(ground_slope=ground_slope, sensor_height=sensor_height,
+    the ground: the rays of ``_scan(*sensor)`` not shadowed by a box.  One
+    table per sensor, ground and box set; it holds nothing drawn from the
+    seed."""
+    dirs, t_ground = _scan(*sensor)
+    spec = SceneSpec(ground_slope=sensor[3], sensor_height=sensor[4],
                      obstacles=obstacles, obstacle_density=0.0)
     ground = _nearest_entry_t(spec, obstacles, dirs) >= t_ground
     dirs, t_ground = np.compress(ground, dirs, axis=0), np.compress(ground, t_ground)
@@ -270,20 +259,10 @@ def _ground_returns(beam_count: int, vertical_fov_deg: tuple, azimuth_resolution
 
 
 def _ground_table(spec: SceneSpec):
-    """``_ground_returns`` of the scene: its sensor, ground and boxes.
-    ``_scan`` runs once per frame; its table, fixed by the same key, is
-    carried to a cache miss without joining the key."""
-    key = (spec.beam_count, spec.vertical_fov_deg, spec.azimuth_resolution_deg,
-           spec.ground_slope, spec.sensor_height, spec.max_range)
-    return _ground_returns(*key, spec.obstacles, _Carried(_scan(*key)))
-
-
-def _circle(box: BoxSpec) -> tuple[float, float]:
-    """Distance of the box centre from the sensor, and the radius of the
-    box's circumscribed circle, padded against rounding."""
-    dist = math.hypot(box.center_x, box.center_y)
-    radius = math.hypot(box.length, box.width) / 2.0
-    return dist, radius + 1e-9 * (radius + dist) + 1e-9
+    """``_ground_returns`` of the scene: its sensor, ground and boxes."""
+    sensor = (spec.beam_count, spec.vertical_fov_deg, spec.azimuth_resolution_deg,
+              spec.ground_slope, spec.sensor_height, spec.max_range)
+    return _ground_returns(sensor, spec.obstacles)
 
 
 def _may_hide(other: BoxSpec, box: BoxSpec) -> bool:

@@ -370,6 +370,12 @@ class TestClusterOutputGrid:
         with pytest.raises(ValueError):
             cluster_output_grid(zero_attr(), 1.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), True, None])
+    def test_bad_objectness_threshold_names_itself(self, bad):
+        # True once read as 1.0 and None raised TypeError
+        with pytest.raises(ValueError, match="^objectness_threshold"):
+            cluster_output_grid(zero_attr(), bad)
+
     @pytest.mark.parametrize("bad", [-0.5, 1.5, float("nan")])
     def test_shared_and_separate_scores_checked(self, bad):
         # one array passed as both scores is checked once, under the
@@ -554,6 +560,25 @@ class TestPostprocess:
         lo = cluster_output_grid(zero_attr(objectness=obj, confidence=conf_lo), 0.5)
         assert len(postprocess_clusters(hi, 0.5, CFG)) == 1
         assert len(postprocess_clusters(lo, 0.5, CFG)) == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5, True, "0.5"])
+    def test_bad_min_confidence_rejected(self, bad):
+        # a NaN compared false with every confidence and kept every cluster
+        obj = np.zeros((40, 40))
+        obj[5:7, 5:7] = obj[20:22, 20:22] = 1.0
+        clusters = cluster_output_grid(zero_attr(objectness=obj, confidence=obj * 0.3), 0.5)
+        assert len(clusters) == 2 and postprocess_clusters(clusters, 0.5, CFG) == []
+        with pytest.raises(ValueError, match="^min_confidence"):
+            postprocess_clusters(clusters, bad, CFG)
+
+    @pytest.mark.parametrize("bad", [float("nan"), 2.0, 0, True])
+    def test_bad_min_cells_rejected(self, bad):
+        obj = np.zeros((40, 40))
+        obj[20, 20] = 1.0
+        clusters = cluster_output_grid(zero_attr(objectness=obj, confidence=obj), 0.5)
+        assert postprocess_clusters(clusters, 0.5, CFG) == []
+        with pytest.raises(ValueError, match="^min_cells"):
+            postprocess_clusters(clusters, 0.5, CFG, bad)
 
     def test_min_cells_filter(self):
         obj = np.zeros((40, 40))

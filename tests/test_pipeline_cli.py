@@ -17,6 +17,7 @@ from lidargrid.config import (
     _NOTES,
     ClusterParams,
     ConfigError,
+    EvalParams,
     PipelineConfig,
     config_from_dict,
     default_config_yaml,
@@ -357,6 +358,13 @@ class TestConfig:
             with pytest.raises(ConfigError, match=f"^{key} cannot be a boolean"):
                 config_from_dict(set_path(asdict(PipelineConfig()), path, bad))
 
+    @pytest.mark.parametrize("ref_lat", [95.0, -90.5, 200])
+    def test_latitude_past_a_pole_refused_by_its_class(self, ref_lat):
+        # it was refused only when gt.csv was geodetic, as error[invalid-latitude]
+        with pytest.raises(ValueError, match="^ref_lat must be"):
+            EvalParams(ref_lat=ref_lat)
+        assert EvalParams(ref_lat=-90.0, ref_lon=200.0).ref_lat == -90.0
+
     @pytest.mark.parametrize("cls, field, bad", [
         (SceneSpec, "vertical_fov_deg", None),
         (SceneSpec, "vertical_fov_deg", 10.0),
@@ -379,6 +387,9 @@ class TestConfig:
         ({"ransac": {"max_plane_tilt_deg": "20"}}, "max_plane_tilt_deg"),
         ({"ransac": {"max_plane_tilt_deg": None}}, "max_plane_tilt_deg"),
         ({"synth": {"ground_slope_deg": [2]}}, "ground_slope_deg"),
+        ({"profile": {"breakpoints": [[0, "abc"]]}}, "count thresholds"),
+        ({"profile": {"breakpoints": [[0, "5.0"]]}}, "count thresholds"),
+        ({"profile": {"breakpoints": [[0, "1" * 5000]]}}, "count thresholds"),
     ])
     def test_malformed_yaml_value_names_its_key(self, data, key):
         with pytest.raises(ConfigError, match=f"^{key} must be"):
@@ -676,6 +687,8 @@ class TestCli:
         "synth: {obstacles: [{center_x: [10], center_y: 0}]}",
         "eval: {ref_lat: abc}",
         "eval: {ref_lon: [9, 10]}",
+        "eval: {ref_lat: 95}",
+        "eval: {ref_lat: -200}",
         "profile: {breakpoints: [[0, .inf]]}",
         "grid: {cell_size: 1" + "0" * 400 + "}",
         "profile: {breakpoints: [[0, 1" + "0" * 400 + "]]}",
@@ -696,6 +709,7 @@ class TestCli:
             "ransac-iterations-over-cap", "synth-beams", "synth-beams-1e29", "synth-azimuths",
             "synth-azimuths-1e-300", "box-samples-over-cap", "box-center-string",
             "box-center-null", "box-center-list", "ref-lat-string", "ref-lon-list",
+            "ref-lat-past-pole", "ref-lat-past-south-pole",
             "infinite-breakpoint-count", "cell-size-past-float", "breakpoint-count-past-float",
             "breakpoint-start-string", "integer-past-4300-digits"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, text):

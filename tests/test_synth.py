@@ -195,11 +195,12 @@ class TestScanCache:
 
     def test_seed_and_obstacles_share_one_entry(self):
         _scan.cache_clear()
+        _ground_returns.cache_clear()
         generate_frame(SceneSpec(rng_seed=1))
         generate_frame(SceneSpec(rng_seed=2))
         generate_frame(SceneSpec(obstacles=(self.VAN,), rng_seed=3))
         info = _scan.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     @pytest.mark.parametrize("field, value", [
         ("ground_slope", 0.035), ("beam_count", 8), ("vertical_fov_deg", (-20.0, 10.0)),
@@ -207,6 +208,7 @@ class TestScanCache:
     ])
     def test_slope_or_sensor_field_gets_its_own_entry(self, field, value):
         _scan.cache_clear()
+        _ground_returns.cache_clear()
         generate_frame(SceneSpec())
         generate_frame(replace(SceneSpec(), **{field: value}))
         info = _scan.cache_info()
@@ -404,6 +406,16 @@ class TestGroundReturnsCache:
         generate_frame(SceneSpec(obstacles=obstacles))
         info = _ground_returns.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+
+    def test_moved_boxes_reuse_the_ray_table(self):
+        _scan.cache_clear()
+        _ground_returns.cache_clear()
+        generate_frame(SceneSpec(obstacles=(self.VAN,)))
+        generate_frame(SceneSpec(obstacles=(replace(self.VAN, center_x=12.0),)))
+        info = _ground_returns.cache_info()
+        assert (info.misses, info.hits) == (2, 0)
+        info = _scan.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_cached_arrays_are_read_only(self):
         dirs, t_ground = _ground_table(SceneSpec(obstacles=(self.VAN,)))

@@ -9,6 +9,12 @@ Python process of its own, with that tree's ``src`` on the path:
 - the ground plane and the obstacles of both routes on the 90 drive-mix
   frames (the bench scene, seeds 5000-5089, ground slope cycling 0, 2 and
   4 degrees), as hex floats;
+- the generator's frames, points and labels as one SHA-256 each, for 60
+  random scenes of 1-6 yawed boxes and for one 64-beam, 0.1 degree frame
+  with a box over the sensor.  Each box after the first lies, by a coin
+  toss, within 40 m of the sensor or within 4 m of the box before it (in
+  x and in y); the ground slope cycles as above.  Each scene runs at
+  two seeds in a row, so the second frame reuses its ground table;
 - under the default config and under ``perfbench/pcd_replay.yaml`` (this
   tree's copy, for both sides): ``synth --frames 3``, ``detect --input``
   and ``detect --synth 4`` on both routes, ``eval`` of the geometric
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -37,6 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FRAMES, FIRST_SEED, SLOPES_DEG = 90, 5000, (0.0, 2.0, 4.0)
+SCENES, SCENE_DRAW_SEED = 60, 6000
 CONFIGS = {"default": None, "pcd_replay": ROOT / "perfbench" / "pcd_replay.yaml"}
 ROUTES = ("geometric", "bev")
 OBSTACLE_FIELDS = ("center_x", "center_y", "length", "width", "height", "confidence")
@@ -58,9 +66,40 @@ def cli_steps(config):
     return [(item, argv + cfg) for item, argv in steps]
 
 
+def generator_scenes():
+    """(name, SceneSpec) of the generator item, in the order they run."""
+    import numpy as np
+
+    from lidargrid.synth import BoxSpec, SceneSpec
+
+    rng = np.random.default_rng(SCENE_DRAW_SEED)
+    for k in range(SCENES):
+        boxes, (x, y) = [], rng.uniform(-40.0, 40.0, 2)
+        for _ in range(rng.integers(1, 7)):
+            boxes.append(BoxSpec(center_x=float(x), center_y=float(y),
+                                 length=float(rng.uniform(1.0, 8.0)),
+                                 width=float(rng.uniform(0.5, 3.0)),
+                                 height=float(rng.uniform(0.5, 3.0)),
+                                 yaw=float(rng.uniform(-math.pi, math.pi)),
+                                 clearance=float(rng.uniform(0.0, 0.5))))
+            if rng.random() < 0.5:  # the next box near this one
+                x, y = np.array([x, y]) + rng.uniform(-4.0, 4.0, 2)
+            else:
+                x, y = rng.uniform(-40.0, 40.0, 2)
+        slope = math.radians(SLOPES_DEG[k % len(SLOPES_DEG)])
+        for seed in (2 * k, 2 * k + 1):
+            yield f"scene {k} seed {seed}", SceneSpec(obstacles=tuple(boxes), ground_slope=slope,
+                                                      rng_seed=seed)
+    over = BoxSpec(center_x=0.5, center_y=-0.3, length=6.0, width=3.0, height=1.0,
+                   yaw=0.3, clearance=2.5)  # a roof over the sensor, 0.7-1.7 m above it
+    yield "64-beam frame", SceneSpec(beam_count=64, azimuth_resolution_deg=0.1,
+                                     obstacles=(over, BoxSpec(center_x=10.05, center_y=0.15)))
+
+
 def emit(out: Path, src: Path) -> None:
-    """Make the output set with the package under ``src``: ``drive.json``
-    and one directory per config and CLI step under ``out``."""
+    """Make the output set with the package under ``src``: ``drive.json``,
+    ``generator.json`` and one directory per config and CLI step under
+    ``out``."""
     from dataclasses import replace
 
     import lidargrid
@@ -85,6 +124,13 @@ def emit(out: Path, src: Path) -> None:
         drive["planes"].append([float(v).hex() for v in (*plane.normal, plane.offset)]
                                + [plane.inlier_count])
     (out / "drive.json").write_text(json.dumps(drive))
+    digests = []
+    for name, scene in generator_scenes():
+        labeled = generate_frame(scene)
+        digest = hashlib.sha256(labeled.frame.points.tobytes())
+        digest.update(labeled.labels.tobytes())
+        digests.append([name, len(labeled.labels), digest.hexdigest()])
+    (out / "generator.json").write_text(json.dumps(digests))
     for name, config in CONFIGS.items():
         work = out / name
         work.mkdir()
@@ -182,6 +228,16 @@ def compare(old: Path, new: Path, show_all: bool):
         out, ok = compare_drive(name, old_drive[name], new_drive[name], show_all)
         lines += out
         same &= ok
+    old_gen = json.loads((old / "generator.json").read_text())
+    new_gen = json.loads((new / "generator.json").read_text())
+    differ = [(a, b) for a, b in zip(old_gen, new_gen) if a != b]
+    if differ:
+        (name, n_old, _), (_, n_new, _) = differ[0]
+        lines.append(f"generator frames: {len(differ)} of {len(old_gen)} differ, first "
+                     f"{name} ({n_old} -> {n_new} points)")
+    else:
+        lines.append("generator frames: same")
+    same &= not differ
     for name, config in CONFIGS.items():
         for item, argv in cli_steps(config):
             out_dir = argv[argv.index("--out-dir") + 1]
