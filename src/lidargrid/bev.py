@@ -218,30 +218,19 @@ class OutputAttributeGrid:
 DetectorFn = Callable[[ChannelImage], OutputAttributeGrid]
 
 
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a non-empty 1-D array without NaN, bit for bit: the
-    mean of its one or two middle values.  ``np.median`` itself imports
-    ``numpy.ma`` on its first call in a process, about 16 ms."""
-    half = values.size // 2
-    kth = (half,) if values.size % 2 else (half - 1, half)
-    return float(np.mean(np.partition(values, kth)[kth[0]:half + 1]))
-
-
 def height_gap_detector(channels: ChannelImage,
                         min_height: float = 0.25) -> OutputAttributeGrid:
     """Heuristic stand-in predictor that suppresses the road surface.
 
     The pipeline builds ``channels`` from heights above the fitted ground
-    plane, so the road lies near 0 on slopes too; the median mean-height
-    over occupied cells (ground returns dominate a road scene) takes up
-    what offset is left.  Cells rising at least ``min_height`` above it
-    score as objects, and the height attribute is reported relative to it.
-    The attributes are given over the occupied cells.
+    plane, so the road lies near 0 on slopes too.  An occupied cell whose
+    highest return rises at least ``min_height`` above the plane scores
+    as an object, and its height attribute is that height.  The
+    attributes are given over the occupied cells.
     """
-    max_h, mean_h, *_, occupancy = channels.values  # PLANE_NAMES order
+    max_h, *_, occupancy = channels.values  # PLANE_NAMES order
     occ = occupancy > 0
-    ground = _median(mean_h[occ].astype(np.float64)) if occ.any() else 0.0
-    rise = max_h[occ].astype(np.float64) - ground
+    rise = max_h[occ].astype(np.float64)
     hit = rise >= min_height
     score = hit.astype(np.float64)
     no_offset = np.broadcast_to(0.0, score.shape)  # read-only, takes no memory

@@ -58,7 +58,7 @@ class EvalParams:
         check_real("gate", self.gate, 0.0, open_low=True)
         check_real("lever_arm_x", self.lever_arm_x)
         check_real("lever_arm_y", self.lever_arm_y)
-        for name, bound in (("ref_lat", 90.0), ("ref_lon", math.inf)):
+        for name, bound in (("ref_lat", 90.0), ("ref_lon", 180.0)):
             if getattr(self, name) is not None:  # a reference may be unset
                 check_real(name, getattr(self, name), -bound, bound)
 

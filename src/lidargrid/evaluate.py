@@ -84,16 +84,18 @@ def geodetic_to_plane(lat: float, lon: float, ref_lat: float, ref_lon: float):
     """Local tangent-plane conversion of geodetic degrees to meters.
 
     Equirectangular approximation around the reference point:
-    X = R_e * rad(lon - ref_lon) * cos(ref_lat), Y = R_e * rad(lat - ref_lat).
-    Accurate to sub-centimeter over the sub-kilometer baselines this
-    harness targets; exactly linear in the input deltas.
+    X = R_e * rad(lon - ref_lon) * cos(ref_lat), Y = R_e * rad(lat - ref_lat),
+    with lon - ref_lon wrapped exactly into [-180, 180] for tracks across
+    the antimeridian.  Accurate to sub-centimeter over the sub-kilometer
+    baselines this harness targets; exactly linear in the input deltas.
     """
     for name, value in (("lat", lat), ("ref_lat", ref_lat)):
         if not math.isfinite(value) or abs(value) > 90.0:
             raise InvalidLatitude(f"{name} = {value}")
     if not (math.isfinite(lon) and math.isfinite(ref_lon)):
         raise ValueError("longitude must be finite")
-    x = EARTH_RADIUS_M * math.radians(lon - ref_lon) * math.cos(math.radians(ref_lat))
+    dlon = math.remainder(lon - ref_lon, 360.0)
+    x = EARTH_RADIUS_M * math.radians(dlon) * math.cos(math.radians(ref_lat))
     y = EARTH_RADIUS_M * math.radians(lat - ref_lat)
     return x, y
 

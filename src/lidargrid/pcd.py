@@ -231,17 +231,10 @@ def _format_rows(rows: np.ndarray) -> bytes:
     # rounding of the exact product only this close to a half
     s -= m
     fallback |= np.abs(s, out=s) >= 0.5 - 1e-6
-    off = np.flatnonzero((m < 1e8) | (m >= 1e9))
-    if off.size:
-        # log10 rounded across a power of ten, or the digits carried to 1e9
-        jo = j[off] + np.where(m[off] < 1e8, -1, 1)
-        so = a[off] * _POW10.take(12 - jo, mode="clip")
-        mo = np.rint(so)
-        j[off], m[off] = jo, mo
-        fallback[off] |= ((jo < 0) | (jo > 7) | (mo < 1e8) | (mo >= 1e9)
-                          | (np.abs(so - mo) >= 0.5 - 1e-6))
-    # the digits in units of 1e-12, in four groups; the product is exact,
-    # since m * 5**j < 2**53
+    # log10 rounded across a power of ten, or the digits carried to 1e9
+    fallback |= (m < 1e8) | (m >= 1e9)
+    # the digits in units of 1e-12, in four groups; the product is exact
+    # outside the fallback, since m * 5**j < 2**53 there
     n = (m * _POW10.take(j, mode="clip")).astype(np.int64)
     q = n // 10000
     g3 = n - q * 10000

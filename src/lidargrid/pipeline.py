@@ -5,8 +5,8 @@ Both routes share one front half: validate -> RANSAC ground fit -> level
 route projects the whole levelled cloud.  Geometric: grid (its z crop
 leaves the ground out) -> occupancy thresholds -> morphology ->
 connected components -> obstacle extraction.  BEV: channel extraction
--> detector (pluggable) -> output-grid clustering -> confidence and size
-post-processing.
+-> detector (pluggable; the built-in one measures heights from the same
+plane) -> output-grid clustering -> confidence and size post-processing.
 """
 
 from __future__ import annotations
@@ -102,7 +102,8 @@ def run_bev(frame: PointCloudFrame, cfg: PipelineConfig,
             detector: bev_mod.DetectorFn | None = None) -> PipelineResult:
     """Run channel extraction plus detector-output post-processing.
 
-    ``detector`` defaults to the built-in ground-suppressing heuristic
+    ``detector`` defaults to ``bev.height_gap_detector``, which scores
+    the cells whose highest return rises 0.25 m above the fitted plane
     (the network this interface abstracts is not part of this package).
     """
     detector = detector or bev_mod.height_gap_detector

@@ -14,7 +14,6 @@ from lidargrid.bev import (
     ChannelImage,
     GeometryMismatch,
     OutputAttributeGrid,
-    _median,
     cluster_output_grid,
     extract_channels,
     height_gap_detector,
@@ -160,26 +159,13 @@ class TestHeightGapDetector:
             img = extract_channels(random_points(rng, int(rng.integers(0, 400))), CFG)
             attr = dense_attr(height_gap_detector(img, min_height=0.5))
             occ = img.plane("occupancy") > 0
-            mean_h = img.plane("mean_height").astype(np.float64)
             max_h = img.plane("max_height").astype(np.float64)
-            ground = float(np.median(mean_h[occ])) if occ.any() else 0.0
-            hit = occ & (max_h - ground >= 0.5)
+            hit = occ & (max_h >= 0.5)
             np.testing.assert_array_equal(attr.objectness, hit.astype(np.float64))
             np.testing.assert_array_equal(attr.confidence, attr.objectness)
-            np.testing.assert_array_equal(attr.height, np.where(hit, max_h - ground, 0.0))
+            np.testing.assert_array_equal(attr.height, np.where(hit, max_h, 0.0))
             for off in (attr.center_offset_x, attr.center_offset_y):
                 assert off.shape == (CFG.image_size, CFG.image_size) and not off.any()
-
-    def test_median_is_numpys_bit_for_bit(self):
-        # float32 mean heights widened to float64, as the detector takes
-        # them; few distinct values, so that most arrays hold ties (and
-        # both zeros, which np.median's mean turns into +0.0)
-        rng = np.random.default_rng(31)
-        pool = np.concatenate([rng.normal(0.0, 2.0, 12).astype(np.float32), [0.0, -0.0]])
-        for size in range(1, 65):
-            for _ in range(20):
-                values = rng.choice(pool, size).astype(np.float64)
-                assert np.float64(_median(values)).tobytes() == np.median(values).tobytes()
 
 
 class TestSerialization:

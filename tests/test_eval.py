@@ -6,6 +6,7 @@ import pytest
 from helpers import reference_mean_std
 from lidargrid.core import ObstacleEstimate
 from lidargrid.evaluate import (
+    EARTH_RADIUS_M,
     EgoPose,
     EmptySeries,
     InvalidLatitude,
@@ -56,6 +57,25 @@ class TestGeodeticToPlane:
                                        ref_lat, ref_lon)
             assert x2 == 2 * x1
             assert y2 == 2 * y1
+
+    @pytest.mark.parametrize("lon, ref_lon, sign", [(-179.9999, 179.9999, 1.0),
+                                                   (179.9999, -179.9999, -1.0)],
+                             ids=["eastward", "westward"])
+    def test_across_the_antimeridian(self, lon, ref_lon, sign):
+        # 0.0002 degrees of longitude at the equator, not the 359.9998 of
+        # the raw difference (-40074994 m)
+        x, y = geodetic_to_plane(0.0, lon, 0.0, ref_lon)
+        assert x == pytest.approx(sign * 22.264, abs=1e-3)
+        assert y == 0.0
+
+    def test_wrap_leaves_differences_up_to_180_as_they_are(self):
+        rng = np.random.default_rng(8)
+        for ref_lat, ref_lon, lon in rng.uniform([-90, -180, -180], [90, 180, 180], (200, 3)):
+            if abs(lon - ref_lon) <= 180.0:
+                x, _ = geodetic_to_plane(0.0, lon, ref_lat, ref_lon)
+                raw = (EARTH_RADIUS_M * math.radians(lon - ref_lon)
+                       * math.cos(math.radians(ref_lat)))
+                assert x == raw
 
     def test_invalid_latitude(self):
         with pytest.raises(InvalidLatitude):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import asdict, fields, is_dataclass, replace
@@ -44,6 +47,15 @@ SLOPES_DEG = (0.0, 2.0, 4.0, 6.0)
 
 def van_scene(seed=0, **kwargs):
     return SceneSpec(obstacles=(VAN,), rng_seed=seed, **kwargs)
+
+
+def ring(half_step=0.0):
+    """16 boxes of 2.0 x 1.5 x 2.0 m around the sensor at 8 m, each
+    turned to its bearing 2 pi (k + half_step) / 16: they outnumber the
+    ground in the BEV raster's occupied cells."""
+    bearings = [2.0 * math.pi * (k + half_step) / 16 for k in range(16)]
+    return tuple(BoxSpec(center_x=8.0 * math.cos(b), center_y=8.0 * math.sin(b),
+                         length=2.0, width=1.5, height=2.0, yaw=b) for b in bearings)
 
 
 def number_paths(node, kind, path=(), declared=""):
@@ -170,6 +182,44 @@ class TestRunBev:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 672 * 672 * 8, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("boxes, seeds", [
+        (ring(), range(6)),
+        # a box whose top is 1.0 m above the road, inside the ring
+        (ring(0.5) + (BoxSpec(center_x=4.0, center_y=0.0, length=1.5, width=1.0,
+                              height=0.7),), range(4)),
+    ], ids=["ring", "low-box-in-ring"])
+    def test_finds_every_box_when_boxes_fill_most_cells(self, boxes, seeds):
+        # a ground level estimated from the occupied cells (their median
+        # mean height) would sit about 0.93 m up here, adding the ring's
+        # edges and hiding the low box; the fitted plane holds
+        for seed in seeds:
+            scene = SceneSpec(obstacles=boxes, rng_seed=seed, obstacle_density=400.0)
+            obstacles = run_bev(generate_frame(scene).frame, PipelineConfig()).obstacles
+            assert len(obstacles) == len(boxes), f"seed {seed}"
+            for box in boxes:
+                assert min(math.hypot(o.center_x - box.center_x, o.center_y - box.center_y)
+                           for o in obstacles) <= 0.45, (seed, box)
+
+    def test_routes_leave_numpy_ma_unimported(self):
+        # numpy.ma costs about 16 ms to import, once per process; a fresh
+        # process shows whether either route pulls it in
+        code = """if True:
+            import sys
+            from lidargrid.config import PipelineConfig
+            from lidargrid.pipeline import bench_scene, run_bev, run_geometric
+            from lidargrid.synth import generate_frame
+            frame = generate_frame(bench_scene(0)).frame
+            run_geometric(frame, PipelineConfig())
+            run_bev(frame, PipelineConfig())
+            print("numpy.ma" in sys.modules)
+        """
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "False\n"
 
     def test_van_scene_detected_with_default_detector(self):
         frame = generate_frame(van_scene(13)).frame
@@ -363,7 +413,13 @@ class TestConfig:
         # it was refused only when gt.csv was geodetic, as error[invalid-latitude]
         with pytest.raises(ValueError, match="^ref_lat must be"):
             EvalParams(ref_lat=ref_lat)
-        assert EvalParams(ref_lat=-90.0, ref_lon=200.0).ref_lat == -90.0
+        assert EvalParams(ref_lat=-90.0, ref_lon=180.0).ref_lat == -90.0
+
+    @pytest.mark.parametrize("ref_lon", [180.5, -200])
+    def test_longitude_past_the_antimeridian_refused_by_its_class(self, ref_lon):
+        # geodetic_to_plane wraps the difference, so [-180, 180] names every meridian
+        with pytest.raises(ValueError, match="^ref_lon must be"):
+            EvalParams(ref_lon=ref_lon)
 
     @pytest.mark.parametrize("cls, field, bad", [
         (SceneSpec, "vertical_fov_deg", None),
@@ -689,6 +745,7 @@ class TestCli:
         "eval: {ref_lon: [9, 10]}",
         "eval: {ref_lat: 95}",
         "eval: {ref_lat: -200}",
+        "eval: {ref_lon: 200}",
         "profile: {breakpoints: [[0, .inf]]}",
         "grid: {cell_size: 1" + "0" * 400 + "}",
         "profile: {breakpoints: [[0, 1" + "0" * 400 + "]]}",
@@ -709,7 +766,7 @@ class TestCli:
             "ransac-iterations-over-cap", "synth-beams", "synth-beams-1e29", "synth-azimuths",
             "synth-azimuths-1e-300", "box-samples-over-cap", "box-center-string",
             "box-center-null", "box-center-list", "ref-lat-string", "ref-lon-list",
-            "ref-lat-past-pole", "ref-lat-past-south-pole",
+            "ref-lat-past-pole", "ref-lat-past-south-pole", "ref-lon-past-antimeridian",
             "infinite-breakpoint-count", "cell-size-past-float", "breakpoint-count-past-float",
             "breakpoint-start-string", "integer-past-4300-digits"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, text):
