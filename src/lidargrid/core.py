@@ -188,7 +188,8 @@ def validate_frame(frame: PointCloudFrame) -> ValidatedFrame:
     # copy() beats compress on a full frame; compress beats pts[keep] ~6x
     kept = pts.copy() if keep.all() else np.compress(keep, pts, axis=0)
     if kept.shape[0] == 0:
-        raise EmptyFrame(f"frame {frame.frame_id}: no finite points")
+        raise EmptyFrame(f"frame {frame.frame_id}: " + (
+            f"no finite points ({pts.shape[0]} dropped)" if pts.shape[0] else "no points"))
     if kept[:, 3].max() > 1.0:
         kept[:, 3] /= 255.0
     np.clip(kept[:, 3], 0.0, 1.0, out=kept[:, 3])

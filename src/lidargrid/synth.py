@@ -11,13 +11,13 @@ aggregated coverage the downstream pipeline is specified against while
 keeping inter-object occlusion physical.
 
 Every point carries a label (ground or the index of its source box), so
-detection quality can be scored exactly.  The rays and their ground hits
-depend only on the sensor and the ground, so ``_scan`` builds that table
-once for each and frames share it read-only.  Which of those rays return
-from the ground depends on the boxes too, so ``_ground_returns`` cuts
-them from ``_scan``'s table once per sensor, ground and box set, on its
-own cache miss (the last eight are kept, about 0.4 MB each for the
-default sensor).  A frame then draws only its random parts: range noise
+detection quality can be scored exactly.  Only a frame's random draws
+use its seed, noise and density, so both cached tables are keyed on the
+scene with those three set to zero.  ``_scan`` holds the rays whose
+ground hit is in range, keyed without the boxes too; ``_ground_returns``
+cuts from it, on its own cache miss, the rays that return from the
+ground.  The last eight of each are kept, about 0.4 MB each for the
+default sensor.  A frame then draws only its random parts: range noise
 on those hits, and the box samples.  A box's samples are tested only
 against the boxes that ``_may_hide`` them, a conservative test on the
 boxes' circumscribed circles; in the bench scene 2 of the 12 pairs are
@@ -27,7 +27,7 @@ kept.  Frames are byte-identical to testing every ray and every pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -93,7 +93,7 @@ class SceneSpec:
         check_real("obstacle_density", self.obstacle_density, 0.0)
         check_real("max_range", self.max_range, 0.0, open_low=True)
         check_real("ground_slope", self.ground_slope)
-        check_real("sensor_height", self.sensor_height)
+        check_real("sensor_height", self.sensor_height, 0.0, open_low=True)
         check_whole("rng_seed", self.rng_seed)
         object.__setattr__(self, "obstacles", check_tuple("obstacles", self.obstacles))
         for box in self.obstacles:
@@ -153,17 +153,15 @@ def _ground_hit_t(spec: SceneSpec, dirs: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _scan(beam_count: int, vertical_fov_deg: tuple, azimuth_resolution_deg: float,
-          ground_slope: float, sensor_height: float, max_range: float):
+def _scan(ground: SceneSpec):
     """Read-only directions of the rays whose ground hit is in range, and
-    those hits: one table per sensor and ground, shared by every scene."""
-    spec = SceneSpec(ground_slope=ground_slope, beam_count=beam_count,
-                     vertical_fov_deg=vertical_fov_deg, max_range=max_range,
-                     azimuth_resolution_deg=azimuth_resolution_deg, sensor_height=sensor_height)
-    dirs = _ray_directions(spec)
-    t_ground = _ground_hit_t(spec, dirs)
+    those hits.  ``ground`` is a scene with no boxes and its seed, noise
+    and density set to zero, so every scene of one sensor and ground
+    shares the table."""
+    dirs = _ray_directions(ground)
+    t_ground = _ground_hit_t(ground, dirs)
     # only a ray whose ground hit is in range can return from the ground
-    in_range = t_ground <= max_range
+    in_range = t_ground <= ground.max_range
     dirs, t_ground = np.compress(in_range, dirs, axis=0), np.compress(in_range, t_ground)
     dirs.flags.writeable = t_ground.flags.writeable = False
     return dirs, t_ground
@@ -244,25 +242,16 @@ def _nearest_entry_t(spec: SceneSpec, boxes, dirs: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _ground_returns(sensor: tuple, obstacles: tuple):
+def _ground_returns(scene: SceneSpec):
     """Read-only directions and ground hits of the rays that return from
-    the ground: the rays of ``_scan(*sensor)`` not shadowed by a box.  One
-    table per sensor, ground and box set; it holds nothing drawn from the
-    seed."""
-    dirs, t_ground = _scan(*sensor)
-    spec = SceneSpec(ground_slope=sensor[3], sensor_height=sensor[4],
-                     obstacles=obstacles, obstacle_density=0.0)
-    ground = _nearest_entry_t(spec, obstacles, dirs) >= t_ground
+    the ground: the rays of ``_scan`` not shadowed by a box.  ``scene``
+    has its seed, noise and density set to zero, so frames that differ
+    only in those share the table; it holds nothing drawn from the seed."""
+    dirs, t_ground = _scan(replace(scene, obstacles=()))
+    ground = _nearest_entry_t(scene, scene.obstacles, dirs) >= t_ground
     dirs, t_ground = np.compress(ground, dirs, axis=0), np.compress(ground, t_ground)
     dirs.flags.writeable = t_ground.flags.writeable = False
     return dirs, t_ground
-
-
-def _ground_table(spec: SceneSpec):
-    """``_ground_returns`` of the scene: its sensor, ground and boxes."""
-    sensor = (spec.beam_count, spec.vertical_fov_deg, spec.azimuth_resolution_deg,
-              spec.ground_slope, spec.sensor_height, spec.max_range)
-    return _ground_returns(sensor, spec.obstacles)
 
 
 def _may_hide(other: BoxSpec, box: BoxSpec) -> bool:
@@ -309,7 +298,8 @@ def generate_frame(spec: SceneSpec, frame_id: int = 0,
     """
     rng = np.random.default_rng(spec.rng_seed)
     boxes = spec.obstacles
-    dirs, t_ground = _ground_table(spec)
+    dirs, t_ground = _ground_returns(replace(spec, rng_seed=0, noise_sigma=0.0,
+                                             obstacle_density=0.0))
     t_hit = t_ground + rng.normal(0.0, spec.noise_sigma, size=t_ground.size)
     box_pts = []
     for b, box in enumerate(boxes):

@@ -40,6 +40,16 @@ class TestValidateFrame:
         with pytest.raises(EmptyFrame):
             validate_frame(frame)
 
+    def test_frame_without_points_says_so(self):
+        frame = PointCloudFrame(points=np.empty((0, 4)), frame_id=7)
+        with pytest.raises(EmptyFrame, match=r"^frame 7: no points$"):
+            validate_frame(frame)
+
+    def test_frame_of_non_finite_points_gives_the_count(self):
+        frame = make_frame([[np.nan, 0, 0, 0], [np.inf, 1, 1, 0]], frame_id=3)
+        with pytest.raises(EmptyFrame, match=r"^frame 3: no finite points \(2 dropped\)$"):
+            validate_frame(frame)
+
     @pytest.mark.parametrize("col", range(4))
     def test_non_finite_in_every_row_raises(self, col):
         rows = np.ones((3, 4))

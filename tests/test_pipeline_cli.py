@@ -732,6 +732,8 @@ class TestCli:
         "synth: {vertical_fov_deg: [-1.0e308, 1.0e308]}",
         "profile: {breakpoints: [[0, 2.5]]}",
         "synth: {ground_z: -1.8}",
+        "synth: {sensor_height: 0}",
+        "synth: {sensor_height: -1.8}",
         "ransac: {max_iterations: 1000000000000000000}",
         "synth: {beam_count: 200000000000000}",
         "synth: {beam_count: 100000000000000000000000000000}",
@@ -763,6 +765,7 @@ class TestCli:
             "zero-bev-image-size", "zero-bev-range", "grid-over-cell-cap",
             "bev-over-cell-cap", "fov-one-value", "fov-three-values",
             "fov-read-as-strings", "fractional-breakpoint-count", "ground-z-is-unknown-key",
+            "sensor-at-ground", "sensor-below-ground",
             "ransac-iterations-over-cap", "synth-beams", "synth-beams-1e29", "synth-azimuths",
             "synth-azimuths-1e-300", "box-samples-over-cap", "box-center-string",
             "box-center-null", "box-center-list", "ref-lat-string", "ref-lon-list",

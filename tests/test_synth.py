@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from lidargrid.synth import (
     _box_entry_t,
     _box_z_span,
     _ground_returns,
-    _ground_table,
     _may_enter,
     _may_hide,
     _nearest_entry_t,
@@ -182,9 +181,7 @@ class TestScanCache:
 
     @staticmethod
     def _entry(spec):
-        return _scan(spec.beam_count, tuple(spec.vertical_fov_deg),
-                     spec.azimuth_resolution_deg, spec.ground_slope,
-                     spec.sensor_height, spec.max_range)
+        return _scan(replace(_table_key(spec), obstacles=()))
 
     def test_cached_arrays_are_read_only(self):
         dirs, t_ground = self._entry(SceneSpec())
@@ -202,17 +199,37 @@ class TestScanCache:
         info = _scan.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
-    @pytest.mark.parametrize("field, value", [
-        ("ground_slope", 0.035), ("beam_count", 8), ("vertical_fov_deg", (-20.0, 10.0)),
-        ("azimuth_resolution_deg", 0.4), ("sensor_height", 1.5), ("max_range", 50.0),
-    ])
-    def test_slope_or_sensor_field_gets_its_own_entry(self, field, value):
+    # another value for each SceneSpec field: a new field must be added
+    # here, and so be sorted into the draws or the keys of both tables
+    OTHER_VALUE = {
+        "ground_slope": 0.035, "noise_sigma": 0.05, "obstacles": (replace(VAN, center_x=12.0),),
+        "beam_count": 8, "vertical_fov_deg": (-20.0, 10.0), "azimuth_resolution_deg": 0.4,
+        "max_range": 50.0, "sensor_height": 1.5, "rng_seed": 7, "obstacle_density": 50.0,
+    }
+    DRAWN = ("rng_seed", "noise_sigma", "obstacle_density")
+
+    def test_every_field_has_another_value(self):
+        assert set(self.OTHER_VALUE) == {f.name for f in fields(SceneSpec)}
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(SceneSpec)])
+    def test_each_field_is_drawn_or_keys_the_tables(self, field):
+        base = SceneSpec(obstacles=(self.VAN,))
+        scene = replace(base, **{field: self.OTHER_VALUE[field]})
         _scan.cache_clear()
         _ground_returns.cache_clear()
-        generate_frame(SceneSpec())
-        generate_frame(replace(SceneSpec(), **{field: value}))
-        info = _scan.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+        generate_frame(base)
+        warm = _frame_bytes(generate_frame(scene))
+        scan, returns = _scan.cache_info(), _ground_returns.cache_info()
+        _scan.cache_clear()
+        _ground_returns.cache_clear()
+        assert warm == _frame_bytes(generate_frame(scene))
+        if field in self.DRAWN:
+            assert (returns.misses, returns.hits, scan.misses, scan.hits) == (1, 1, 1, 0)
+        elif field == "obstacles":
+            assert (returns.misses, returns.hits, scan.misses, scan.hits) == (2, 0, 1, 1)
+        else:
+            assert (returns.misses, returns.hits) == (2, 0)
+            assert (scan.misses, scan.hits, scan.currsize) == (2, 0, 2)
 
     def test_list_field_of_view(self):
         spec = SceneSpec(vertical_fov_deg=[-15.0, 15.0], obstacles=(self.VAN,), rng_seed=4)
@@ -279,6 +296,11 @@ class TestExpectedObstacles:
     def test_invalid_box_rejected(self):
         with pytest.raises(ValueError):
             BoxSpec(center_x=0, center_y=0, length=0.0)
+
+
+def _table_key(spec):
+    """The scene ``generate_frame`` looks its ground table up with."""
+    return replace(spec, rng_seed=0, noise_sigma=0.0, obstacle_density=0.0)
 
 
 def _frame_bytes(labeled):
@@ -418,7 +440,7 @@ class TestGroundReturnsCache:
         assert (info.misses, info.hits) == (1, 1)
 
     def test_cached_arrays_are_read_only(self):
-        dirs, t_ground = _ground_table(SceneSpec(obstacles=(self.VAN,)))
+        dirs, t_ground = _ground_returns(_table_key(SceneSpec(obstacles=(self.VAN,))))
         with pytest.raises(ValueError):
             dirs[0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -427,7 +449,7 @@ class TestGroundReturnsCache:
     def test_table_holds_the_unshadowed_rays(self):
         spec = SceneSpec(obstacles=(self.VAN,))
         all_dirs, all_t = TestScanCache._entry(spec)
-        dirs, t_ground = _ground_table(spec)
+        dirs, t_ground = _ground_returns(_table_key(spec))
         lit = _box_entry_t(spec, self.VAN, all_dirs) >= all_t
         assert 0 < len(dirs) < len(all_dirs)
         np.testing.assert_array_equal(dirs, all_dirs[lit])

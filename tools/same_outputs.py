@@ -23,7 +23,9 @@ Python process of its own, with that tree's ``src`` on the path:
 
 It prints one line per item: ``same``, or the first difference.  A
 drive-mix item that differs also says how many frames differ and the
-largest change; ``--all`` lists every differing frame.  The exit status
+largest change, each with its frame: in the plane's normal and offset,
+or an obstacle's centre move and its change in length, width and
+height.  ``--all`` lists every differing frame.  The exit status
 is 1 when any item differs.  Both sides run on one host with one numpy,
 so they compare bit for bit and no stored digest is needed.
 """
@@ -176,6 +178,26 @@ def describe_obstacles(old, new):
     return "; ".join(changes)
 
 
+def largest_obstacle_changes(old, new, differ):
+    """The largest centre move and change in length, width and height over
+    the frames ``differ`` whose obstacle counts match, each with its frame."""
+    best = {}  # name -> (size, text, frame index)
+    for i in differ:
+        if len(old[i]) != len(new[i]):
+            continue
+        for o, n in zip(old[i], new[i]):
+            a, b = [float.fromhex(v) for v in o[:-1]], [float.fromhex(v) for v in n[:-1]]
+            move = math.hypot(b[0] - a[0], b[1] - a[1])
+            found = [("move", move, f"move {1e3 * move:.3g} mm")]
+            found += [(name, abs(y - x), f"{name} {x:.4g} -> {y:.4g} m")
+                      for name, x, y in zip(OBSTACLE_FIELDS[2:5], a[2:5], b[2:5])]
+            for name, size, text in found:
+                if size and size >= best.get(name, (0.0,))[0]:  # ties: the last
+                    best[name] = (size, text, i)
+    return [f"{best[name][1]} (frame {FIRST_SEED + best[name][2]})"
+            for name in ("move", *OBSTACLE_FIELDS[2:5]) if name in best]
+
+
 def compare_drive(name, old, new, show_all):
     """Report lines for one drive-mix item."""
     differ = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
@@ -192,8 +214,13 @@ def compare_drive(name, old, new, show_all):
         detail = {i: f"{c[0]:.4f} deg, {1e3 * c[1]:.2f} mm" for i, c in changes.items()}
     else:
         detail = {i: describe_obstacles(old[i], new[i]) for i in differ}
-        lines = [f"drive-mix {label}: {len(differ)} of {len(old)} frames differ, "
-                 f"first frame {FIRST_SEED + differ[0]}: {detail[differ[0]]}"]
+        recounted = sum(len(old[i]) != len(new[i]) for i in differ)
+        largest = largest_obstacle_changes(old, new, differ)
+        summary = [f"largest change {', '.join(largest)}"] if largest else []
+        summary += [f"the obstacle count changes in {recounted} of them"] if recounted else []
+        lines = [f"drive-mix {label}: {len(differ)} of {len(old)} frames differ, first frame "
+                 f"{FIRST_SEED + differ[0]}; "
+                 f"{'; '.join(summary) or detail[differ[0]]}"]
     if show_all:
         lines += [f"  frame {FIRST_SEED + i}: {detail[i]}" for i in differ]
     return lines, False
