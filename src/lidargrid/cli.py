@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override the configured pipeline")
         if frames:
             src = p.add_mutually_exclusive_group(required=True)
-            src.add_argument("--input", help="directory of ASCII .pcd frames")
+            src.add_argument("--input", help="directory of .pcd frames, ASCII or binary")
             src.add_argument("--synth", type=int, metavar="N",
                              help="generate N synthetic frames instead")
 

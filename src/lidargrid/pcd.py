@@ -1,29 +1,24 @@
-"""ASCII PCD reader/writer.
+"""PCD reader/writer.
 
-Supports the subset this project emits: FIELDS x y z [intensity] with
-DATA ascii.  Anything else is rejected with a clear error rather than
-guessed at.
+The reader supports the subset this project handles: FIELDS x y z
+[intensity], COUNT 1, and DATA ascii or DATA binary with each field F of
+SIZE 4 or 8.  Anything else is rejected with a clear error rather than
+guessed at.  The writer emits DATA binary with x y z intensity as
+little-endian float64, so a frame reads back bit for bit.
 
-Lines are those of Python's text mode, ending at LF, CRLF or CR; any
-other whitespace separates values, as for ``np.loadtxt`` and ``split()``.
-Both directions work in bulk.  The reader opens a file once, takes the
-header line by line and the rest in one ``np.loadtxt`` call.  Only when
-that call fails or returns the wrong shape does it seek back and walk the
-body line by line, to name a bad line in a ``ParseError``.
-
-The writer prints every value exactly as ``%.9g`` does, ``_BLOCK_ROWS``
-rows at a time in numpy.  For ``1e-4 <= |v| < 1e4`` it takes the decimal
-exponent from ``log10``, the nine significant digits from one rounded
-product with an exact power of ten, and lays the fixed-notation text out
-in a 24-byte record per value from tables of 4-digit text padded with NUL;
-one ``bytes.translate`` drops every NUL.  Zero, non-finite values, values
-outside that range and near-ties, where that one rounding could decide the
-last digit, are left to Python's own ``%.9g``.
+The reader reads a file once, in binary mode.  Header lines end at LF,
+CRLF or CR.  An ASCII body keeps the lines of Python's text mode, and any
+other whitespace separates values, as for ``np.loadtxt`` and ``split()``;
+it is taken in one ``np.loadtxt`` call.  Only when that call fails or
+returns the wrong shape does the reader walk the body line by line, to
+name a bad line in a ``ParseError``.  A binary body is taken with one
+``np.frombuffer`` and must hold exactly POINTS records.
 """
 
 from __future__ import annotations
 
-import functools
+import io
+import re
 import warnings
 
 import numpy as np
@@ -32,7 +27,7 @@ from .core import LidarGridError, PointCloudFrame, validate_frame
 
 
 class ParseError(LidarGridError):
-    """Malformed PCD header or data row; the message names the line."""
+    """Malformed PCD header or body; the message names the line."""
 
     category = "pcd-parse"
 
@@ -45,59 +40,33 @@ class UnsupportedLayout(LidarGridError):
 
 _HEADER_KEYS = ("VERSION", "FIELDS", "SIZE", "TYPE", "COUNT", "WIDTH",
                 "HEIGHT", "VIEWPOINT", "POINTS", "DATA")
-
-# Rows formatted per step.  The step's records (96 bytes a row) and its
-# float and index temporaries (32 bytes a row each) stay under glibc's
-# 128 KiB mmap threshold; blocks past it are mmapped, the threshold then
-# moves up and the process keeps a larger heap.
-_BLOCK_ROWS = 1024
-
-
-@functools.cache
-def _format_tables():
-    """Read-only tables of 4-digit text, each entry padded with NUL.
-
-    Built on the first write.  Each holds one form of ``k`` at ``k`` and the
-    other at ``k + 10000``: the separator and a positive or negative integer
-    part; the point and a last or non-last first fraction group (no point
-    for 0); a last or non-last later fraction group.
-    """
-    full = [b"%04d" % k for k in range(10000)]
-    lead = [s.lstrip(b"0") or b"0" for s in full]
-    trail = [s.rstrip(b"0") for s in full]
-    tables = (np.array([b" " + s for s in lead] + [b" -" + s for s in lead], "S8").view("<u8"),
-              np.array([s and b"." + s for s in trail] + [b"." + s for s in full], "S8").view("<u8"),
-              np.array(trail + full, "S4").view("<u4"))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-_POW10 = np.array([float(10 ** k) for k in range(13)])
-_POW10.flags.writeable = False
-# the record of a value left to Python: separator, then a %-format for it
-_FALLBACK = np.frombuffer(b" %.9g".ljust(24, b"\0"), "<u8")
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+_FLOAT_SIZES = {"4": "<f4", "8": "<f8"}
 
 
 def read_frame_pcd(path, frame_id: int = 0, timestamp: float = 0.0,
                    validate: bool = True) -> PointCloudFrame:
-    """Parse an ASCII PCD file into a frame; one that parses is read once.
+    """Parse an ASCII or binary PCD file into a frame.
 
-    Lines end at LF, CRLF or CR; other whitespace separates values.  A
-    missing intensity field defaults to 0.  With ``validate`` the frame is
-    cleaned via validate_frame, whose intensity rule holds for every
-    source.  An unreadable file and a malformed header or row raise
-    ``ParseError``; a byte that is not UTF-8 fails the line it sits in.
+    A missing intensity field defaults to 0.  With ``validate`` the frame
+    is cleaned via validate_frame, whose intensity rule holds for every
+    source.  An unreadable file, a malformed header or ASCII row and a
+    binary body of the wrong length raise ``ParseError``; a byte that is
+    not UTF-8 fails the ASCII line it sits in.
     """
     try:
-        # surrogateescape keeps a stray byte in its line, to fail there
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            n_points, n_fields, data_start = _read_header(path, iter(fh.readline, ""))
+        with open(path, "rb") as fh:
+            n_points, n_fields, record, data_start = _read_header(path, fh)
             body = fh.tell()
-            rows = _parse_bulk(fh, n_points, n_fields)
-            if rows is None:
-                fh.seek(body)
-                rows = _walk_rows(path, fh.readlines(), data_start, n_points, n_fields)
+            if record is not None:
+                rows = _unpack_records(path, fh.read(), n_points, record)
+            else:
+                # surrogateescape keeps a stray byte in its line, to fail there
+                with io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape") as text:
+                    rows = _parse_bulk(text, n_points, n_fields)
+                    if rows is None:
+                        text.seek(body)
+                        rows = _walk_rows(path, text.readlines(), data_start, n_points, n_fields)
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
@@ -107,15 +76,28 @@ def read_frame_pcd(path, frame_id: int = 0, timestamp: float = 0.0,
     return frame
 
 
-def _read_header(path, lines) -> tuple[int, int, int]:
-    """Consume header lines through DATA.
+def _header_lines(fh):
+    """Each line of ``fh`` from its start, with the offset where it ends.
 
-    Returns POINTS, the number of fields and the line number of DATA.
+    Lines end at LF, CRLF or CR; each chunk that ``readline`` returns runs
+    to an LF, so no CRLF is split between two.
+    """
+    start = 0
+    for chunk in iter(fh.readline, b""):
+        for line in _LINE.finditer(chunk):
+            yield line[0], start + line.end()
+        start += len(chunk)
+
+
+def _read_header(path, fh):
+    """Consume header lines through DATA, leaving ``fh`` at the body.
+
+    Returns POINTS, the number of fields, the binary record dtype (None for
+    an ASCII body) and the line number of DATA.
     """
     header: dict[str, list[str]] = {}
-    data_start = None
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
+    for lineno, (line, end) in enumerate(_header_lines(fh), start=1):
+        stripped = line.decode("utf-8", "surrogateescape").strip()
         if not stripped or stripped.startswith("#"):
             continue
         parts = stripped.split()
@@ -124,21 +106,30 @@ def _read_header(path, lines) -> tuple[int, int, int]:
             raise ParseError(f"{path}: line {lineno}: unexpected header field {parts[0]!r}")
         header[key] = parts[1:]
         if key == "DATA":
-            data_start = lineno
+            fh.seek(end)
             break
-    if data_start is None:
+    else:
         raise ParseError(f"{path}: missing DATA declaration")
     for key in ("FIELDS", "POINTS"):
         if key not in header:
             raise ParseError(f"{path}: missing {key} declaration")
 
-    if [f.lower() for f in header["DATA"]] != ["ascii"]:
-        raise UnsupportedLayout(f"{path}: only DATA ascii is supported")
+    body = [f.lower() for f in header["DATA"]]
+    if body not in (["ascii"], ["binary"]):
+        raise UnsupportedLayout(f"{path}: only DATA ascii and binary are supported")
     fields = [f.lower() for f in header["FIELDS"]]
     if fields not in (["x", "y", "z"], ["x", "y", "z", "intensity"]):
         raise UnsupportedLayout(f"{path}: unsupported FIELDS {fields}")
     if "COUNT" in header and any(c != "1" for c in header["COUNT"]):
         raise UnsupportedLayout(f"{path}: multi-count fields are not supported")
+    record = None
+    if body == ["binary"]:
+        sizes, types = header.get("SIZE", []), header.get("TYPE", [])
+        if (len(sizes) != len(fields) or len(types) != len(fields)
+                or any(s not in _FLOAT_SIZES for s in sizes)
+                or any(t.upper() != "F" for t in types)):
+            raise UnsupportedLayout(f"{path}: binary fields must each be TYPE F of SIZE 4 or 8")
+        record = np.dtype([(f, _FLOAT_SIZES[s]) for f, s in zip(fields, sizes)])
 
     try:
         n_points = int(header["POINTS"][0])
@@ -146,7 +137,19 @@ def _read_header(path, lines) -> tuple[int, int, int]:
         n_points = -1
     if n_points < 0:
         raise ParseError(f"{path}: invalid POINTS declaration")
-    return n_points, len(fields), data_start
+    return n_points, len(fields), record, lineno
+
+
+def _unpack_records(path, body: bytes, n_points: int, record: np.dtype) -> np.ndarray:
+    """A binary body as (n, 4) float64 rows."""
+    size = n_points * record.itemsize
+    if len(body) != size:
+        raise ParseError(f"{path}: binary body is {len(body)} bytes, POINTS {n_points} needs {size}")
+    records = np.frombuffer(body, record, n_points)
+    rows = np.zeros((n_points, 4))
+    for column, name in enumerate(record.names):
+        rows[:, column] = records[name]
+    return rows
 
 
 def _parse_bulk(fh, n_points: int, n_fields: int) -> np.ndarray | None:
@@ -196,67 +199,10 @@ def _walk_rows(path, lines: list[str], data_start: int, n_points: int,
 
 
 def write_frame_pcd(frame: PointCloudFrame, path) -> None:
-    """Write a frame as ASCII PCD with x y z intensity fields, each as %.9g prints it."""
+    """Write a frame as binary PCD: x y z intensity, each a little-endian float64."""
     n = len(frame)
     with open(path, "wb") as fh:
-        # every row opens with the line end before it
-        fh.write(b"VERSION 0.7\nFIELDS x y z intensity\nSIZE 4 4 4 4\nTYPE F F F F\n"
+        fh.write(b"VERSION 0.7\nFIELDS x y z intensity\nSIZE 8 8 8 8\nTYPE F F F F\n"
                  b"COUNT 1 1 1 1\nWIDTH %d\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\n"
-                 b"POINTS %d\nDATA ascii" % (n, n))
-        for start in range(0, n, _BLOCK_ROWS):
-            fh.write(_format_rows(frame.points[start:start + _BLOCK_ROWS]))
-        fh.write(b"\n")
-
-
-def _format_rows(rows: np.ndarray) -> bytes:
-    """``rows`` as text, each row led by a line end, with ``%.9g`` values.
-
-    A value in ``[1e-4, 1e4)`` is printed here in fixed notation, which
-    is what %g uses for it: its 24-byte record holds the separator, sign
-    and integer part, then the point and four fraction digits, then eight
-    more, at fixed places.  The others get a record that %-formats them.
-    """
-    v = rows.ravel()
-    a = np.abs(v)
-    fallback = ~((a >= 1e-4) & (a < 1e4))
-    a[fallback] = 1.0
-    # j = x + 4 for the decimal exponent x, and the nine digits m
-    j = np.log10(a)
-    j += 4.0
-    np.floor(j, out=j)
-    j = j.clip(0, 7, out=j).astype(np.int64)  # log10 may round up to 4 below 1e4
-    s = a * _POW10.take(12 - j)
-    m = np.rint(s)
-    # s carries at most 6e-8 of rounding error: rint may differ from the
-    # rounding of the exact product only this close to a half
-    s -= m
-    fallback |= np.abs(s, out=s) >= 0.5 - 1e-6
-    # log10 rounded across a power of ten, or the digits carried to 1e9
-    fallback |= (m < 1e8) | (m >= 1e9)
-    # the digits in units of 1e-12, in four groups; the product is exact
-    # outside the fallback, since m * 5**j < 2**53 there
-    n = (m * _POW10.take(j, mode="clip")).astype(np.int64)
-    q = n // 10000
-    g3 = n - q * 10000
-    n = q // 10000
-    g2 = q - n * 10000
-    g0 = n // 10000
-    g1 = n - g0 * 10000
-    g0 += (v < 0) * 10000
-    # a group that more digits follow keeps its trailing zeros; g2 is
-    # nonzero from here on when g2 or g3 was
-    g2 += (g3 != 0) * 10000
-    g1 += (g2 != 0) * 10000
-
-    signed_int, point_group, group = _format_tables()
-    rec = np.empty((v.size, 3), "<u8")
-    signed_int.take(g0, out=rec[:, 0], mode="clip")
-    point_group.take(g1, out=rec[:, 1], mode="clip")
-    words = rec.view("<u4")
-    group.take(g2, out=words[:, 4], mode="clip")
-    group.take(g3, out=words[:, 5], mode="clip")
-    at = np.flatnonzero(fallback)
-    rec[at] = _FALLBACK
-    rec.view(np.uint8)[::4, 0] = ord("\n")  # the separator before x
-    text = rec.tobytes().translate(None, b"\0")
-    return text % tuple(v[at].tolist()) if at.size else text
+                 b"POINTS %d\nDATA binary\n" % (n, n))
+        fh.write(np.ascontiguousarray(frame.points, "<f8"))

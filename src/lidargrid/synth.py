@@ -27,7 +27,7 @@ kept.  Frames are byte-identical to testing every ray and every pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -57,6 +57,11 @@ class BoxSpec:
             check_real(name, getattr(self, name))
         for name in ("length", "width", "height"):
             check_real(name, getattr(self, name), 0.0, open_low=True)
+        # hashed once: each frame's table lookup hashes every box
+        object.__setattr__(self, "_hash", hash(astuple(self)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -288,6 +293,15 @@ def _sample_box_points(box: BoxSpec, z_lo: float, z_hi: float, count: int,
     return pts
 
 
+def _table_key(spec: SceneSpec) -> SceneSpec:
+    """``spec`` with its seed, noise and density set to zero: the scene the
+    tables are keyed on.  ``spec`` passed its checks and the zeros are
+    valid, so they are not run again."""
+    key = object.__new__(type(spec))
+    key.__dict__.update(spec.__dict__, rng_seed=0, noise_sigma=0.0, obstacle_density=0.0)
+    return key
+
+
 def generate_frame(spec: SceneSpec, frame_id: int = 0,
                    timestamp: float = 0.0) -> LabeledFrame:
     """Generate one labeled frame; bit-identical for identical spec and seed.
@@ -298,8 +312,7 @@ def generate_frame(spec: SceneSpec, frame_id: int = 0,
     """
     rng = np.random.default_rng(spec.rng_seed)
     boxes = spec.obstacles
-    dirs, t_ground = _ground_returns(replace(spec, rng_seed=0, noise_sigma=0.0,
-                                             obstacle_density=0.0))
+    dirs, t_ground = _ground_returns(_table_key(spec))
     t_hit = t_ground + rng.normal(0.0, spec.noise_sigma, size=t_ground.size)
     box_pts = []
     for b, box in enumerate(boxes):

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import read_pcd_by_lines, write_pcd_by_rows
-from lidargrid import pcd
 from lidargrid.core import EmptyFrame, PointCloudFrame, validate_frame
 from lidargrid.pcd import ParseError, UnsupportedLayout, read_frame_pcd, write_frame_pcd
 
@@ -65,12 +62,6 @@ class TestReadFramePcd:
         with pytest.raises(ParseError, match="non-numeric"):
             read_frame_pcd(path)
 
-    def test_binary_layout_rejected(self, tmp_path):
-        path = tmp_path / "f.pcd"
-        path.write_text(pcd_text(["x", "y", "z"], [], data="binary"))
-        with pytest.raises(UnsupportedLayout):
-            read_frame_pcd(path)
-
     def test_unknown_fields_rejected(self, tmp_path):
         path = tmp_path / "g.pcd"
         path.write_text(pcd_text(["x", "y", "z", "ring"], [[1, 2, 3, 0]]))
@@ -121,7 +112,17 @@ class TestRoundTrip:
         write_frame_pcd(frame, path)
         back = read_frame_pcd(path, frame_id=7, timestamp=1.0)
         assert len(back) == 40
-        np.testing.assert_allclose(back.points, pts, atol=1e-6)
+        np.testing.assert_array_equal(back.points, pts)
+
+    def test_ascii_and_binary_files_read_the_same(self, tmp_path):
+        # eighths: the row writer's %.9g text holds them exactly
+        pts = np.random.default_rng(6).integers(-320, 320, (300, 4)) / 8.0
+        frame = PointCloudFrame(points=pts)
+        write_pcd_by_rows(frame, tmp_path / "rows.pcd")
+        write_frame_pcd(frame, tmp_path / "binary.pcd")
+        assert (tmp_path / "rows.pcd").read_bytes().count(b"DATA ascii\n") == 1
+        np.testing.assert_array_equal(read_frame_pcd(tmp_path / "binary.pcd").points,
+                                      read_frame_pcd(tmp_path / "rows.pcd").points)
 
 
 def outcome(read, path, validate):
@@ -298,122 +299,141 @@ class TestReaderErrors:
         with pytest.raises(ParseError, match="line 12: non-numeric"):
             read_frame_pcd(path)
 
-    def test_binary_body_is_unsupported_layout(self, tmp_path):
-        path = tmp_path / "bin.pcd"
-        header = pcd_text(["x", "y", "z"], [], points=2, data="binary").encode()
-        path.write_bytes(header + np.array([1.5, -2.0, 3.0] * 2, "<f4").tobytes() + b"\xff")
-        with pytest.raises(UnsupportedLayout):
-            read_frame_pcd(path)
-
     def test_directory_is_parse_error(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
             read_frame_pcd(tmp_path)
 
 
-class TestBlockWriterMatchesRowWriter:
-    @settings(max_examples=60, deadline=None)
+def binary_pcd(path, records, fields="x y z intensity", size="8 8 8 8", type="F F F F",
+               count="1 1 1 1", points=None, data="binary"):
+    """Write ``records``' bytes after a PCD header whose lines are given as text."""
+    n = len(records) if points is None else points
+    header = (f"VERSION 0.7\nFIELDS {fields}\nSIZE {size}\nTYPE {type}\nCOUNT {count}\n"
+              f"WIDTH {n}\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\nPOINTS {n}\nDATA {data}\n")
+    path.write_bytes(header.encode() + np.ascontiguousarray(records).tobytes())
+
+
+class TestBinaryBody:
+    @settings(max_examples=100, deadline=None)
     @given(points=frames())
-    def test_random_frames(self, tmp_path_factory, points):
-        base = tmp_path_factory.getbasetemp()
+    def test_round_trip_keeps_every_bit(self, tmp_path_factory, points):
+        path = tmp_path_factory.getbasetemp() / "bits.pcd"
+        write_frame_pcd(PointCloudFrame(points=points), path)
+        back = read_frame_pcd(path, validate=False).points
+        assert back.shape == points.shape
+        np.testing.assert_array_equal(back.view(np.uint64), points.view(np.uint64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(points=frames())
+    def test_validated_read_is_the_validated_frame(self, tmp_path_factory, points):
+        # NaN and infinite rows are dropped on ingest as in memory
+        path = tmp_path_factory.getbasetemp() / "valid.pcd"
         frame = PointCloudFrame(points=points)
-        write_frame_pcd(frame, base / "blocks.pcd")
-        write_pcd_by_rows(frame, base / "rows.pcd")
-        assert (base / "blocks.pcd").read_bytes() == (base / "rows.pcd").read_bytes()
+        write_frame_pcd(frame, path)
 
-    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513])
-    def test_special_values_across_block_edges(self, tmp_path, n):
-        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e-300]
-        points = np.resize(np.array(special), (n, 4))
-        frame = PointCloudFrame(points=points)
-        write_frame_pcd(frame, tmp_path / "blocks.pcd")
-        write_pcd_by_rows(frame, tmp_path / "rows.pcd")
-        assert (tmp_path / "blocks.pcd").read_bytes() == (tmp_path / "rows.pcd").read_bytes()
+        def validated(read):
+            try:
+                got = read()
+            except EmptyFrame as exc:
+                return str(exc)
+            return got.points.tobytes(), got.dropped_points
 
-
-def written_like_rows(directory, points) -> bool:
-    """Whether write_frame_pcd gives the row writer's bytes for ``points``."""
-    frame = PointCloudFrame(points=np.asarray(points, dtype=np.float64).reshape(-1, 4))
-    write_frame_pcd(frame, directory / "blocks.pcd")
-    write_pcd_by_rows(frame, directory / "rows.pcd")
-    return (directory / "blocks.pcd").read_bytes() == (directory / "rows.pcd").read_bytes()
-
-
-def signed(values):
-    """``values`` and their negatives, padded with 0.5 to whole rows."""
-    both = np.concatenate([values, -np.asarray(values)])
-    return np.concatenate([both, np.full(-len(both) % 4, 0.5)])
-
-
-METRES = st.floats(1e-5, 1e5) | st.floats(1e-5, 1e5).map(lambda v: float(np.float32(v)))
-
-
-class TestFormatKernel:
-    """The numpy formatter against ``%.9g``, case by case."""
+        assert validated(lambda: read_frame_pcd(path)) == validated(lambda: validate_frame(frame))
 
     @settings(max_examples=200, deadline=None)
-    @given(points=hnp.arrays(np.float64, st.tuples(st.integers(0, 40), st.just(4)),
-                             elements=st.builds(lambda v, neg: -v if neg else v,
-                                                METRES, st.booleans())))
-    def test_metre_range_values(self, tmp_path_factory, points):
-        assert written_like_rows(tmp_path_factory.getbasetemp(), points)
+    @given(points=frames(), data=st.data())
+    def test_fuzzed_file_raises_only_pcd_errors(self, tmp_path_factory, points, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.pcd"
+        write_frame_pcd(PointCloudFrame(points=points[:8]), path)
+        raw = bytearray(path.read_bytes())
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(raw)))
+            junk = data.draw(st.sampled_from([b"\x00", b"\xff", b"\r", b"\n", b"4", b"2",
+                                              b"U", b"ascii", b"POINTS -", b"DATA ", b" 4"]))
+            if data.draw(st.booleans()):
+                raw[at:at + len(junk)] = junk
+            elif data.draw(st.booleans()):
+                raw[at:at] = junk
+            else:
+                del raw[at:at + len(junk)]
+        path.write_bytes(bytes(raw))
+        try:
+            back = read_frame_pcd(path, validate=False)
+        except (ParseError, UnsupportedLayout):
+            return
+        assert back.points.dtype == np.float64 and back.points.shape[1] == 4
 
-    def test_near_ties(self, tmp_path):
-        # ten significant digits ending in 5: the ninth digit is decided by
-        # the binary value's side of the half, which one rounding can miss
-        rng = np.random.default_rng(21)
-        digits = rng.integers(10**8, 10**9, 2000) * 10 + 5
-        exponents = rng.integers(-5, 5, 2000)
-        values = [float(f"{d}e{e - 9}") for d, e in zip(digits.tolist(), exponents.tolist())]
-        # and exact halves r / 2**k: for odd r the ten digits r * 5**k end in 5
-        for k in range(6, 14):
-            odd = np.arange(-(-10**9 // 5**k) | 1, 10**10 // 5**k, 2)
-            values += (rng.choice(odd, min(len(odd), 100), replace=False) / 2**k).tolist()
-        assert written_like_rows(tmp_path, signed(values))
+    def test_special_values_keep_their_bits(self, tmp_path):
+        points = np.array([[0.0, -0.0, np.nan, np.inf], [-np.inf, 5e-324, -np.nan, 1e300]])
+        write_frame_pcd(PointCloudFrame(points=points), tmp_path / "s.pcd")
+        back = read_frame_pcd(tmp_path / "s.pcd", validate=False).points
+        np.testing.assert_array_equal(back.view(np.uint64), points.view(np.uint64))
 
-    @pytest.mark.parametrize("carry", [9.99999999499, 9.9999999949999, 9.99999999500001,
-                                       9.9999999996, 99999999.95, 99999999.949])
-    def test_carries(self, tmp_path, carry):
-        # on either side of where the nine digits round up to 1e9 and the
-        # exponent goes up by one
-        values = [carry * 10.0**k for k in range(-6, 5)]
-        values += [np.nextafter(v, t) for v in values for t in (0, np.inf)]
-        assert written_like_rows(tmp_path, signed(values))
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_rows_are_writable(self, tmp_path, validate):
+        write_frame_pcd(PointCloudFrame(points=np.ones((3, 4))), tmp_path / "w.pcd")
+        back = read_frame_pcd(tmp_path / "w.pcd", validate=validate).points
+        assert back.flags.writeable
+        back[0, 0] = 2.0
 
-    def test_powers_of_ten_and_neighbours(self, tmp_path):
-        powers = [10.0**k for k in range(-5, 6)]
-        values = powers + [np.nextafter(p, t) for p in powers for t in (0, np.inf)]
-        assert written_like_rows(tmp_path, signed(values))
+    @pytest.mark.parametrize("cut", [b"short", b"long"])
+    def test_body_of_the_wrong_length_is_parse_error(self, tmp_path, cut):
+        write_frame_pcd(PointCloudFrame(points=np.ones((3, 4))), tmp_path / "n.pcd")
+        raw = (tmp_path / "n.pcd").read_bytes()
+        (tmp_path / "n.pcd").write_bytes(raw[:-1] if cut == b"short" else raw + b"\0")
+        with pytest.raises(ParseError, match="POINTS 3 needs 96") as err:
+            read_frame_pcd(tmp_path / "n.pcd")
+        assert err.value.category == "pcd-parse"
 
-    @pytest.mark.parametrize("step", [-1, 0, 1])
-    def test_frames_at_the_block_size(self, tmp_path, step):
-        n = pcd._BLOCK_ROWS + step
-        rng = np.random.default_rng(n)
-        points = rng.uniform(-40, 40, (n, 4))
-        points[::97] = 0.0  # values left to Python, in some blocks
-        assert written_like_rows(tmp_path, points)
+    @pytest.mark.parametrize("line", [
+        {"size": "2 2 2 2"},
+        {"size": "8 8 8 2"},
+        {"type": "I I I I"},
+        {"type": "F F F U"},
+        {"count": "2 1 1 1"},
+        {"size": "8 8 8"},
+        {"type": "F F F"},
+        {"data": "binary_compressed"},
+        {"fields": "x y z intensity ring", "size": "8 8 8 8 2", "type": "F F F F U",
+         "count": "1 1 1 1 1"},
+    ], ids=["size-2", "one-size-2", "type-I", "one-type-U", "count-2", "short-size",
+            "short-type", "binary_compressed", "ring-field"])
+    def test_other_layouts_are_unsupported(self, tmp_path, line):
+        binary_pcd(tmp_path / "u.pcd", np.ones((2, 4)), **line)
+        with pytest.raises(UnsupportedLayout):
+            read_frame_pcd(tmp_path / "u.pcd")
 
-    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513])
-    def test_special_values_raise_no_warning(self, tmp_path, n):
-        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e-300]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert written_like_rows(tmp_path, np.resize(np.array(special), (n, 4)))
+    def test_float32_xyz_reads_with_zero_intensity(self, tmp_path):
+        xyz = np.array([[1.5, -2.25, 3.0], [0.1, 20.0, -1.0]], "<f4")
+        binary_pcd(tmp_path / "f.pcd", xyz, fields="x y z", size="4 4 4", type="F F F",
+                   count="1 1 1")
+        back = read_frame_pcd(tmp_path / "f.pcd").points
+        assert back.dtype == np.float64
+        np.testing.assert_array_equal(back[:, :3], xyz.astype(np.float64))
+        np.testing.assert_array_equal(back[:, 3], [0.0, 0.0])
 
+    def test_mixed_sizes_read_field_by_field(self, tmp_path):
+        record = np.dtype([("x", "<f4"), ("y", "<f8"), ("z", "<f4"), ("intensity", "<f8")])
+        records = np.array([(1.5, 2.0**-30, -3.0, 0.25), (4.0, 5.0, 6.5, 0.75)], record)
+        binary_pcd(tmp_path / "m.pcd", records, size="4 8 4 8")
+        back = read_frame_pcd(tmp_path / "m.pcd").points
+        np.testing.assert_array_equal(back, [[1.5, 2.0**-30, -3.0, 0.25], [4.0, 5.0, 6.5, 0.75]])
 
-K = np.arange(10000.0)
-# values whose 4-digit group k, for every k in 0..9999, takes each role in
-# the writer's tables; all far from a rounding tie, so none is left to Python
-TABLE_ROLES = {
-    "integer part": K + 0.5,
-    "last first fraction group": 1.0 + K / 1e4,
-    "first fraction group with more after it": 1.0 + K / 1e4 + 1e-5,
-    "last second fraction group": 1e-4 + K * 1e-8,
-    "second fraction group with more after it": 1e-4 + K * 1e-8 + 1e-9,
-    "third fraction group": 1e-4 + K * 1e-12,
-}
+    def test_negative_points_is_parse_error(self, tmp_path):
+        binary_pcd(tmp_path / "neg.pcd", np.ones((0, 4)), points=-1)
+        with pytest.raises(ParseError, match="invalid POINTS"):
+            read_frame_pcd(tmp_path / "neg.pcd")
 
+    def test_no_points_is_an_empty_frame(self, tmp_path):
+        binary_pcd(tmp_path / "e.pcd", np.ones((0, 4)))
+        assert read_frame_pcd(tmp_path / "e.pcd", validate=False).points.shape == (0, 4)
+        with pytest.raises(EmptyFrame, match="no points"):
+            read_frame_pcd(tmp_path / "e.pcd")
 
-class TestTableEntries:
-    @pytest.mark.parametrize("role", TABLE_ROLES)
-    def test_every_entry_in_each_role(self, tmp_path, role):
-        assert written_like_rows(tmp_path, signed(TABLE_ROLES[role]))
+    @pytest.mark.parametrize("eol", [b"\r\n", b"\r"])
+    def test_header_lines_end_at_crlf_or_cr(self, tmp_path, eol):
+        points = np.array([[1.0, 2.0, 3.0, 0.5]])
+        write_frame_pcd(PointCloudFrame(points=points), tmp_path / "lf.pcd")
+        header, body = (tmp_path / "lf.pcd").read_bytes().split(b"DATA binary\n")
+        (tmp_path / "eol.pcd").write_bytes(header.replace(b"\n", eol) + b"DATA binary" + eol + body)
+        np.testing.assert_array_equal(read_frame_pcd(tmp_path / "eol.pcd").points, points)

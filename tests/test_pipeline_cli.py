@@ -13,7 +13,7 @@ import yaml
 
 import lidargrid.cli
 import lidargrid.pipeline as pipeline
-from helpers import band_then_crop_counts
+from helpers import band_then_crop_counts, write_pcd_by_rows
 from lidargrid.cli import main
 from lidargrid.config import (
     _DEGREES,
@@ -26,7 +26,7 @@ from lidargrid.config import (
     default_config_yaml,
 )
 from lidargrid.core import ObstacleEstimate, PointCloudFrame, validate_frame
-from lidargrid.evaluate import OBSTACLE_CSV_HEADER, write_obstacles_csv
+from lidargrid.evaluate import OBSTACLE_CSV_HEADER, read_obstacles_csv, write_obstacles_csv
 from lidargrid.grid import ThresholdProfile, project_to_grid
 from lidargrid.pcd import read_frame_pcd, write_frame_pcd
 from lidargrid.pipeline import (
@@ -499,6 +499,42 @@ class TestConfig:
         van = {f.name: getattr(VAN, f.name) for f in fields(VAN)}
         with pytest.raises(ConfigError, match=key):
             config_from_dict({"synth": {"obstacles": [van], key: value}})
+
+
+REPLAY_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench", "pcd_replay.yaml")
+
+
+class TestFrameSources:
+    """``detect --input`` on the frames ``synth`` wrote, and ``detect --synth``."""
+
+    @pytest.mark.parametrize("config", [None, REPLAY_CONFIG], ids=["default", "pcd_replay"])
+    @pytest.mark.parametrize("route", ["geometric", "bev"])
+    def test_written_frames_give_the_synth_obstacles(self, tmp_path, config, route):
+        conf = ["--config", config] if config else []
+        scene, det_input, det_synth = (str(tmp_path / d) for d in ("scene", "input", "synth"))
+        assert main(["synth", "--frames", "3", "--out-dir", scene, *conf]) == 0
+        assert main(["detect", "--input", scene, "--pipeline", route,
+                     "--out-dir", det_input, *conf]) == 0
+        assert main(["detect", "--synth", "3", "--pipeline", route,
+                     "--out-dir", det_synth, *conf]) == 0
+        with open(os.path.join(det_input, "obstacles.csv"), "rb") as a, \
+                open(os.path.join(det_synth, "obstacles.csv"), "rb") as b:
+            assert a.read() == b.read()
+
+    def test_ascii_frames_from_the_row_writer(self, tmp_path):
+        scene = tmp_path / "scene"
+        scene.mkdir()
+        for i, frame in enumerate(lidargrid.cli._synth_run(PipelineConfig(), 2)):
+            write_pcd_by_rows(frame, scene / f"frame_{i:04d}.pcd")
+        assert main(["detect", "--input", str(scene), "--out-dir", str(tmp_path / "in")]) == 0
+        assert main(["detect", "--synth", "2", "--out-dir", str(tmp_path / "synth")]) == 0
+        got = read_obstacles_csv(tmp_path / "in" / "obstacles.csv")
+        want = read_obstacles_csv(tmp_path / "synth" / "obstacles.csv")
+        assert [row[0] for row in got] == [row[0] for row in want] == [0, 1]
+        for (_, _, est), (_, _, ref) in zip(got, want):
+            assert est.center_x == pytest.approx(ref.center_x, abs=0.01)
+            assert est.center_y == pytest.approx(ref.center_y, abs=0.01)
 
 
 class TestCli:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import generate_frame_all_rays
+from lidargrid import synth
 from lidargrid.core import PointCloudFrame
 from lidargrid.pipeline import bench_scene
 from lidargrid.synth import (
@@ -454,6 +455,38 @@ class TestGroundReturnsCache:
         assert 0 < len(dirs) < len(all_dirs)
         np.testing.assert_array_equal(dirs, all_dirs[lit])
         np.testing.assert_array_equal(t_ground, all_t[lit])
+
+    def test_warm_lookup_runs_no_scene_check(self, monkeypatch):
+        spec = SceneSpec(obstacles=(self.VAN, replace(self.VAN, center_y=6.0)), rng_seed=3)
+        generate_frame(spec)
+        checks = []
+        check = SceneSpec.__post_init__
+        monkeypatch.setattr(SceneSpec, "__post_init__",
+                            lambda self: checks.append(self) or check(self))
+        generate_frame(spec)
+        assert checks == []
+        # a scene a caller builds is still checked
+        with pytest.raises(ValueError, match="noise_sigma"):
+            replace(spec, noise_sigma=-1.0)
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize("spec", [
+        SceneSpec(),
+        SceneSpec(obstacles=(VAN,), rng_seed=7, noise_sigma=0.1, obstacle_density=40.0),
+        SceneSpec(ground_slope=0.05, beam_count=4, obstacles=(VAN, replace(VAN, yaw=1.0))),
+    ])
+    def test_key_is_the_checked_scene_with_zeros(self, spec):
+        before = dict(vars(spec))
+        key = synth._table_key(spec)
+        assert vars(spec) == before
+        assert key == _table_key(spec)
+        assert hash(key) == hash(_table_key(spec))
+        assert vars(key) == vars(_table_key(spec))
+
+    def test_box_hash_is_the_hash_of_its_fields(self):
+        box = BoxSpec(center_x=3.0, center_y=-1.0, yaw=0.5)
+        assert hash(box) == hash(tuple(getattr(box, f.name) for f in fields(BoxSpec)))
+        assert hash(box) == hash(replace(box)) != hash(replace(box, yaw=0.25))
 
 
 def _box_samples(spec, box, count, rng):
