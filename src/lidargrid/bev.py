@@ -2,12 +2,13 @@
 
 ``extract_channels`` collapses a point cloud into a 6-plane square BEV
 image (height/intensity peaks and means, a bounded log density, and a
-binary occupancy bit) kept over its occupied cells.  The detector that
-would consume that image is abstracted behind a callable;
-``cluster_output_grid`` and ``postprocess_clusters`` turn a detector's
-per-cell attributes, over the raster or a list of cells, back into
-discrete obstacle estimates by grouping connected cells and the
-components their centre offsets link, then confidence and size filters.
+binary occupancy bit) kept over its occupied cells.  The network that
+would consume that image is not part of this package;
+``height_gap_detector`` stands in for it.  ``cluster_output_grid`` and
+``postprocess_clusters`` turn a detector's per-cell attributes, over the
+raster or a list of cells, back into discrete obstacle estimates by
+grouping connected cells and the components their centre offsets link,
+then confidence and size filters.
 The built-in route makes no raster-sized array per frame.
 """
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -104,7 +104,7 @@ class ChannelImage:
         n = self.config.image_size
         with open(path, "wb") as fh:
             fh.write(f"BEV v1 {len(PLANE_NAMES)} {n} {n}\n".encode("ascii"))
-            fh.write(np.ascontiguousarray(self.planes, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(self.planes, dtype="<f4"))
 
 
 def load_channel_image(path, half_range: float = 30.0) -> ChannelImage:
@@ -196,9 +196,7 @@ class OutputAttributeGrid:
             if arr.shape != shape:
                 raise GeometryMismatch(f"{name} shape {arr.shape}, expected {shape}")
             object.__setattr__(self, name, arr)
-        # a detector may pass one array as both scores; check it once
-        shared = self.confidence is self.objectness
-        for name in ("objectness",) if shared else ("objectness", "confidence"):
+        for name in ("objectness", "confidence"):
             arr = getattr(self, name)
             # NaN fails both comparisons, so it is rejected too
             if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
@@ -213,9 +211,6 @@ class OutputAttributeGrid:
             if cs.shape[:-1] != shape:
                 raise GeometryMismatch(f"class_scores shape {cs.shape}")
             object.__setattr__(self, "class_scores", cs)
-
-
-DetectorFn = Callable[[ChannelImage], OutputAttributeGrid]
 
 
 def height_gap_detector(channels: ChannelImage,

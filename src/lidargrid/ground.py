@@ -199,7 +199,8 @@ def fit_plane_ransac(points, params: RansacParams = RansacParams()) -> PlaneMode
     centroid, eigvals, eigvecs = _scatter(np.compress(inliers, xyz, axis=1))
     r_normal = eigvecs[:, 0] if eigvecs[2, 0] >= 0.0 else -eigvecs[:, 0]
     r_normal = r_normal / float(np.linalg.norm(r_normal))
-    if (eigvals[1] > 1e-18 * max(1.0, eigvals[2]) and r_normal[2] > 0.0
+    # max_plane_tilt <= pi / 2, so the tilt test also puts the normal's z above 0
+    if (eigvals[1] > 1e-18 * max(1.0, eigvals[2])
             and r_normal[2] >= math.cos(params.max_plane_tilt)):
         r_offset = float(-r_normal @ centroid)
         r_count = int((np.abs(r_normal @ xyz + r_offset)

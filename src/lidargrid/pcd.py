@@ -7,12 +7,14 @@ guessed at.  The writer emits DATA binary with x y z intensity as
 little-endian float64, so a frame reads back bit for bit.
 
 The reader reads a file once, in binary mode.  Header lines end at LF,
-CRLF or CR.  An ASCII body keeps the lines of Python's text mode, and any
-other whitespace separates values, as for ``np.loadtxt`` and ``split()``;
-it is taken in one ``np.loadtxt`` call.  Only when that call fails or
-returns the wrong shape does the reader walk the body line by line, to
-name a bad line in a ``ParseError``.  A binary body is taken with one
-``np.frombuffer`` and must hold exactly POINTS records.
+CRLF or CR, but after a CR line an LF that follows DATA binary's CR is
+the binary body's first byte.  An ASCII body keeps the lines of Python's
+text mode, and any other whitespace separates values, as for
+``np.loadtxt`` and ``split()``; it is taken in one ``np.loadtxt`` call.
+Only when that call fails or returns the wrong shape does the reader
+walk the body line by line, to name a bad line in a ``ParseError``.  A
+binary body is taken with one ``np.frombuffer`` and must hold exactly
+POINTS records.
 """
 
 from __future__ import annotations
@@ -96,7 +98,9 @@ def _read_header(path, fh):
     an ASCII body) and the line number of DATA.
     """
     header: dict[str, list[str]] = {}
+    cr = False  # the line before ended at CR alone
     for lineno, (line, end) in enumerate(_header_lines(fh), start=1):
+        after_cr, cr = cr, line.endswith(b"\r")
         stripped = line.decode("utf-8", "surrogateescape").strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -106,7 +110,9 @@ def _read_header(path, fh):
             raise ParseError(f"{path}: line {lineno}: unexpected header field {parts[0]!r}")
         header[key] = parts[1:]
         if key == "DATA":
-            fh.seek(end)
+            # in a CR header an LF after DATA binary's CR is the body's first byte
+            fh.seek(end - (after_cr and line.endswith(b"\r\n")
+                           and stripped.lower().endswith("binary")))
             break
     else:
         raise ParseError(f"{path}: missing DATA declaration")
@@ -141,15 +147,12 @@ def _read_header(path, fh):
 
 
 def _unpack_records(path, body: bytes, n_points: int, record: np.dtype) -> np.ndarray:
-    """A binary body as (n, 4) float64 rows."""
+    """A binary body as (n, fields) rows."""
     size = n_points * record.itemsize
     if len(body) != size:
         raise ParseError(f"{path}: binary body is {len(body)} bytes, POINTS {n_points} needs {size}")
     records = np.frombuffer(body, record, n_points)
-    rows = np.zeros((n_points, 4))
-    for column, name in enumerate(record.names):
-        rows[:, column] = records[name]
-    return rows
+    return np.column_stack([records[name] for name in record.names])
 
 
 def _parse_bulk(fh, n_points: int, n_fields: int) -> np.ndarray | None:
@@ -172,7 +175,7 @@ def _walk_rows(path, lines: list[str], data_start: int, n_points: int,
                n_fields: int) -> np.ndarray:
     """Parse the body line by line; ``lines`` follow line ``data_start``."""
     # there cannot be more rows than lines, whatever POINTS claims
-    rows = np.zeros((min(n_points, len(lines)), 4))
+    rows = np.zeros((min(n_points, len(lines)), n_fields))
     row = 0
     for lineno, line in enumerate(lines, start=data_start + 1):
         stripped = line.strip()
@@ -189,7 +192,7 @@ def _walk_rows(path, lines: list[str], data_start: int, n_points: int,
             parsed = [float(v) for v in values]
         except ValueError:
             raise ParseError(f"{path}: line {lineno}: non-numeric value") from None
-        rows[row, :len(parsed)] = parsed
+        rows[row] = parsed
         row += 1
     if row != n_points:
         raise ParseError(

@@ -5,8 +5,9 @@ Both routes share one front half: validate -> RANSAC ground fit -> level
 route projects the whole levelled cloud.  Geometric: grid (its z crop
 leaves the ground out) -> occupancy thresholds -> morphology ->
 connected components -> obstacle extraction.  BEV: channel extraction
--> detector (pluggable; the built-in one measures heights from the same
-plane) -> output-grid clustering -> confidence and size post-processing.
+-> ``height_gap_detector`` (heights from the same plane) -> output-grid
+clustering -> confidence and size post-processing.  Another detector is
+composed from ``front_half`` and the public stages of ``bev``.
 """
 
 from __future__ import annotations
@@ -98,22 +99,16 @@ def run_geometric(frame: PointCloudFrame, cfg: PipelineConfig) -> PipelineResult
                           plane=plane, dropped_points=valid.dropped_points)
 
 
-def run_bev(frame: PointCloudFrame, cfg: PipelineConfig,
-            detector: bev_mod.DetectorFn | None = None) -> PipelineResult:
-    """Run channel extraction plus detector-output post-processing.
-
-    ``detector`` defaults to ``bev.height_gap_detector``, which scores
-    the cells whose highest return rises 0.25 m above the fitted plane
-    (the network this interface abstracts is not part of this package).
-    """
-    detector = detector or bev_mod.height_gap_detector
+def run_bev(frame: PointCloudFrame, cfg: PipelineConfig) -> PipelineResult:
+    """Run channel extraction, ``bev.height_gap_detector`` and its output's
+    clustering and post-processing."""
     clock = _StageClock()
     valid, plane, levelled = front_half(frame, cfg, clock)
 
     channels = bev_mod.extract_channels(levelled, cfg.bev)
     clock.lap("channels")
 
-    attr = detector(channels)
+    attr = bev_mod.height_gap_detector(channels)
     clock.lap("detector")
 
     clusters = bev_mod.cluster_output_grid(attr, cfg.bev_post.objectness_threshold,

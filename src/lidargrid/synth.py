@@ -27,7 +27,7 @@ kept.  Frames are byte-identical to testing every ray and every pair.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -57,11 +57,6 @@ class BoxSpec:
             check_real(name, getattr(self, name))
         for name in ("length", "width", "height"):
             check_real(name, getattr(self, name), 0.0, open_low=True)
-        # hashed once: each frame's table lookup hashes every box
-        object.__setattr__(self, "_hash", hash(astuple(self)))
-
-    def __hash__(self):
-        return self._hash
 
 
 @dataclass(frozen=True)

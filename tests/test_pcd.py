@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import read_pcd_by_lines, write_pcd_by_rows
+from lidargrid import pcd as pcd_mod
 from lidargrid.core import EmptyFrame, PointCloudFrame, validate_frame
 from lidargrid.pcd import ParseError, UnsupportedLayout, read_frame_pcd, write_frame_pcd
 
@@ -42,6 +43,28 @@ class TestReadFramePcd:
         path.write_text(pcd_text(["x", "y", "z"], [[1, 2, 3], [4, 5, 6]]))
         frame = read_frame_pcd(path)
         np.testing.assert_array_equal(frame.intensity, [0.0, 0.0])
+
+    @pytest.mark.parametrize("body", ["binary", "ascii bulk", "ascii walk"])
+    def test_each_body_path_leaves_intensity_to_the_frame(self, tmp_path, body, monkeypatch):
+        xyz = np.array([[1.5, -2.25, 3.0], [10.0, 20.0, -1.0]])
+        path = tmp_path / "xyz.pcd"
+        if body == "binary":
+            binary_pcd(path, xyz, fields="x y z", size="8 8 8", type="F F F", count="1 1 1")
+        else:
+            rows = xyz.tolist()
+            if body == "ascii walk":
+                rows[1][0] = "1_0"  # float() reads it, np.loadtxt does not
+            path.write_text(pcd_text(["x", "y", "z"], rows))
+        walks = []
+        walk_rows = pcd_mod._walk_rows
+        monkeypatch.setattr(pcd_mod, "_walk_rows", lambda *a: walks.append(a) or walk_rows(*a))
+        for validate in (False, True):
+            points = read_frame_pcd(path, validate=validate).points
+            np.testing.assert_array_equal(points, np.column_stack([xyz, np.zeros(2)]))
+            if body != "binary":
+                np.testing.assert_array_equal(
+                    points, read_pcd_by_lines(path, validate=validate).points)
+        assert bool(walks) == (body == "ascii walk")
 
     def test_truncated_data_names_line(self, tmp_path):
         path = tmp_path / "c.pcd"
@@ -249,6 +272,14 @@ class TestLineRule:
         np.testing.assert_array_equal(read_frame_pcd(other, validate=False).points,
                                       read_frame_pcd(spaced, validate=False).points)
 
+    def test_crlf_after_a_cr_header_ends_the_ascii_data_line(self, tmp_path):
+        path = tmp_path / "mixed.pcd"
+        path.write_bytes(b"VERSION 0.7\rFIELDS x y z\rPOINTS 2\rDATA ascii\r\n"
+                         b"1 2 3\r\n4 5 oops\r\n")
+        with pytest.raises(ParseError, match="line 6: non-numeric value"):
+            read_frame_pcd(path)
+        assert outcome(read_frame_pcd, path, True) == outcome(read_pcd_by_lines, path, True)
+
     def test_form_feed_does_not_end_a_row(self, tmp_path):
         path = tmp_path / "ff.pcd"
         path.write_text(pcd_text(["x", "y", "z"], [], points=2) + "1 2 3\f4 5 6\n")
@@ -430,10 +461,12 @@ class TestBinaryBody:
         with pytest.raises(EmptyFrame, match="no points"):
             read_frame_pcd(tmp_path / "e.pcd")
 
-    @pytest.mark.parametrize("eol", [b"\r\n", b"\r"])
+    @pytest.mark.parametrize("eol", [b"\r\n", b"\r", b"\n"])
     def test_header_lines_end_at_crlf_or_cr(self, tmp_path, eol):
-        points = np.array([[1.0, 2.0, 3.0, 0.5]])
+        # x's first byte is 0x0A: after a CR header it must not end DATA's line
+        points = np.array([[1.0 + 10 * 2.0**-52, 2.0, 3.0, 0.5]])
         write_frame_pcd(PointCloudFrame(points=points), tmp_path / "lf.pcd")
         header, body = (tmp_path / "lf.pcd").read_bytes().split(b"DATA binary\n")
+        assert body[:1] == b"\n"
         (tmp_path / "eol.pcd").write_bytes(header.replace(b"\n", eol) + b"DATA binary" + eol + body)
         np.testing.assert_array_equal(read_frame_pcd(tmp_path / "eol.pcd").points, points)
