@@ -87,6 +87,10 @@ class PipelineConfig:
                              f"{self.grid.nx} x {self.grid.ny} grid: its opening clears every cell")
 
 
+# safe_load's constructor on libyaml's scanner, about 8x faster; the pure
+# Python loader only where PyYAML was built without libyaml
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 # fields held in radians and written in YAML as ``<name>_deg``
 _DEGREES = ("max_plane_tilt", "ground_slope")
 
@@ -178,7 +182,7 @@ def load_config(path) -> PipelineConfig:
     """Read a YAML config file; a file that cannot be read raises ConfigError."""
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_SAFE_LOADER)
     except (OSError, ValueError, yaml.YAMLError) as exc:  # ValueError: a bad byte, 4300+ digits
         raise ConfigError(f"{path}: {exc}") from exc
     return config_from_dict(data)

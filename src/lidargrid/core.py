@@ -89,7 +89,7 @@ def as_point_array(points) -> np.ndarray:
     length-4 tuples.  Missing intensity is filled with zeros.
     """
     if isinstance(points, np.ndarray):
-        arr = np.asarray(points, dtype=float)
+        arr = points
     else:
         rows = []
         for p in points:
@@ -100,9 +100,11 @@ def as_point_array(points) -> np.ndarray:
         arr = np.array(rows, dtype=float).reshape(-1, 4)
     if arr.ndim != 2 or arr.shape[1] not in (3, 4):
         raise ValueError(f"expected (N, 3) or (N, 4) points, got shape {arr.shape}")
-    if arr.shape[1] == 3:
-        arr = np.hstack([arr, np.zeros((arr.shape[0], 1))])
-    return arr
+    if arr.shape[1] == 4:
+        return np.asarray(arr, dtype=float)
+    padded = np.zeros((arr.shape[0], 4))
+    padded[:, :3] = arr  # one allocation: converts while it copies
+    return padded
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,18 +177,28 @@ class ObstacleEstimate:
             raise ValueError(f"range {self.range} inconsistent with center ({r})")
 
 
-def validate_frame(frame: PointCloudFrame) -> ValidatedFrame:
+def validate_frame(frame: PointCloudFrame, *, in_place: bool = False) -> ValidatedFrame:
     """Drop non-finite points and normalize intensity into [0, 1].
 
     Intensities are taken to be 8-bit and divided by 255 when a kept
     point's intensity is above 1, whatever the source; values are clipped
     to [0, 1] afterwards.  Raises EmptyFrame when no valid point remains.
+
+    By default the result never shares memory with ``frame``, which is
+    left as it was.  With ``in_place`` a frame whose points are all finite
+    gives up its array: the result's points are ``frame.points``, with
+    intensity normalized there.  Only a caller that alone holds the
+    frame's array may set it, as the PCD reader does for rows it built.
     """
     pts = frame.points
     # column by column: a row-wise all(axis=1) over four columns is ~6x slower
     keep = np.logical_and.reduce([np.isfinite(col) for col in pts.T])
-    # copy() beats compress on a full frame; compress beats pts[keep] ~6x
-    kept = pts.copy() if keep.all() else np.compress(keep, pts, axis=0)
+    if keep.all():
+        # copy() beats compress on a full frame
+        kept = pts if in_place else pts.copy()
+    else:
+        # compress beats pts[keep] ~6x
+        kept = np.compress(keep, pts, axis=0)
     if kept.shape[0] == 0:
         raise EmptyFrame(f"frame {frame.frame_id}: " + (
             f"no finite points ({pts.shape[0]} dropped)" if pts.shape[0] else "no points"))

@@ -13,13 +13,16 @@ text mode, and any other whitespace separates values, as for
 ``np.loadtxt`` and ``split()``; it is taken in one ``np.loadtxt`` call.
 Only when that call fails or returns the wrong shape does the reader
 walk the body line by line, to name a bad line in a ``ParseError``.  A
-binary body is taken with one ``np.frombuffer`` and must hold exactly
-POINTS records.
+binary body must hold exactly POINTS records: it is sized against the
+file before anything is allocated, then read straight into its records,
+which are the frame's rows when every field is float64.  The reader
+validates the rows it alone holds in place, with no copy.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import re
 import warnings
 
@@ -61,7 +64,7 @@ def read_frame_pcd(path, frame_id: int = 0, timestamp: float = 0.0,
             n_points, n_fields, record, data_start = _read_header(path, fh)
             body = fh.tell()
             if record is not None:
-                rows = _unpack_records(path, fh.read(), n_points, record)
+                rows = _read_records(path, fh, n_points, record)
             else:
                 # surrogateescape keeps a stray byte in its line, to fail there
                 with io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape") as text:
@@ -74,7 +77,8 @@ def read_frame_pcd(path, frame_id: int = 0, timestamp: float = 0.0,
 
     frame = PointCloudFrame(points=rows, timestamp=timestamp, frame_id=frame_id)
     if validate:
-        return validate_frame(frame)
+        # every body path builds rows that nothing but this frame holds
+        return validate_frame(frame, in_place=True)
     return frame
 
 
@@ -146,13 +150,22 @@ def _read_header(path, fh):
     return n_points, len(fields), record, lineno
 
 
-def _unpack_records(path, body: bytes, n_points: int, record: np.dtype) -> np.ndarray:
-    """A binary body as (n, fields) rows."""
+def _read_records(path, fh, n_points: int, record: np.dtype) -> np.ndarray:
+    """The rest of ``fh``, a binary body, as (n, fields) float64 rows.
+
+    The body is sized from the file before the records are allocated, so
+    a POINTS far beyond it is a ``ParseError``, never a ``MemoryError``.
+    Float64 records become the rows with no copy; others are converted once.
+    """
     size = n_points * record.itemsize
-    if len(body) != size:
-        raise ParseError(f"{path}: binary body is {len(body)} bytes, POINTS {n_points} needs {size}")
-    records = np.frombuffer(body, record, n_points)
-    return np.column_stack([records[name] for name in record.names])
+    body = os.fstat(fh.fileno()).st_size - fh.tell()
+    if body == size:
+        records = np.empty(n_points, record)
+        body = fh.readinto(records)  # fewer bytes if the file shrank meanwhile
+    if body != size:
+        raise ParseError(f"{path}: binary body is {body} bytes, POINTS {n_points} needs {size}")
+    rows = records.astype([(name, "<f8") for name in record.names], copy=False)
+    return rows.view("<f8").reshape(n_points, len(record.names))
 
 
 def _parse_bulk(fh, n_points: int, n_fields: int) -> np.ndarray | None:

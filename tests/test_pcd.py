@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,32 @@ class TestReadFramePcd:
                 np.testing.assert_array_equal(
                     points, read_pcd_by_lines(path, validate=validate).points)
         assert bool(walks) == (body == "ascii walk")
+
+    @pytest.mark.parametrize("nan_row", [False, True])
+    @pytest.mark.parametrize("body", ["binary f8", "binary f4 xyz", "ascii bulk", "ascii walk"])
+    def test_each_body_path_validates_as_validate_frame(self, tmp_path, body, nan_row):
+        # the reader validates its own rows in place; the result is bit for
+        # bit what validate_frame makes of the unvalidated frame
+        rows = np.array([[1.5, -2.25, 3.0, 255.0], [10.0, 20.0, -1.0, 51.0],
+                         [0.1, 0.2, 0.3, 7.0]])
+        if nan_row:
+            rows[1, 2] = np.nan
+        path = tmp_path / "v.pcd"
+        if body == "binary f8":
+            binary_pcd(path, rows)
+        elif body == "binary f4 xyz":
+            binary_pcd(path, rows[:, :3].astype("<f4"), fields="x y z", size="4 4 4",
+                       type="F F F", count="1 1 1")
+        else:
+            text = rows.tolist()
+            if body == "ascii walk":
+                text[0][0] = "1_5"  # float() reads it, np.loadtxt does not
+            path.write_text(pcd_text(["x", "y", "z", "intensity"], text))
+        got = read_frame_pcd(path)
+        want = validate_frame(read_frame_pcd(path, validate=False))
+        assert got.points.shape == want.points.shape == (3 - nan_row, 4)
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.dropped_points == want.dropped_points == nan_row
 
     def test_truncated_data_names_line(self, tmp_path):
         path = tmp_path / "c.pcd"
@@ -407,14 +435,31 @@ class TestBinaryBody:
         assert back.flags.writeable
         back[0, 0] = 2.0
 
-    @pytest.mark.parametrize("cut", [b"short", b"long"])
+    @pytest.mark.parametrize("cut", [-1, 1, -32, 32],
+                             ids=["byte-short", "byte-long", "record-short", "record-long"])
     def test_body_of_the_wrong_length_is_parse_error(self, tmp_path, cut):
+        # a whole record more or less is still the wrong length
         write_frame_pcd(PointCloudFrame(points=np.ones((3, 4))), tmp_path / "n.pcd")
         raw = (tmp_path / "n.pcd").read_bytes()
-        (tmp_path / "n.pcd").write_bytes(raw[:-1] if cut == b"short" else raw + b"\0")
-        with pytest.raises(ParseError, match="POINTS 3 needs 96") as err:
+        (tmp_path / "n.pcd").write_bytes(raw[:cut] if cut < 0 else raw + b"\0" * cut)
+        with pytest.raises(ParseError, match=f"binary body is {96 + cut} bytes, "
+                                             "POINTS 3 needs 96") as err:
             read_frame_pcd(tmp_path / "n.pcd")
         assert err.value.category == "pcd-parse"
+
+    @pytest.mark.parametrize("points", [10**7, 10**11])
+    def test_points_past_the_body_are_refused_before_allocating(self, tmp_path, points):
+        # 10**11 records would not fit in memory, 10**7 would: neither is allocated
+        binary_pcd(tmp_path / "big.pcd", np.ones((2, 4)), points=points)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=f"binary body is 64 bytes, "
+                                                 f"POINTS {points} needs {32 * points}$"):
+                read_frame_pcd(tmp_path / "big.pcd")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("line", [
         {"size": "2 2 2 2"},
