@@ -177,28 +177,20 @@ class ObstacleEstimate:
             raise ValueError(f"range {self.range} inconsistent with center ({r})")
 
 
-def validate_frame(frame: PointCloudFrame, *, in_place: bool = False) -> ValidatedFrame:
+def validate_frame(frame: PointCloudFrame) -> ValidatedFrame:
     """Drop non-finite points and normalize intensity into [0, 1].
 
     Intensities are taken to be 8-bit and divided by 255 when a kept
     point's intensity is above 1, whatever the source; values are clipped
     to [0, 1] afterwards.  Raises EmptyFrame when no valid point remains.
-
-    By default the result never shares memory with ``frame``, which is
-    left as it was.  With ``in_place`` a frame whose points are all finite
-    gives up its array: the result's points are ``frame.points``, with
-    intensity normalized there.  Only a caller that alone holds the
-    frame's array may set it, as the PCD reader does for rows it built.
+    The result never shares memory with ``frame``, which is left as it was,
+    so a caller may write into the result's points.
     """
     pts = frame.points
     # column by column: a row-wise all(axis=1) over four columns is ~6x slower
     keep = np.logical_and.reduce([np.isfinite(col) for col in pts.T])
-    if keep.all():
-        # copy() beats compress on a full frame
-        kept = pts if in_place else pts.copy()
-    else:
-        # compress beats pts[keep] ~6x
-        kept = np.compress(keep, pts, axis=0)
+    # copy() beats compress on a full frame; compress beats pts[keep] ~6x
+    kept = pts.copy() if keep.all() else np.compress(keep, pts, axis=0)
     if kept.shape[0] == 0:
         raise EmptyFrame(f"frame {frame.frame_id}: " + (
             f"no finite points ({pts.shape[0]} dropped)" if pts.shape[0] else "no points"))

@@ -15,8 +15,8 @@ Only when that call fails or returns the wrong shape does the reader
 walk the body line by line, to name a bad line in a ``ParseError``.  A
 binary body must hold exactly POINTS records: it is sized against the
 file before anything is allocated, then read straight into its records,
-which are the frame's rows when every field is float64.  The reader
-validates the rows it alone holds in place, with no copy.
+which are the frame's rows when every field is float64.  The reader only
+parses: the frame it returns is validated by ``pipeline.front_half``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ import warnings
 
 import numpy as np
 
-from .core import LidarGridError, PointCloudFrame, validate_frame
+# validate_frame is not called here, but perfbench/tracing.py wraps it
+# under this module's name
+from .core import LidarGridError, PointCloudFrame, validate_frame  # noqa: F401
 
 
 class ParseError(LidarGridError):
@@ -49,12 +51,11 @@ _LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 _FLOAT_SIZES = {"4": "<f4", "8": "<f8"}
 
 
-def read_frame_pcd(path, frame_id: int = 0, timestamp: float = 0.0,
-                   validate: bool = True) -> PointCloudFrame:
-    """Parse an ASCII or binary PCD file into a frame.
+def read_frame_pcd(path, frame_id: int = 0, timestamp: float = 0.0) -> PointCloudFrame:
+    """Parse an ASCII or binary PCD file into a frame, as the file holds it.
 
-    A missing intensity field defaults to 0.  With ``validate`` the frame
-    is cleaned via validate_frame, whose intensity rule holds for every
+    A missing intensity field defaults to 0.  Non-finite rows and 8-bit
+    intensities are left to ``validate_frame``, whose rule holds for every
     source.  An unreadable file, a malformed header or ASCII row and a
     binary body of the wrong length raise ``ParseError``; a byte that is
     not UTF-8 fails the ASCII line it sits in.
@@ -75,11 +76,7 @@ def read_frame_pcd(path, frame_id: int = 0, timestamp: float = 0.0,
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
-    frame = PointCloudFrame(points=rows, timestamp=timestamp, frame_id=frame_id)
-    if validate:
-        # every body path builds rows that nothing but this frame holds
-        return validate_frame(frame, in_place=True)
-    return frame
+    return PointCloudFrame(points=rows, timestamp=timestamp, frame_id=frame_id)
 
 
 def _header_lines(fh):

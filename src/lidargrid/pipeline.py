@@ -1,10 +1,11 @@
 """Stage composition for the two detection routes, plus the benchmark.
 
 Both routes share one front half: validate -> RANSAC ground fit -> level
-(z becomes the signed height above the plane, computed once), and each
-route projects the whole levelled cloud.  Geometric: grid (its z crop
-leaves the ground out) -> occupancy thresholds -> morphology ->
-connected components -> obstacle extraction.  BEV: channel extraction
+(z becomes the signed height above the plane, computed once, in the copy
+that validation makes), and each route projects the whole levelled cloud.
+Every frame is validated there, whatever its source.  Geometric: grid
+(its z crop leaves the ground out) -> occupancy thresholds -> morphology
+-> connected components -> obstacle extraction.  BEV: channel extraction
 -> ``height_gap_detector`` (heights from the same plane) -> output-grid
 clustering -> confidence and size post-processing.  Another detector is
 composed from ``front_half`` and the public stages of ``bev``.
@@ -20,7 +21,7 @@ import numpy as np
 from . import bev as bev_mod
 from .cluster import extract_obstacles, label_components
 from .config import PipelineConfig
-from .core import ObstacleEstimate, PointCloudFrame, ValidatedFrame, check_whole, validate_frame
+from .core import ObstacleEstimate, PointCloudFrame, check_whole, validate_frame
 from .grid import morph_open_close, occupancy_from_counts, project_to_grid
 # split_ground is not called here, but perfbench/tracing.py wraps it
 # under this module's name
@@ -40,7 +41,7 @@ class PipelineResult:
     obstacles: list[ObstacleEstimate]
     timings: dict[str, float]  # stage -> seconds, insertion-ordered
     plane: PlaneModel | None = None
-    dropped_points: int = 0
+    dropped_points: int = 0  # rows this run's validation dropped
 
 
 class _StageClock:
@@ -58,27 +59,28 @@ def front_half(frame: PointCloudFrame, cfg: PipelineConfig,
                clock: _StageClock | None = None):
     """Validate ``frame``, fit the ground plane and level the heights.
 
-    Returns ``(valid, plane, levelled)``: ``levelled`` is one copy of the
-    validated points with z replaced by the signed height above ``plane``.
-    A frame validated already (``read_frame_pcd`` validates) is taken as
-    is, so its ``dropped_points`` reaches the result.  The ``fit_plane``
-    lap includes the levelling.
+    Returns ``(dropped_points, plane, levelled)``: ``levelled`` is the
+    array ``validate_frame`` returned, with z replaced by the signed
+    height above ``plane``.  It shares no memory with ``frame``, which is
+    left as it was.  ``dropped_points`` counts the rows this call's
+    validation dropped: 0 for a frame validated already.  The
+    ``fit_plane`` lap includes the levelling.
     """
     clock = clock or _StageClock()
-    valid = frame if isinstance(frame, ValidatedFrame) else validate_frame(frame)
+    valid = validate_frame(frame)
     clock.lap("validate")
 
-    plane = fit_plane_ransac(valid.points, cfg.ransac)
-    levelled = valid.points.copy()
-    levelled[:, 2] = plane.signed_distance(valid.points)
+    levelled = valid.points
+    plane = fit_plane_ransac(levelled, cfg.ransac)
+    levelled[:, 2] = plane.signed_distance(levelled)
     clock.lap("fit_plane")
-    return valid, plane, levelled
+    return valid.dropped_points, plane, levelled
 
 
 def run_geometric(frame: PointCloudFrame, cfg: PipelineConfig) -> PipelineResult:
     """Run the geometric route; the grid's z crop leaves the ground out."""
     clock = _StageClock()
-    valid, plane, levelled = front_half(frame, cfg, clock)
+    dropped, plane, levelled = front_half(frame, cfg, clock)
 
     hist = project_to_grid(levelled, cfg.grid)
     clock.lap("project")
@@ -96,14 +98,14 @@ def run_geometric(frame: PointCloudFrame, cfg: PipelineConfig) -> PipelineResult
     clock.lap("extract")
 
     return PipelineResult(obstacles=obstacles, timings=clock.timings,
-                          plane=plane, dropped_points=valid.dropped_points)
+                          plane=plane, dropped_points=dropped)
 
 
 def run_bev(frame: PointCloudFrame, cfg: PipelineConfig) -> PipelineResult:
     """Run channel extraction, ``bev.height_gap_detector`` and its output's
     clustering and post-processing."""
     clock = _StageClock()
-    valid, plane, levelled = front_half(frame, cfg, clock)
+    dropped, plane, levelled = front_half(frame, cfg, clock)
 
     channels = bev_mod.extract_channels(levelled, cfg.bev)
     clock.lap("channels")
@@ -120,7 +122,7 @@ def run_bev(frame: PointCloudFrame, cfg: PipelineConfig) -> PipelineResult:
     clock.lap("postprocess")
 
     return PipelineResult(obstacles=obstacles, timings=clock.timings,
-                          plane=plane, dropped_points=valid.dropped_points)
+                          plane=plane, dropped_points=dropped)
 
 
 def run_pipeline(frame: PointCloudFrame, cfg: PipelineConfig) -> PipelineResult:

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from lidargrid.bev import ChannelImage, OutputAttributeGrid, RawCluster
-from lidargrid.core import ObstacleEstimate, PointCloudFrame, as_point_array, validate_frame
+from lidargrid.core import ObstacleEstimate, PointCloudFrame, as_point_array
 from lidargrid.ground import (
     DegenerateInput,
     NoPlaneFound,
@@ -352,8 +352,7 @@ _PCD_HEADER_KEYS = ("VERSION", "FIELDS", "SIZE", "TYPE", "COUNT", "WIDTH",
                     "HEIGHT", "VIEWPOINT", "POINTS", "DATA")
 
 
-def read_pcd_by_lines(path, frame_id: int = 0, timestamp: float = 0.0,
-                      validate: bool = True) -> PointCloudFrame:
+def read_pcd_by_lines(path, frame_id: int = 0, timestamp: float = 0.0) -> PointCloudFrame:
     """Reference ASCII PCD reader: split the text into lines, then parse
     every value with float() one row at a time."""
     with open(path) as fh:
@@ -416,10 +415,7 @@ def read_pcd_by_lines(path, frame_id: int = 0, timestamp: float = 0.0,
             f"{path}: line {len(lines)}: data truncated, {row} of {n_points} rows"
         )
 
-    frame = PointCloudFrame(points=rows, timestamp=timestamp, frame_id=frame_id)
-    if validate:
-        return validate_frame(frame)
-    return frame
+    return PointCloudFrame(points=rows, timestamp=timestamp, frame_id=frame_id)
 
 
 def band_then_crop_counts(levelled, cfg) -> np.ndarray:

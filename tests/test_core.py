@@ -115,19 +115,6 @@ class TestValidateFrame:
         np.testing.assert_array_equal(rows, before)
         assert not np.shares_memory(out.points, rows)
 
-    @pytest.mark.parametrize("bad_row", [None, 1])
-    def test_in_place_takes_over_a_finite_frame_only(self, bad_row):
-        rows = np.array([[1, 2, 3, 255.0], [4, 5, 6, 51.0], [7, 8, 9, 0.0]])
-        if bad_row is not None:
-            rows[bad_row, 0] = np.nan
-        frame = make_frame(rows)
-        want = validate_frame(frame)
-        out = validate_frame(frame, in_place=True)
-        np.testing.assert_array_equal(out.points, want.points)
-        assert out.dropped_points == want.dropped_points
-        # a dropped row needs a fresh array; without one the frame's array is the result
-        assert (out.points is frame.points) == (bad_row is None)
-
     def test_metadata_preserved(self):
         out = validate_frame(make_frame([[1, 2, 3, 0]], timestamp=4.2, frame_id=9))
         assert out.timestamp == 4.2

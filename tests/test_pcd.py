@@ -60,19 +60,17 @@ class TestReadFramePcd:
         walks = []
         walk_rows = pcd_mod._walk_rows
         monkeypatch.setattr(pcd_mod, "_walk_rows", lambda *a: walks.append(a) or walk_rows(*a))
-        for validate in (False, True):
-            points = read_frame_pcd(path, validate=validate).points
-            np.testing.assert_array_equal(points, np.column_stack([xyz, np.zeros(2)]))
-            if body != "binary":
-                np.testing.assert_array_equal(
-                    points, read_pcd_by_lines(path, validate=validate).points)
+        points = read_frame_pcd(path).points
+        np.testing.assert_array_equal(points, np.column_stack([xyz, np.zeros(2)]))
+        if body != "binary":
+            np.testing.assert_array_equal(points, read_pcd_by_lines(path).points)
         assert bool(walks) == (body == "ascii walk")
 
     @pytest.mark.parametrize("nan_row", [False, True])
     @pytest.mark.parametrize("body", ["binary f8", "binary f4 xyz", "ascii bulk", "ascii walk"])
     def test_each_body_path_validates_as_validate_frame(self, tmp_path, body, nan_row):
-        # the reader validates its own rows in place; the result is bit for
-        # bit what validate_frame makes of the unvalidated frame
+        # the reader hands over the rows as written, NaN and 8-bit values
+        # included; validate_frame makes of them what it makes in memory
         rows = np.array([[1.5, -2.25, 3.0, 255.0], [10.0, 20.0, -1.0, 51.0],
                          [0.1, 0.2, 0.3, 7.0]])
         if nan_row:
@@ -83,13 +81,16 @@ class TestReadFramePcd:
         elif body == "binary f4 xyz":
             binary_pcd(path, rows[:, :3].astype("<f4"), fields="x y z", size="4 4 4",
                        type="F F F", count="1 1 1")
+            rows = np.column_stack([rows[:, :3].astype("<f4"), np.zeros(3)])
         else:
             text = rows.tolist()
             if body == "ascii walk":
                 text[0][0] = "1_5"  # float() reads it, np.loadtxt does not
+                rows[0, 0] = 15.0
             path.write_text(pcd_text(["x", "y", "z", "intensity"], text))
-        got = read_frame_pcd(path)
-        want = validate_frame(read_frame_pcd(path, validate=False))
+        read = read_frame_pcd(path)
+        assert read.points.tobytes() == rows.tobytes()
+        got, want = validate_frame(read), validate_frame(PointCloudFrame(points=rows))
         assert got.points.shape == want.points.shape == (3 - nan_row, 4)
         assert got.points.tobytes() == want.points.tobytes()
         assert got.dropped_points == want.dropped_points == nan_row
@@ -120,11 +121,13 @@ class TestReadFramePcd:
             read_frame_pcd(path)
 
     def test_eight_bit_intensity_normalized_on_ingest(self, tmp_path):
+        # the reader keeps the file's values; validation scales them
         path = tmp_path / "h.pcd"
         path.write_text(pcd_text(["x", "y", "z", "intensity"],
                                  [[1, 2, 3, 255], [4, 5, 6, 51]]))
         frame = read_frame_pcd(path)
-        np.testing.assert_allclose(frame.intensity, [1.0, 0.2])
+        np.testing.assert_array_equal(frame.intensity, [255.0, 51.0])
+        np.testing.assert_allclose(validate_frame(frame).intensity, [1.0, 0.2])
 
     @pytest.mark.parametrize("reader", [read_frame_pcd, read_pcd_by_lines])
     def test_eight_bit_judged_on_kept_rows_only(self, tmp_path, reader):
@@ -132,7 +135,7 @@ class TestReadFramePcd:
         path = tmp_path / "j.pcd"
         path.write_text(pcd_text(["x", "y", "z", "intensity"],
                                  [[1, 2, 3, 0.5], ["nan", 0, 0, 200], [4, 5, 6, 0.8]]))
-        frame = reader(path)
+        frame = validate_frame(reader(path))
         np.testing.assert_array_equal(frame.intensity, [0.5, 0.8])
         assert frame.dropped_points == 1
 
@@ -142,7 +145,7 @@ class TestReadFramePcd:
         path = tmp_path / "k.pcd"
         write_frame_pcd(frame, path)
         in_memory = validate_frame(frame).intensity
-        np.testing.assert_array_equal(in_memory, read_frame_pcd(path).intensity)
+        np.testing.assert_array_equal(in_memory, validate_frame(read_frame_pcd(path)).intensity)
         np.testing.assert_allclose(in_memory, [200 / 255, 0.5 / 255])
 
     def test_missing_data_declaration(self, tmp_path):
@@ -176,13 +179,13 @@ class TestRoundTrip:
                                       read_frame_pcd(tmp_path / "rows.pcd").points)
 
 
-def outcome(read, path, validate):
+def outcome(read, path):
     """What a reader makes of a file: its points bit for bit, or its error."""
     try:
-        frame = read(path, validate=validate)
-    except (ParseError, UnsupportedLayout, EmptyFrame) as exc:
+        frame = read(path)
+    except (ParseError, UnsupportedLayout) as exc:
         return type(exc).__name__, str(exc)
-    return frame.points.tobytes(), getattr(frame, "dropped_points", None)
+    return frame.points.tobytes()
 
 
 # tokens float() reads; loadtxt refuses the underscored ones
@@ -254,9 +257,7 @@ class TestBulkReaderMatchesLineWalk:
     def test_random_files(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "random.pcd"
         path.write_bytes(text.encode("utf-8"))
-        for validate in (False, True):
-            assert outcome(read_frame_pcd, path, validate) == \
-                outcome(read_pcd_by_lines, path, validate)
+        assert outcome(read_frame_pcd, path) == outcome(read_pcd_by_lines, path)
 
     @pytest.mark.parametrize("bad, message", [
         ("oops", "line 5000: non-numeric value"),
@@ -270,13 +271,13 @@ class TestBulkReaderMatchesLineWalk:
         path.write_text(pcd_text(["x", "y", "z", "intensity"],
                                  [[v for v in row if v != ""] for row in rows]))
         if message is None:
-            new = read_frame_pcd(path, validate=False).points
-            np.testing.assert_array_equal(new, read_pcd_by_lines(path, validate=False).points)
+            new = read_frame_pcd(path).points
+            np.testing.assert_array_equal(new, read_pcd_by_lines(path).points)
             assert new[4989, 3] == 10.0
         else:
             with pytest.raises(ParseError, match=message):
                 read_frame_pcd(path)
-            assert outcome(read_frame_pcd, path, True) == outcome(read_pcd_by_lines, path, True)
+            assert outcome(read_frame_pcd, path) == outcome(read_pcd_by_lines, path)
 
     @pytest.mark.parametrize("body", [
         "1 2 3\f4 5 6\n",   # one line of six values, not two rows
@@ -285,7 +286,7 @@ class TestBulkReaderMatchesLineWalk:
     def test_splitlines_breaks_inside_a_line(self, tmp_path, body):
         path = tmp_path / "ff.pcd"
         path.write_text(pcd_text(["x", "y", "z"], [], points=2) + body)
-        assert outcome(read_frame_pcd, path, False) == outcome(read_pcd_by_lines, path, False)
+        assert outcome(read_frame_pcd, path) == outcome(read_pcd_by_lines, path)
 
 
 class TestLineRule:
@@ -297,8 +298,7 @@ class TestLineRule:
         spaced, other = tmp_path / "spaced.pcd", tmp_path / "other.pcd"
         spaced.write_bytes(text.encode("utf-8"))
         other.write_bytes(text.replace(" ", sep).encode("utf-8"))
-        np.testing.assert_array_equal(read_frame_pcd(other, validate=False).points,
-                                      read_frame_pcd(spaced, validate=False).points)
+        np.testing.assert_array_equal(read_frame_pcd(other).points, read_frame_pcd(spaced).points)
 
     def test_crlf_after_a_cr_header_ends_the_ascii_data_line(self, tmp_path):
         path = tmp_path / "mixed.pcd"
@@ -306,7 +306,7 @@ class TestLineRule:
                          b"1 2 3\r\n4 5 oops\r\n")
         with pytest.raises(ParseError, match="line 6: non-numeric value"):
             read_frame_pcd(path)
-        assert outcome(read_frame_pcd, path, True) == outcome(read_pcd_by_lines, path, True)
+        assert outcome(read_frame_pcd, path) == outcome(read_pcd_by_lines, path)
 
     def test_form_feed_does_not_end_a_row(self, tmp_path):
         path = tmp_path / "ff.pcd"
@@ -332,7 +332,7 @@ class TestReaderErrors:
         path = tmp_path_factory.getbasetemp() / "fuzz.pcd"
         path.write_bytes(bytes(raw))
         try:
-            read_frame_pcd(path, validate=False)
+            read_frame_pcd(path)
         except (ParseError, UnsupportedLayout):
             pass
 
@@ -378,14 +378,14 @@ class TestBinaryBody:
     def test_round_trip_keeps_every_bit(self, tmp_path_factory, points):
         path = tmp_path_factory.getbasetemp() / "bits.pcd"
         write_frame_pcd(PointCloudFrame(points=points), path)
-        back = read_frame_pcd(path, validate=False).points
+        back = read_frame_pcd(path).points
         assert back.shape == points.shape
         np.testing.assert_array_equal(back.view(np.uint64), points.view(np.uint64))
 
     @settings(max_examples=100, deadline=None)
     @given(points=frames())
     def test_validated_read_is_the_validated_frame(self, tmp_path_factory, points):
-        # NaN and infinite rows are dropped on ingest as in memory
+        # NaN and infinite rows read back and are dropped as in memory
         path = tmp_path_factory.getbasetemp() / "valid.pcd"
         frame = PointCloudFrame(points=points)
         write_frame_pcd(frame, path)
@@ -397,7 +397,8 @@ class TestBinaryBody:
                 return str(exc)
             return got.points.tobytes(), got.dropped_points
 
-        assert validated(lambda: read_frame_pcd(path)) == validated(lambda: validate_frame(frame))
+        assert validated(lambda: validate_frame(read_frame_pcd(path))) == \
+            validated(lambda: validate_frame(frame))
 
     @settings(max_examples=200, deadline=None)
     @given(points=frames(), data=st.data())
@@ -417,7 +418,7 @@ class TestBinaryBody:
                 del raw[at:at + len(junk)]
         path.write_bytes(bytes(raw))
         try:
-            back = read_frame_pcd(path, validate=False)
+            back = read_frame_pcd(path)
         except (ParseError, UnsupportedLayout):
             return
         assert back.points.dtype == np.float64 and back.points.shape[1] == 4
@@ -425,13 +426,12 @@ class TestBinaryBody:
     def test_special_values_keep_their_bits(self, tmp_path):
         points = np.array([[0.0, -0.0, np.nan, np.inf], [-np.inf, 5e-324, -np.nan, 1e300]])
         write_frame_pcd(PointCloudFrame(points=points), tmp_path / "s.pcd")
-        back = read_frame_pcd(tmp_path / "s.pcd", validate=False).points
+        back = read_frame_pcd(tmp_path / "s.pcd").points
         np.testing.assert_array_equal(back.view(np.uint64), points.view(np.uint64))
 
-    @pytest.mark.parametrize("validate", [False, True])
-    def test_rows_are_writable(self, tmp_path, validate):
+    def test_rows_are_writable(self, tmp_path):
         write_frame_pcd(PointCloudFrame(points=np.ones((3, 4))), tmp_path / "w.pcd")
-        back = read_frame_pcd(tmp_path / "w.pcd", validate=validate).points
+        back = read_frame_pcd(tmp_path / "w.pcd").points
         assert back.flags.writeable
         back[0, 0] = 2.0
 
@@ -502,9 +502,10 @@ class TestBinaryBody:
 
     def test_no_points_is_an_empty_frame(self, tmp_path):
         binary_pcd(tmp_path / "e.pcd", np.ones((0, 4)))
-        assert read_frame_pcd(tmp_path / "e.pcd", validate=False).points.shape == (0, 4)
+        frame = read_frame_pcd(tmp_path / "e.pcd")
+        assert frame.points.shape == (0, 4)
         with pytest.raises(EmptyFrame, match="no points"):
-            read_frame_pcd(tmp_path / "e.pcd")
+            validate_frame(frame)
 
     @pytest.mark.parametrize("eol", [b"\r\n", b"\r", b"\n"])
     def test_header_lines_end_at_crlf_or_cr(self, tmp_path, eol):

@@ -284,14 +284,55 @@ class TestSlopes:
 
 @pytest.mark.parametrize("route", ["geometric", "bev"])
 def test_reader_drops_reach_the_result(tmp_path, route):
+    # the reader hands over the NaN row and the 8-bit intensities; the
+    # front half drops and scales them as for the rows in memory
     points = generate_frame(van_scene()).frame.points.copy()
+    points[:, 3] *= 255.0
     points[5, 2] = np.nan
     path = tmp_path / "nan.pcd"
     write_frame_pcd(PointCloudFrame(points=points), path)
-    frame = read_frame_pcd(path)
-    assert frame.dropped_points == 1
     cfg = replace(PipelineConfig(), pipeline=route)
-    assert run_pipeline(frame, cfg).dropped_points == 1
+    got = run_pipeline(read_frame_pcd(path), cfg)
+    want = run_pipeline(PointCloudFrame(points=points), cfg)
+    assert got.dropped_points == want.dropped_points == 1
+    assert (got.plane.normal.tobytes(), got.plane.offset, got.plane.inlier_count) == \
+        (want.plane.normal.tobytes(), want.plane.offset, want.plane.inlier_count)
+    assert got.obstacles
+    assert [asdict(o) for o in got.obstacles] == [asdict(o) for o in want.obstacles]
+
+
+class TestFrontHalf:
+    """Every frame is validated in the front half, in one copy that is then levelled."""
+
+    def test_levelled_is_the_array_validation_returned(self, monkeypatch):
+        returned = []
+
+        def spy(frame):
+            returned.append(validate_frame(frame))
+            return returned[-1]
+
+        monkeypatch.setattr(pipeline, "validate_frame", spy)
+        frame = generate_frame(van_scene(2)).frame
+        dropped, plane, levelled = pipeline.front_half(frame, PipelineConfig())
+        (valid,) = returned
+        assert levelled is valid.points
+        assert dropped == valid.dropped_points == 0
+        np.testing.assert_array_equal(levelled[:, 2], plane.signed_distance(frame.points))
+
+    @pytest.mark.parametrize("validated", [False, True], ids=["raw", "validated"])
+    @pytest.mark.parametrize("route", ["geometric", "bev"])
+    def test_routes_leave_the_callers_frame_as_it_was(self, route, validated):
+        points = generate_frame(van_scene(4)).frame.points.copy()
+        points[:, 3] *= 255.0  # 8-bit: validation divides, on its own copy
+        frame = PointCloudFrame(points=points)
+        if validated:
+            frame = validate_frame(frame)
+        before = frame.points.tobytes()
+        cfg = replace(PipelineConfig(), pipeline=route)
+        first, second = run_pipeline(frame, cfg), run_pipeline(frame, cfg)
+        assert frame.points.tobytes() == before
+        assert [asdict(o) for o in first.obstacles] == [asdict(o) for o in second.obstacles]
+        assert first.dropped_points == second.dropped_points == 0
 
 
 class TestBench:
@@ -731,6 +772,21 @@ class TestCli:
         rc = main(["detect", "--input", str(scene), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error[pcd-parse]")
+
+    @pytest.mark.parametrize("argv", [["detect"], ["detect", "--pipeline", "bev"], ["bev-export"]],
+                             ids=["geometric", "bev", "bev-export"])
+    @pytest.mark.parametrize("rows", [np.full((3, 4), np.nan), np.empty((0, 4))],
+                             ids=["all-nan", "no-points"])
+    def test_pcd_without_a_finite_point_is_empty_frame(self, tmp_path, capsys, argv, rows):
+        # the reader parses the file; the front half finds nothing to keep
+        scene = tmp_path / "scene"
+        scene.mkdir()
+        write_frame_pcd(PointCloudFrame(points=rows), scene / "frame_0000.pcd")
+        rc = main(argv + ["--input", str(scene), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[empty-frame]: frame 0: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("text", [
         "grid: {cell_size: -1}",

@@ -19,7 +19,11 @@ Python process of its own, with that tree's ``src`` on the path:
   tree's copy, for both sides): ``synth --frames 3``, ``detect --input``
   and ``detect --synth 4`` on both routes, ``eval`` of the geometric
   detections, and ``bev-export --synth 2``: every output file byte for
-  byte, and each command's exit status and printed lines.
+  byte, and each command's exit status and printed lines;
+- three drive-mix frames with intensity scaled by 255 and one NaN record
+  appended, the first as ASCII PCD and the others binary, through
+  ``detect --input`` on both routes and ``bev-export --input`` (whose
+  intensity planes show the normalization), compared as the CLI runs are.
 
 It prints one line per item: ``same``, or the first difference.  A
 drive-mix item that differs also says how many frames differ and the
@@ -50,6 +54,10 @@ SCENES, SCENE_DRAW_SEED = 60, 6000
 CONFIGS = {"default": None, "pcd_replay": ROOT / "perfbench" / "pcd_replay.yaml"}
 ROUTES = ("geometric", "bev")
 OBSTACLE_FIELDS = ("center_x", "center_y", "length", "width", "height", "confidence")
+NAN_ITEM, NAN_FRAMES = "nan-8bit", 3
+NAN_STEPS = [*(["detect", "--input", "frames", "--pipeline", route, "--out-dir", f"detect-{route}"]
+               for route in ROUTES),
+             ["bev-export", "--input", "frames", "--out-dir", "bev-export"]]
 
 
 def cli_steps(config):
@@ -98,14 +106,49 @@ def generator_scenes():
                                      obstacles=(over, BoxSpec(center_x=10.05, center_y=0.15)))
 
 
+def write_nan_frames(frames: Path) -> None:
+    """The NaN item's input: drive-mix frames with 8-bit intensity and a
+    NaN record.  The package's writer is not used, so that both trees
+    read the same bytes."""
+    import numpy as np
+
+    from lidargrid.pipeline import bench_scene
+    from lidargrid.synth import generate_frame
+
+    frames.mkdir(parents=True)
+    for i in range(NAN_FRAMES):
+        rows = generate_frame(bench_scene(FIRST_SEED + i)).frame.points * [1.0, 1.0, 1.0, 255.0]
+        rows = np.vstack([rows, [np.nan, 1.0, 2.0, 3.0]])
+        data = "ascii" if i == 0 else "binary"
+        header = (f"VERSION 0.7\nFIELDS x y z intensity\nSIZE 8 8 8 8\nTYPE F F F F\n"
+                  f"COUNT 1 1 1 1\nWIDTH {len(rows)}\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\n"
+                  f"POINTS {len(rows)}\nDATA {data}\n").encode()
+        body = ("".join(" ".join(map(repr, row)) + "\n" for row in rows.tolist()).encode()
+                if data == "ascii" else np.ascontiguousarray(rows, "<f8").tobytes())
+        (frames / f"frame_{i:04d}.pcd").write_bytes(header + body)
+
+
+def run_cli(work: Path, argv) -> None:
+    """Run one CLI command in ``work``; log its exit status and printed
+    lines in its output directory."""
+    from lidargrid.cli import main
+
+    os.chdir(work)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = main(argv)
+    log = work / argv[argv.index("--out-dir") + 1] / "_log.txt"
+    log.parent.mkdir(exist_ok=True)
+    log.write_text(f"exit {code}\n{printed.getvalue()}")
+
+
 def emit(out: Path, src: Path) -> None:
     """Make the output set with the package under ``src``: ``drive.json``,
-    ``generator.json`` and one directory per config and CLI step under
-    ``out``."""
+    ``generator.json``, one directory per config and CLI step and the NaN
+    item's directory under ``out``."""
     from dataclasses import replace
 
     import lidargrid
-    from lidargrid.cli import main
     from lidargrid.config import PipelineConfig
     from lidargrid.pipeline import bench_scene, run_bev, run_geometric
     from lidargrid.synth import generate_frame
@@ -136,14 +179,11 @@ def emit(out: Path, src: Path) -> None:
     for name, config in CONFIGS.items():
         work = out / name
         work.mkdir()
-        os.chdir(work)
         for _, argv in cli_steps(config):
-            printed = io.StringIO()
-            with contextlib.redirect_stdout(printed):
-                code = main(argv)
-            log = work / argv[argv.index("--out-dir") + 1] / "_log.txt"
-            log.parent.mkdir(exist_ok=True)
-            log.write_text(f"exit {code}\n{printed.getvalue()}")
+            run_cli(work, argv)
+    write_nan_frames(out / NAN_ITEM / "frames")
+    for argv in NAN_STEPS:
+        run_cli(out / NAN_ITEM, argv)
 
 
 def run_tree(tree: Path, out: Path) -> None:
@@ -271,7 +311,9 @@ def compare(old: Path, new: Path, show_all: bool):
             diff = first_file_difference(old / name / out_dir, new / name / out_dir)
             lines.append(f"{name} {item}: {diff or 'same'}")
             same &= diff is None
-    return lines, same
+    diff = first_file_difference(old / NAN_ITEM, new / NAN_ITEM)
+    lines.append(f"NaN-record 8-bit frames, detect and bev-export --input: {diff or 'same'}")
+    return lines, same and diff is None
 
 
 def main(argv=None) -> int:
