@@ -4,11 +4,12 @@
 image (height/intensity peaks and means, a bounded log density, and a
 binary occupancy bit) kept over its occupied cells.  The network that
 would consume that image is not part of this package;
-``height_gap_detector`` stands in for it.  ``cluster_output_grid`` and
-``postprocess_clusters`` turn a detector's per-cell attributes, over the
-raster or a list of cells, back into discrete obstacle estimates by
-grouping connected cells and the components their centre offsets link,
-then confidence and size filters.
+``height_gap_detector`` stands in for it, scoring each occupied cell 0
+or 1.  ``cluster_output_grid`` and ``postprocess_clusters`` turn a
+detector's per-cell attributes, over the raster or a list of cells, back
+into discrete obstacle estimates by grouping connected cells and the
+components their centre offsets link, then confidence and size filters,
+at an objectness threshold and a minimum confidence the caller gives.
 The built-in route makes no raster-sized array per frame.
 """
 

@@ -115,9 +115,7 @@ def cmd_eval(args, cfg: PipelineConfig, out: Path) -> int:
         lever_arm=(cfg.eval.lever_arm_x, cfg.eval.lever_arm_y),
         total_frames=args.total_frames,
     )
-    ev.write_offset_stats_csv(out / "offset_stats.csv", result)
-    ev.write_dimension_stats_csv(out / "dimension_stats.csv", result.dimensions)
-    ev.write_comparison_csv(out / "comparison.csv", result)
+    ev.write_eval_csvs(out, result)
     lon, lat = result.longitudinal, result.lateral
     print(f"longitudinal delta={lon.mean_offset:.3f} sigma={lon.std:.3f}")
     print(f"lateral      delta={lat.mean_offset:.3f} sigma={lat.std:.3f}")

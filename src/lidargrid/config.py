@@ -37,16 +37,6 @@ class ClusterParams:
 
 
 @dataclass(frozen=True)
-class BevPipelineParams:
-    objectness_threshold: float = 0.5
-    min_confidence: float = 0.5
-
-    def __post_init__(self):
-        check_real("objectness_threshold", self.objectness_threshold, 0.0, 1.0)
-        check_real("min_confidence", self.min_confidence, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
 class EvalParams:
     gate: float = 5.0
     lever_arm_x: float = 0.0
@@ -72,7 +62,6 @@ class PipelineConfig:
     kernel_radius: int = 1
     cluster: ClusterParams = field(default_factory=ClusterParams)
     bev: BevConfig = field(default_factory=BevConfig)
-    bev_post: BevPipelineParams = field(default_factory=BevPipelineParams)
     eval: EvalParams = field(default_factory=EvalParams)
     # one van ahead, so that ``detect --synth N`` alone has something to find
     synth: SceneSpec = field(default_factory=lambda: SceneSpec(
@@ -111,7 +100,6 @@ _NOTES = {
     "bev": "channel-feature raster",
     "bev.image_size": "cells per side",
     "bev.range": "m half-extent",
-    "bev_post": "output-grid post-processing",
     "eval.gate": "m, association gate",
     "eval.lever_arm_x": "m, GT antenna offset applied in the local frame",
     "eval.ref_lat": "geodetic reference; null = first GT row",

@@ -122,14 +122,6 @@ class PointCloudFrame:
         arr = as_point_array(self.points)
         object.__setattr__(self, "points", arr)
 
-    @property
-    def xyz(self) -> np.ndarray:
-        return self.points[:, :3]
-
-    @property
-    def intensity(self) -> np.ndarray:
-        return self.points[:, 3]
-
     def __len__(self) -> int:
         return self.points.shape[0]
 

@@ -335,18 +335,14 @@ def evaluate_detections(estimate_rows, gt_t, gt_x, gt_y, ego_t, ego_x, ego_y,
     )
 
 
-def write_offset_stats_csv(path, result: EvalResult) -> None:
-    write_csv(path, ["axis", "delta", "sigma", "availability"], [
+def write_eval_csvs(out, result: EvalResult) -> None:
+    """Write the offset, dimension and comparison CSVs into the directory ``out``."""
+    dims = result.dimensions
+    write_csv(out / "offset_stats.csv", ["axis", "delta", "sigma", "availability"], [
         [axis, stats.mean_offset, stats.std, stats.availability]
         for axis, stats in (("longitudinal", result.longitudinal),
                             ("lateral", result.lateral))])
-
-
-def write_dimension_stats_csv(path, dims: DimensionStats) -> None:
-    write_csv(path, ["E_l", "sigma_l", "E_w", "sigma_w"], [[
+    write_csv(out / "dimension_stats.csv", ["E_l", "sigma_l", "E_w", "sigma_w"], [[
         dims.mean_length, dims.std_length, dims.mean_width, dims.std_width]])
-
-
-def write_comparison_csv(path, result: EvalResult) -> None:
-    write_csv(path, ["t", "x_loc_gt", "y_loc_gt", "x_loc_est", "y_loc_est"],
+    write_csv(out / "comparison.csv", ["t", "x_loc_gt", "y_loc_gt", "x_loc_est", "y_loc_est"],
               result.comparison_rows)

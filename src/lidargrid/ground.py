@@ -69,10 +69,6 @@ class PlaneModel:
         pts = as_point_array(points)[:, :3]
         return pts @ self.normal + self.offset
 
-    def tilt(self) -> float:
-        """Angle between the plane normal and +z, in radians."""
-        return float(math.acos(min(1.0, self.normal[2])))
-
 
 def _sample_triples(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """(m, 3) ordered triples of distinct indices in [0, n), uniform over all

@@ -7,8 +7,8 @@ Every frame is validated there, whatever its source.  Geometric: grid
 (its z crop leaves the ground out) -> occupancy thresholds -> morphology
 -> connected components -> obstacle extraction.  BEV: channel extraction
 -> ``height_gap_detector`` (heights from the same plane) -> output-grid
-clustering -> confidence and size post-processing.  Another detector is
-composed from ``front_half`` and the public stages of ``bev``.
+clustering -> confidence and size filters, both scores cut at 0.5.  Another
+detector is composed from ``front_half`` and the public stages of ``bev``.
 """
 
 from __future__ import annotations
@@ -113,12 +113,12 @@ def run_bev(frame: PointCloudFrame, cfg: PipelineConfig) -> PipelineResult:
     attr = bev_mod.height_gap_detector(channels)
     clock.lap("detector")
 
-    clusters = bev_mod.cluster_output_grid(attr, cfg.bev_post.objectness_threshold,
-                                           cfg.cluster.connectivity)
+    # the detector scores 0 or 1, so any threshold and minimum confidence
+    # in (0, 1] keep the same clusters
+    clusters = bev_mod.cluster_output_grid(attr, 0.5, cfg.cluster.connectivity)
     clock.lap("cluster")
 
-    obstacles = bev_mod.postprocess_clusters(clusters, cfg.bev_post.min_confidence,
-                                             cfg.bev, cfg.cluster.min_cells)
+    obstacles = bev_mod.postprocess_clusters(clusters, 0.5, cfg.bev, cfg.cluster.min_cells)
     clock.lap("postprocess")
 
     return PipelineResult(obstacles=obstacles, timings=clock.timings,

@@ -103,10 +103,6 @@ class SceneSpec:
             raise ValueError(f"a box takes more than {MAX_CELLS} samples")
 
     @property
-    def ground_offset(self) -> float:
-        return -self.sensor_height
-
-    @property
     def ray_count(self) -> int:
         return self.beam_count * math.ceil(360.0 / self.azimuth_resolution_deg)
 
@@ -147,7 +143,7 @@ def _ground_hit_t(spec: SceneSpec, dirs: np.ndarray) -> np.ndarray:
     s = math.tan(spec.ground_slope)
     denom = dirs[:, 2] - s * dirs[:, 0]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = spec.ground_offset / denom
+        t = -spec.sensor_height / denom
     t = np.where((np.abs(denom) > 1e-12) & (t > 0.0), t, np.inf)
     return t
 
@@ -168,7 +164,7 @@ def _scan(ground: SceneSpec):
 
 
 def _box_z_span(spec: SceneSpec, box: BoxSpec) -> tuple[float, float]:
-    base = spec.ground_offset + math.tan(spec.ground_slope) * box.center_x + box.clearance
+    base = -spec.sensor_height + math.tan(spec.ground_slope) * box.center_x + box.clearance
     return base, base + box.height
 
 

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +26,7 @@ from lidargrid.bev import (
 from lidargrid.cli import main
 from lidargrid.config import PipelineConfig
 from lidargrid.grid import cell_index
-from lidargrid.pipeline import front_half
+from lidargrid.pipeline import bench_scene, front_half, run_bev
 from lidargrid.synth import generate_frame
 
 CFG = BevConfig(image_size=40, range=6.0)  # 0.3 m cells
@@ -356,7 +359,8 @@ class TestClusterOutputGrid:
         with pytest.raises(ValueError):
             cluster_output_grid(zero_attr(), 1.5)
 
-    @pytest.mark.parametrize("bad", [float("nan"), True, None])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.1,
+                                     True, "1.0", None])
     def test_bad_objectness_threshold_names_itself(self, bad):
         # True once read as 1.0 and None raised TypeError
         with pytest.raises(ValueError, match="^objectness_threshold"):
@@ -547,7 +551,8 @@ class TestPostprocess:
         assert len(postprocess_clusters(hi, 0.5, CFG)) == 1
         assert len(postprocess_clusters(lo, 0.5, CFG)) == 0
 
-    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5, True, "0.5"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.1, 1.5,
+                                     True, "0.5", None])
     def test_bad_min_confidence_rejected(self, bad):
         # a NaN compared false with every confidence and kept every cluster
         obj = np.zeros((40, 40))
@@ -625,6 +630,27 @@ class TestPostprocess:
         est = postprocess_clusters(cluster_output_grid(attr, 0.5), 0.5, cfg,
                                    min_cells=1)[0]
         assert est.class_tag == "class_1"
+
+
+class TestRouteScoreCuts:
+    @pytest.mark.parametrize("i", range(3))
+    def test_any_cut_gives_the_route_obstacles(self, i):
+        # run_bev cuts both scores at 0.5; the detector scores 0 or 1, so a
+        # threshold in (0, 1] and a minimum confidence in [0, 1] keep the same.
+        # The drive mix's first frames: slopes 0, 2 and 4 degrees
+        cfg = replace(PipelineConfig(), pipeline="bev")
+        frame = generate_frame(replace(bench_scene(i),
+                                       ground_slope=math.radians(2.0 * i))).frame
+        want = [vars(o) for o in run_bev(frame, cfg).obstacles]
+        assert len(want) >= 4
+        _, _, levelled = front_half(frame, cfg)
+        attr = height_gap_detector(extract_channels(levelled, cfg.bev))
+        for threshold in (1e-9, 0.5, 1.0):
+            clusters = cluster_output_grid(attr, threshold, cfg.cluster.connectivity)
+            for min_confidence in (0.0, 0.5, 1.0):
+                got = postprocess_clusters(clusters, min_confidence, cfg.bev,
+                                           cfg.cluster.min_cells)
+                assert [vars(o) for o in got] == want, (threshold, min_confidence)
 
 
 class TestOccupancyDetector:

@@ -81,13 +81,13 @@ class TestValidateFrame:
 
     def test_eight_bit_intensity_normalized(self):
         out = validate_frame(make_frame([[1, 1, 1, 255.0], [2, 2, 2, 51.0]]))
-        np.testing.assert_allclose(out.intensity, [1.0, 0.2])
+        np.testing.assert_allclose(out.points[:, 3], [1.0, 0.2])
 
     def test_eight_bit_judged_on_kept_points(self):
         # the dropped row's 200 does not make the kept 0.5 and 0.8 8-bit
         rows = [[1, 1, 1, 0.5], [np.nan, 0, 0, 200.0], [2, 2, 2, 0.8]]
         out = validate_frame(make_frame(rows))
-        np.testing.assert_array_equal(out.intensity, [0.5, 0.8])
+        np.testing.assert_array_equal(out.points[:, 3], [0.5, 0.8])
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
@@ -165,11 +165,6 @@ class TestObstacleEstimate:
 
 
 class TestFrameContainer:
-    def test_xyz_intensity_views(self):
-        frame = make_frame([[1, 2, 3, 0.5]])
-        np.testing.assert_array_equal(frame.xyz, [[1, 2, 3]])
-        np.testing.assert_array_equal(frame.intensity, [0.5])
-
     def test_tuple_sequence_accepted(self):
         frame = PointCloudFrame(points=[(1, 2, 3, 0.4), (4, 5, 6)])
         assert len(frame) == 2

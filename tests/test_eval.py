@@ -7,9 +7,12 @@ from helpers import reference_mean_std
 from lidargrid.core import ObstacleEstimate
 from lidargrid.evaluate import (
     EARTH_RADIUS_M,
+    DimensionStats,
     EgoPose,
     EmptySeries,
+    EvalResult,
     InvalidLatitude,
+    OffsetStats,
     RelativePosition,
     SchemaError,
     associate,
@@ -21,6 +24,7 @@ from lidargrid.evaluate import (
     read_ground_truth_csv,
     read_obstacles_csv,
     transform_to_local,
+    write_eval_csvs,
     write_obstacles_csv,
 )
 
@@ -129,6 +133,14 @@ class TestAssociate:
     def test_nearest_within_gate(self):
         ests = [est_at(10, 0), est_at(20, 5)]
         assert associate(ests, self.GT, 3.0) is ests[0]
+
+    def test_tie_goes_to_the_later_estimate(self):
+        ests = [est_at(10, 0), est_at(12, 0)]
+        assert associate(ests, self.GT, 3.0) is ests[1]
+
+    def test_estimate_at_the_gate_matched(self):
+        est = est_at(14, 0)
+        assert associate([est], self.GT, 3.0) is est
 
     def test_outside_gate_none(self):
         assert associate([est_at(16, 0)], self.GT, 3.0) is None
@@ -285,6 +297,21 @@ class TestCsvIo:
                         "0,0.0,10.0,0.0,5.0,2.0,,1.0,unknown,nan\n")
         with pytest.raises(SchemaError, match="line 2: range nan inconsistent"):
             read_obstacles_csv(path)
+
+    def test_eval_csvs_written(self, tmp_path):
+        # an unmatched frame's estimate columns are empty fields
+        result = EvalResult(OffsetStats(0.25, 0.5, 3, 0.75), OffsetStats(-0.125, 0.0, 3, 0.75),
+                            DimensionStats(5, 0.5, 2, 0.0),
+                            [(0.05, 10.0, 0.5, 10.25, 0.375), (0.1, 10.0, 0.5, None, None)])
+        write_eval_csvs(tmp_path, result)
+        assert (tmp_path / "offset_stats.csv").read_bytes() == (
+            b"axis,delta,sigma,availability\r\n"
+            b"longitudinal,0.25,0.5,0.75\r\nlateral,-0.125,0.0,0.75\r\n")
+        assert (tmp_path / "dimension_stats.csv").read_bytes() == (
+            b"E_l,sigma_l,E_w,sigma_w\r\n5.0,0.5,2.0,0.0\r\n")
+        assert (tmp_path / "comparison.csv").read_bytes() == (
+            b"t,x_loc_gt,y_loc_gt,x_loc_est,y_loc_est\r\n"
+            b"0.05,10.0,0.5,10.25,0.375\r\n0.1,10.0,0.5,,\r\n")
 
     def test_ground_truth_latlon_converted(self, tmp_path):
         path = tmp_path / "gt.csv"

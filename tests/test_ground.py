@@ -89,7 +89,7 @@ class TestFitPlane:
                                                   max_plane_tilt=math.radians(15)))
         plane = fit_plane_ransac(tilted, RansacParams(rng_seed=0,
                                                       max_plane_tilt=math.radians(45)))
-        assert plane.tilt() == pytest.approx(tilt, abs=1e-6)
+        assert math.acos(min(1.0, plane.normal[2])) == pytest.approx(tilt, abs=1e-6)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
@@ -107,7 +107,7 @@ class TestFitPlane:
             pts = flat_cloud(300, -1.8, rng, noise=0.05)
             params = RansacParams(rng_seed=seed)
             plane = fit_plane_ransac(pts, params)
-            assert plane.tilt() <= params.max_plane_tilt + 1e-9
+            assert math.acos(min(1.0, plane.normal[2])) <= params.max_plane_tilt + 1e-9
 
     def test_inlier_maximality_vs_exhaustive_triples(self):
         params = RansacParams(max_iterations=300, rng_seed=3,

@@ -44,7 +44,7 @@ class TestReadFramePcd:
         path = tmp_path / "b.pcd"
         path.write_text(pcd_text(["x", "y", "z"], [[1, 2, 3], [4, 5, 6]]))
         frame = read_frame_pcd(path)
-        np.testing.assert_array_equal(frame.intensity, [0.0, 0.0])
+        np.testing.assert_array_equal(frame.points[:, 3], [0.0, 0.0])
 
     @pytest.mark.parametrize("body", ["binary", "ascii bulk", "ascii walk"])
     def test_each_body_path_leaves_intensity_to_the_frame(self, tmp_path, body, monkeypatch):
@@ -126,8 +126,8 @@ class TestReadFramePcd:
         path.write_text(pcd_text(["x", "y", "z", "intensity"],
                                  [[1, 2, 3, 255], [4, 5, 6, 51]]))
         frame = read_frame_pcd(path)
-        np.testing.assert_array_equal(frame.intensity, [255.0, 51.0])
-        np.testing.assert_allclose(validate_frame(frame).intensity, [1.0, 0.2])
+        np.testing.assert_array_equal(frame.points[:, 3], [255.0, 51.0])
+        np.testing.assert_allclose(validate_frame(frame).points[:, 3], [1.0, 0.2])
 
     @pytest.mark.parametrize("reader", [read_frame_pcd, read_pcd_by_lines])
     def test_eight_bit_judged_on_kept_rows_only(self, tmp_path, reader):
@@ -136,7 +136,7 @@ class TestReadFramePcd:
         path.write_text(pcd_text(["x", "y", "z", "intensity"],
                                  [[1, 2, 3, 0.5], ["nan", 0, 0, 200], [4, 5, 6, 0.8]]))
         frame = validate_frame(reader(path))
-        np.testing.assert_array_equal(frame.intensity, [0.5, 0.8])
+        np.testing.assert_array_equal(frame.points[:, 3], [0.5, 0.8])
         assert frame.dropped_points == 1
 
     def test_one_intensity_rule_in_memory_and_on_ingest(self, tmp_path):
@@ -144,8 +144,8 @@ class TestReadFramePcd:
         frame = PointCloudFrame(points=np.array([[1, 2, 3, 200.0], [4, 5, 6, 0.5]]))
         path = tmp_path / "k.pcd"
         write_frame_pcd(frame, path)
-        in_memory = validate_frame(frame).intensity
-        np.testing.assert_array_equal(in_memory, validate_frame(read_frame_pcd(path)).intensity)
+        in_memory = validate_frame(frame).points[:, 3]
+        np.testing.assert_array_equal(in_memory, validate_frame(read_frame_pcd(path)).points[:, 3])
         np.testing.assert_allclose(in_memory, [200 / 255, 0.5 / 255])
 
     def test_missing_data_declaration(self, tmp_path):

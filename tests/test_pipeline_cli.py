@@ -803,8 +803,8 @@ class TestCli:
         "synth: {obstacle_density: -5}",
         "synth: {max_range: -1}",
         "eval: {gate: 0}",
-        "bev_post: {objectness_threshold: 2}",
-        "bev_post: {min_confidence: 1.5}",
+        "bev_post: {objectness_threshold: 0.5}",
+        "bev_post: {min_confidence: 0.5}",
         "grid: {z_min: 3.0, z_max: 0.1}",
         "kernel_radius: 0",
         "kernel_radius: 100",
@@ -849,7 +849,7 @@ class TestCli:
             "bad-connectivity", "yaml-syntax", "fractional-count", "nan-cell-size",
             "infinite-extent", "negative-noise", "nan-breakpoint", "nan-breakpoint-string",
             "infinite-density", "negative-density", "negative-range", "zero-gate",
-            "objectness-threshold-above-one", "min-confidence-above-one",
+            "bev-post-is-unknown-key", "bev-post-min-confidence-is-unknown-key",
             "inverted-height-crop", "zero-kernel-radius", "kernel-wider-than-grid",
             "zero-min-cells",
             "noise-floor-is-unknown-key", "zero-ransac-iterations", "zero-inlier-band",
@@ -871,6 +871,16 @@ class TestCli:
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error[config]")
+
+    def test_template_with_a_bev_post_section_is_config_error(self, tmp_path, capsys):
+        # a template dumped by an earlier version still ends in this section
+        cfg_path = tmp_path / "old.yaml"
+        cfg_path.write_text(default_config_yaml() + "bev_post:                  # output-grid "
+                            "post-processing\n  objectness_threshold: 0.5\n  min_confidence: 0.5\n")
+        rc = main(["detect", "--synth", "1", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error[config]: unknown PipelineConfig keys: ['bev_post']\n"
 
     @pytest.mark.parametrize("section", ["ransac", "synth"])
     def test_negative_rng_seed_is_config_error(self, tmp_path, capsys, section):

@@ -35,13 +35,13 @@ class TestGroundOnly:
         spec = SceneSpec(noise_sigma=0.0)
         labeled = generate_frame(spec)
         assert (labeled.labels == GROUND_LABEL).all()
-        np.testing.assert_allclose(labeled.frame.xyz[:, 2], spec.ground_offset,
+        np.testing.assert_allclose(labeled.frame.points[:, 2], -spec.sensor_height,
                                    atol=1e-9)
 
     def test_ring_radii_closed_form(self):
         spec = SceneSpec(noise_sigma=0.0, max_range=1000.0)
         labeled = generate_frame(spec)
-        radii = np.hypot(labeled.frame.xyz[:, 0], labeled.frame.xyz[:, 1])
+        radii = np.hypot(labeled.frame.points[:, 0], labeled.frame.points[:, 1])
         elevations = np.radians(np.linspace(-15, 15, 16))
         expected = np.array(sorted(spec.sensor_height / math.tan(abs(e))
                                    for e in elevations if e < 0))
@@ -73,7 +73,7 @@ class TestBoxes:
     def test_points_within_inflated_footprint(self):
         spec = SceneSpec(obstacles=(self.VAN,), rng_seed=3)
         labeled = generate_frame(spec)
-        pts = labeled.frame.xyz[labeled.labels == 0]
+        pts = labeled.frame.points[labeled.labels == 0, :3]
         assert len(pts) > 100
         margin = 3 * spec.noise_sigma
         assert (np.abs(pts[:, 0] - 10.0) <= 2.5 + margin).all()
@@ -84,7 +84,7 @@ class TestBoxes:
                       height=2.0, yaw=math.radians(30))
         spec = SceneSpec(obstacles=(box,), rng_seed=5)
         labeled = generate_frame(spec)
-        pts = labeled.frame.xyz[labeled.labels == 0]
+        pts = labeled.frame.points[labeled.labels == 0, :3]
         c, s = math.cos(box.yaw), math.sin(box.yaw)
         dx = pts[:, 0] - 10.0
         dy = pts[:, 1]
@@ -158,8 +158,8 @@ class TestBoxes:
     def test_intensity_by_label(self):
         spec = SceneSpec(obstacles=(self.VAN,), rng_seed=19)
         labeled = generate_frame(spec)
-        ground = labeled.frame.intensity[labeled.labels == GROUND_LABEL]
-        obstacle = labeled.frame.intensity[labeled.labels == 0]
+        ground = labeled.frame.points[labeled.labels == GROUND_LABEL, 3]
+        obstacle = labeled.frame.points[labeled.labels == 0, 3]
         assert (ground == 0.5).all()
         assert (obstacle == 0.8).all()
 
@@ -257,8 +257,8 @@ class TestSlopedGround:
         slope = math.radians(4.0)
         spec = SceneSpec(noise_sigma=0.0, ground_slope=slope)
         labeled = generate_frame(spec)
-        xyz = labeled.frame.xyz
-        expected = spec.ground_offset + math.tan(slope) * xyz[:, 0]
+        xyz = labeled.frame.points[:, :3]
+        expected = -spec.sensor_height + math.tan(slope) * xyz[:, 0]
         np.testing.assert_allclose(xyz[:, 2], expected, atol=1e-8)
 
     def test_box_base_follows_ground(self):
@@ -267,8 +267,8 @@ class TestSlopedGround:
         spec = SceneSpec(noise_sigma=0.0, ground_slope=slope, obstacles=(box,),
                          rng_seed=21)
         labeled = generate_frame(spec)
-        pts = labeled.frame.xyz[labeled.labels == 0]
-        base = spec.ground_offset + math.tan(slope) * 12.0 + 0.3
+        pts = labeled.frame.points[labeled.labels == 0, :3]
+        base = -spec.sensor_height + math.tan(slope) * 12.0 + 0.3
         assert pts[:, 2].min() >= base - 1e-9
         assert pts[:, 2].max() <= base + box.height + 1e-9
 
