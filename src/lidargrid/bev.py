@@ -146,9 +146,8 @@ def extract_channels(points, cfg: BevConfig) -> ChannelImage:
     rows, flat = cell_index(pts[:, 0], pts[:, 1], (-r, -r), (r, r), cfg.cell_size, (n, n))
     z, inten = pts[rows, 2], pts[rows, 3]
 
-    cells, slot = np.unique(flat, return_inverse=True)
+    cells, slot, counts = np.unique(flat, return_inverse=True, return_counts=True)
     m = cells.size
-    counts = np.bincount(slot, minlength=m).astype(np.float64)
     max_z = np.full(m, -np.inf)
     max_i = np.full(m, -np.inf)
     np.maximum.at(max_z, slot, z)
@@ -169,11 +168,9 @@ class OutputAttributeGrid:
 
     ``objectness`` and ``confidence`` are scores in [0, 1]; the center
     offsets are meters from the cell center to the predicted object
-    center; ``class_scores`` is opaque per-cell data carried through
-    aggregation, or None.  Attributes are (n, n) rasters, or with
-    ``cells`` (sorted flat indices) one value per listed cell, shape (m,);
-    ``class_scores`` adds a trailing axis C.  Unlisted cells have no score
-    and never join a cluster.
+    center.  Attributes are (n, n) rasters, or with ``cells`` (sorted
+    flat indices) one value per listed cell, shape (m,).  Unlisted cells
+    have no score and never join a cluster.
     """
 
     config: BevConfig
@@ -182,7 +179,6 @@ class OutputAttributeGrid:
     center_offset_y: np.ndarray
     confidence: np.ndarray
     height: np.ndarray
-    class_scores: np.ndarray | None = None
     cells: np.ndarray | None = None
 
     def __post_init__(self):
@@ -207,11 +203,6 @@ class OutputAttributeGrid:
             # min and max carry any NaN, and any infinity shows in one of them
             if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
                 raise ValueError(f"{name} has a non-finite value")
-        if self.class_scores is not None:
-            cs = np.asarray(self.class_scores, dtype=np.float64)
-            if cs.shape[:-1] != shape:
-                raise GeometryMismatch(f"class_scores shape {cs.shape}")
-            object.__setattr__(self, "class_scores", cs)
 
 
 def height_gap_detector(channels: ChannelImage,
@@ -247,7 +238,6 @@ class RawCluster:
     cell_center_y: float
     mean_offset_x: float
     mean_offset_y: float
-    mean_class_scores: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -300,10 +290,7 @@ def cluster_output_grid(attr: OutputAttributeGrid, objectness_threshold: float,
     # rows in the order of RawCluster's fields after ``cells``
     means = np.stack([attr.confidence.reshape(-1)[sel], attr.height.reshape(-1)[sel],
                       cx[order], cy[order], offx[order], offy[order]])
-    cs = attr.class_scores
-    scores = None if cs is None else cs.reshape(attr.objectness.size, cs.shape[-1])[sel]
-    return [RawCluster(cells[lo:hi], *means[:, lo:hi].mean(axis=1).tolist(),
-                       None if scores is None else scores[lo:hi].mean(axis=0))
+    return [RawCluster(cells[lo:hi], *means[:, lo:hi].mean(axis=1).tolist())
             for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
@@ -326,9 +313,6 @@ def postprocess_clusters(clusters, min_confidence: float, cfg: BevConfig,
                                  np.cumsum([0] + [c.size for c in kept]), cfg.cell_size)
     out = []
     for c, length, width in zip(kept, lengths, widths):
-        tag = "unknown"
-        if c.mean_class_scores is not None and c.mean_class_scores.size:
-            tag = f"class_{int(np.argmax(c.mean_class_scores))}"
         out.append(ObstacleEstimate(
             center_x=float(c.cell_center_x + c.mean_offset_x),
             center_y=float(c.cell_center_y + c.mean_offset_y),
@@ -336,6 +320,5 @@ def postprocess_clusters(clusters, min_confidence: float, cfg: BevConfig,
             width=width,
             height=c.mean_height,
             confidence=c.mean_confidence,
-            class_tag=tag,
         ))
     return out

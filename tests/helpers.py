@@ -514,9 +514,6 @@ def cluster_output_grid_by_loop(attr: OutputAttributeGrid, objectness_threshold:
     for g in range(group.max() + 1):
         sel = order[bounds[g]:bounds[g + 1]]
         cells = np.stack([ii[sel], jj[sel]], axis=1)
-        mean_cs = None
-        if attr.class_scores is not None:
-            mean_cs = attr.class_scores[ii[sel], jj[sel]].mean(axis=0)
         clusters.append(RawCluster(
             cells=cells,
             mean_confidence=float(conf[sel].mean()),
@@ -525,7 +522,6 @@ def cluster_output_grid_by_loop(attr: OutputAttributeGrid, objectness_threshold:
             cell_center_y=float(cy[sel].mean()),
             mean_offset_x=float(offx[sel].mean()),
             mean_offset_y=float(offy[sel].mean()),
-            mean_class_scores=mean_cs,
         ))
     return clusters
 

@@ -52,16 +52,15 @@ def dense_attr(attr):
     n = attr.config.image_size
 
     def scatter(values):
-        out = np.zeros((n * n,) + values.shape[1:])
+        out = np.zeros(n * n)
         out[attr.cells] = values
-        return out.reshape((n, n) + values.shape[1:])
+        return out.reshape(n, n)
 
     return OutputAttributeGrid(
         config=attr.config, objectness=scatter(attr.objectness),
         center_offset_x=scatter(attr.center_offset_x),
         center_offset_y=scatter(attr.center_offset_y),
-        confidence=scatter(attr.confidence), height=scatter(attr.height),
-        class_scores=None if attr.class_scores is None else scatter(attr.class_scores))
+        confidence=scatter(attr.confidence), height=scatter(attr.height))
 
 
 def dense_channels(pts, cfg):
@@ -415,12 +414,10 @@ def attribute_grids(draw):
         across = rng.uniform(-2.0, 2.0, (2, n, n)) * cfg.range
         far = rng.choice([-1.0, 1.0], (2, n, n)) * rng.uniform(2.0, 50.0, (2, n, n)) * cfg.range
         offset = np.choose(rng.integers(0, 5, (2, n, n)), [offset, -offset, near, across, far])
-    classes = draw(st.sampled_from([None, 0, 1, 3]))
     attr = OutputAttributeGrid(
         config=cfg, objectness=obj,
         center_offset_x=offset[0], center_offset_y=offset[1],
-        confidence=rng.random((n, n)), height=rng.normal(0.0, 2.0, (n, n)),
-        class_scores=None if classes is None else rng.random((n, n, classes)))
+        confidence=rng.random((n, n)), height=rng.normal(0.0, 2.0, (n, n)))
     threshold = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
     return attr, threshold, draw(st.sampled_from([4, 8]))
 
@@ -437,14 +434,12 @@ def support_grids(draw):
     cells = np.flatnonzero(rng.random(n * n) < share)
 
     def on(a):
-        return a.reshape((n * n,) + a.shape[2:])[cells]
+        return a.reshape(-1)[cells]
 
     support = OutputAttributeGrid(
         config=attr.config, objectness=on(attr.objectness),
         center_offset_x=on(attr.center_offset_x), center_offset_y=on(attr.center_offset_y),
-        confidence=on(attr.confidence), height=on(attr.height),
-        class_scores=None if attr.class_scores is None else on(attr.class_scores),
-        cells=cells)
+        confidence=on(attr.confidence), height=on(attr.height), cells=cells)
     threshold = draw(st.one_of(st.sampled_from([1e-9, 0.5, 1.0]),
                                st.floats(0.0, 1.0, exclude_min=True)))
     return support, threshold, connectivity
@@ -461,11 +456,6 @@ def assert_same_clusters(got, want):
                      "cell_center_y", "mean_offset_x", "mean_offset_y"):
             assert type(getattr(a, name)) is float
             assert getattr(a, name) == getattr(b, name), name
-        if b.mean_class_scores is None:
-            assert a.mean_class_scores is None
-        else:
-            assert a.mean_class_scores.shape == b.mean_class_scores.shape
-            assert np.array_equal(a.mean_class_scores, b.mean_class_scores)
 
 
 class TestClusterMatchesLoop:
@@ -524,8 +514,6 @@ class TestSupportForm:
             support_attr(cells, m=3)
         with pytest.raises(GeometryMismatch, match="height shape"):
             support_attr(cells, height=np.zeros((CFG.image_size, CFG.image_size)))
-        with pytest.raises(GeometryMismatch, match="class_scores shape"):
-            support_attr(cells, class_scores=np.zeros((3, 2)))
 
     def test_support_cells_alone_cluster_at_threshold_zero(self):
         # two 2 x 2 blocks with zero scores: at threshold 0 a raster puts
@@ -615,21 +603,6 @@ class TestPostprocess:
         assert est.center_x == pytest.approx(3.0, abs=cfg.cell_size)
         assert est.center_y == pytest.approx(0.5, abs=cfg.cell_size)
         assert est.height == pytest.approx(1.8)
-
-    def test_class_tag_from_scores(self):
-        cfg = BevConfig(image_size=8, range=2.0)
-        n = cfg.image_size
-        obj = np.zeros((n, n))
-        obj[2, 2] = 1.0
-        scores = np.zeros((n, n, 3))
-        scores[2, 2] = [0.1, 0.7, 0.2]
-        attr = OutputAttributeGrid(
-            config=cfg, objectness=obj, center_offset_x=np.zeros((n, n)),
-            center_offset_y=np.zeros((n, n)), confidence=obj.copy(),
-            height=np.zeros((n, n)), class_scores=scores)
-        est = postprocess_clusters(cluster_output_grid(attr, 0.5), 0.5, cfg,
-                                   min_cells=1)[0]
-        assert est.class_tag == "class_1"
 
 
 class TestRouteScoreCuts:

@@ -248,6 +248,8 @@ class TestDimensionStats:
 class TestCsvIo:
     def test_obstacles_round_trip(self, tmp_path):
         rng = np.random.default_rng(19)
+        # the csv writer quotes a tag holding a comma or a double quote
+        tags = ("car", "class_1", 'truck, "long"', "unknown")
         rows = []
         for i in range(25):
             x, y = rng.uniform(-20, 20, 2)
@@ -255,7 +257,7 @@ class TestCsvIo:
                 center_x=x, center_y=y,
                 length=float(rng.uniform(2, 6)), width=float(rng.uniform(0.5, 2)),
                 height=None if i % 3 == 0 else float(rng.uniform(1, 3)),
-                confidence=float(rng.uniform(0, 1)), class_tag="unknown")
+                confidence=float(rng.uniform(0, 1)), class_tag=tags[i % len(tags)])
             rows.append((i, i / 20.0, est))
         path = tmp_path / "obstacles.csv"
         write_obstacles_csv(path, rows)
@@ -268,6 +270,7 @@ class TestCsvIo:
                          "confidence", "range"):
                 assert getattr(est2, attr) == pytest.approx(
                     getattr(est, attr), abs=1e-6)
+            assert est2.class_tag == est.class_tag
             if est.height is None:
                 assert est2.height is None
             else:

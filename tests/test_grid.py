@@ -114,6 +114,9 @@ class TestThresholdForRange:
             ThresholdProfile(breakpoints=((0.0, 2), (10.0, 5)))  # increasing
         with pytest.raises(ValueError):
             ThresholdProfile(breakpoints=((0.0, 0),))  # below 1
+        for bps in (((0.0, 5), (0.0, 3)), ((0.0, 5), (20.0, 3), (10.0, 2))):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                ThresholdProfile(breakpoints=bps)  # equal or decreasing starts
 
 
 class TestOccupancyFromCounts:

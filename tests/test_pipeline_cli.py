@@ -845,6 +845,7 @@ class TestCli:
         "profile: {breakpoints: [[0, 1" + "0" * 400 + "]]}",
         'profile: {breakpoints: [[0, 5], ["10", 3]]}',
         "cluster: {min_cells: 1" + "0" * 4999 + "}",
+        "profile: {breakpoints: [[0, 5], [0, 3]]}",
     ], ids=["negative-cell-size", "section-not-a-mapping",
             "bad-connectivity", "yaml-syntax", "fractional-count", "nan-cell-size",
             "infinite-extent", "negative-noise", "nan-breakpoint", "nan-breakpoint-string",
@@ -863,7 +864,8 @@ class TestCli:
             "box-center-null", "box-center-list", "ref-lat-string", "ref-lon-list",
             "ref-lat-past-pole", "ref-lat-past-south-pole", "ref-lon-past-antimeridian",
             "infinite-breakpoint-count", "cell-size-past-float", "breakpoint-count-past-float",
-            "breakpoint-start-string", "integer-past-4300-digits"])
+            "breakpoint-start-string", "integer-past-4300-digits",
+            "equal-breakpoint-starts"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(text + "\n")
