@@ -139,14 +139,23 @@ def extract_channels(points, cfg: BevConfig) -> ChannelImage:
     """Build the 6-channel BEV image; points outside ±range are dropped.
 
     Statistics are taken over the occupied cells only, and the image
-    keeps them there, so a frame makes no raster-sized arrays.
+    keeps them there, so a frame makes no raster-sized arrays.  One sort
+    of the key ``cell << b | row`` groups the rows by cell and keeps each
+    cell's rows in order, so every sum adds its values in row order.
     """
     pts = as_point_array(points)
     n, r = cfg.image_size, cfg.range
     rows, flat = cell_index(pts[:, 0], pts[:, 1], (-r, -r), (r, r), cfg.cell_size, (n, n))
-    z, inten = pts[rows, 2], pts[rows, 3]
-
-    cells, slot, counts = np.unique(flat, return_inverse=True, return_counts=True)
+    b = len(pts).bit_length()
+    key = flat << b | rows  # b bits hold any row index
+    key.sort()
+    rows = key & ((1 << b) - 1)
+    key >>= b  # each sorted row's cell
+    first = np.diff(key, prepend=-1) != 0
+    slot = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    cells, counts = key[starts], np.diff(starts, append=key.size)
+    z, inten = pts[:, 2].take(rows), pts[:, 3].take(rows)
     m = cells.size
     max_z = np.full(m, -np.inf)
     max_i = np.full(m, -np.inf)

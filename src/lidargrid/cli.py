@@ -10,6 +10,7 @@ to stderr and exit 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -143,6 +144,7 @@ def cmd_bev_export(args, cfg: PipelineConfig, out: Path) -> int:
     return 0
 
 
+@functools.cache  # ~1 ms a build; the parser keeps no state between parses
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lidargrid",
@@ -168,12 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="run detection over frames")
     common(p, frames=True)
-    p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("synth", help="write synthetic PCD frames + ground truth")
     common(p, pipeline=False)
     p.add_argument("--frames", type=int, default=10)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("eval", help="score estimates against ground truth")
     common(p, pipeline=False, seed=False)  # scoring draws no random number
@@ -182,16 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ego", required=True, help="t,X,Y,psi CSV")
     p.add_argument("--total-frames", type=int,
                    help="denominator for availability (default: frame-id span)")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="latency benchmark on synthetic frames")
     common(p)
     p.add_argument("--frames", type=int, default=20)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("bev-export", help="write binary channel images")
     common(p, pipeline=False, frames=True)
-    p.set_defaults(func=cmd_bev_export)
 
     return parser
 
@@ -206,7 +203,9 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args, _load_cfg(args), _out_dir(args))
+        # looked up at each call, so that a wrapper set on this module is the one run
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        return command(args, _load_cfg(args), _out_dir(args))
     except LidarGridError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return 1

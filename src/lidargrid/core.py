@@ -2,7 +2,9 @@
 
 Coordinate convention used throughout: right-handed vehicle frame with
 x forward, y left, z up, sensor at the origin.  Point clouds are stored
-as float64 arrays of shape (N, 4) with columns x, y, z, intensity.
+as float64 arrays of shape (N, 4) with columns x, y, z, intensity; the
+copy that ``validate_frame`` makes, and both routes read levelled, is
+column-major, so that each column a stage reads is contiguous.
 """
 
 from __future__ import annotations
@@ -176,13 +178,18 @@ def validate_frame(frame: PointCloudFrame) -> ValidatedFrame:
     point's intensity is above 1, whatever the source; values are clipped
     to [0, 1] afterwards.  Raises EmptyFrame when no valid point remains.
     The result never shares memory with ``frame``, which is left as it was,
-    so a caller may write into the result's points.
+    so a caller may write into the result's points.  It is column-major,
+    so the plane fit reads x, y, z as a (3, N) view and each pass a column.
     """
     pts = frame.points
     # column by column: a row-wise all(axis=1) over four columns is ~6x slower
     keep = np.logical_and.reduce([np.isfinite(col) for col in pts.T])
-    # copy() beats compress on a full frame; compress beats pts[keep] ~6x
-    kept = pts.copy() if keep.all() else np.compress(keep, pts, axis=0)
+    if keep.all():
+        kept = pts.copy(order="F")
+    else:  # per column: compress into a column-major out= is ~3x slower
+        kept = np.empty((int(keep.sum()), 4), order="F")
+        for src, dst in zip(pts.T, kept.T):
+            np.compress(keep, src, out=dst)
     if kept.shape[0] == 0:
         raise EmptyFrame(f"frame {frame.frame_id}: " + (
             f"no finite points ({pts.shape[0]} dropped)" if pts.shape[0] else "no points"))

@@ -66,8 +66,10 @@ class PlaneModel:
 
     def signed_distance(self, points) -> np.ndarray:
         """Signed distance of each point to the plane; positive is above."""
-        pts = as_point_array(points)[:, :3]
-        return pts @ self.normal + self.offset
+        # per column: a matrix product's bits hang on the layout and the BLAS kernel
+        x, y, z = as_point_array(points)[:, :3].T
+        a, b, c = self.normal
+        return x * a + y * b + z * c + self.offset
 
 
 def _sample_triples(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -150,6 +152,7 @@ def fit_plane_ransac(points, params: RansacParams = RansacParams()) -> PlaneMode
     not strictly inside +-``float32 max / 4``, and NoPlaneFound when the
     winner's inlier ratio is below ``min_inlier_ratio``.
     """
+    # a view of a column-major cloud (the front half's), else a copy
     xyz = np.ascontiguousarray(as_point_array(points)[:, :3].T)
     n = xyz.shape[1]
     if n < 3:

@@ -60,11 +60,12 @@ def front_half(frame: PointCloudFrame, cfg: PipelineConfig,
     """Validate ``frame``, fit the ground plane and level the heights.
 
     Returns ``(dropped_points, plane, levelled)``: ``levelled`` is the
-    array ``validate_frame`` returned, with z replaced by the signed
-    height above ``plane``.  It shares no memory with ``frame``, which is
-    left as it was.  ``dropped_points`` counts the rows this call's
-    validation dropped: 0 for a frame validated already.  The
-    ``fit_plane`` lap includes the levelling.
+    column-major array ``validate_frame`` returned, with z replaced by the
+    signed height above ``plane``, so the fit reads it without a copy and
+    the routes read contiguous columns.  It shares no memory with
+    ``frame``, which is left as it was.  ``dropped_points`` counts the
+    rows this call's validation dropped: 0 for a frame validated already.
+    The ``fit_plane`` lap includes the levelling.
     """
     clock = clock or _StageClock()
     valid = validate_frame(frame)

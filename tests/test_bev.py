@@ -100,6 +100,38 @@ class TestExtractChannels:
             img = extract_channels(pts, CFG)
             assert img.planes.tobytes() == dense_channels(pts, CFG).tobytes()
 
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, 255, 256, 257])
+    def test_packed_key_at_each_width_step(self, count):
+        # the sort key packs the row index into the bit length of the row
+        # count.  Rows crowd four cells, the raster's first and last among
+        # them.  Each cell's z runs 3, 2**53, -2**53, 3, ... in row order,
+        # so 3 + 2**53 rounds and a sum in any other order has another mean
+        rng = np.random.default_rng(count)
+        n, size = CFG.image_size, CFG.cell_size
+        which = rng.integers(0, 4, count)
+        cells = np.array([0, 1, n + 3, n * n - 1])[which]
+        rank = np.zeros(count, dtype=int)  # the row's place among its cell's rows
+        for k in range(4):
+            rank[which == k] = np.arange(np.count_nonzero(which == k))
+        pts = np.column_stack([
+            -CFG.range + (cells // n + rng.uniform(0.01, 0.99, count)) * size,
+            -CFG.range + (cells % n + rng.uniform(0.01, 0.99, count)) * size,
+            np.array([3.0, 2.0 ** 53, -2.0 ** 53])[rank % 3],
+            rng.uniform(0, 1, count)])
+        img = extract_channels(pts, CFG)
+        assert img.planes.tobytes() == dense_channels(pts, CFG).tobytes()
+        assert (np.diff(img.cells) > 0).all()
+        assert set(img.cells.tolist()) == set(cells.tolist())
+
+    def test_matches_dense_reference_on_a_drive_mix_frame(self):
+        frame = generate_frame(replace(bench_scene(5001), ground_slope=math.radians(2.0))).frame
+        levelled = front_half(frame, PipelineConfig())[2]
+        cfg = PipelineConfig().bev
+        img = extract_channels(levelled, cfg)
+        assert img.values.shape[1] > 1000 and np.abs(levelled[:, :2]).max() > cfg.range
+        assert img.planes.tobytes() == dense_channels(levelled, cfg).tobytes()
+        assert (np.diff(img.cells) > 0).all()
+
     def test_singleton_statistics(self):
         pts = np.array([[0.1, 0.1, 1.2, 0.5]])
         img = extract_channels(pts, CFG)

@@ -115,6 +115,22 @@ class TestValidateFrame:
         np.testing.assert_array_equal(rows, before)
         assert not np.shares_memory(out.points, rows)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("bad_row", [None, 2])
+    def test_copy_is_column_major(self, layout, bad_row):
+        rng = np.random.default_rng(5)
+        wide = rng.uniform(0, 1, (9, 6))
+        if bad_row is not None:
+            wide[bad_row, 1] = np.nan
+        rows = {"C": np.ascontiguousarray(wide[:, :4]), "F": np.asfortranarray(wide[:, :4]),
+                "strided": wide[:, :4]}[layout]
+        out = validate_frame(PointCloudFrame(points=rows))
+        keep = [k for k in range(9) if k != bad_row]
+        assert out.points.flags.f_contiguous
+        assert not np.shares_memory(out.points, rows)
+        assert out.points.tobytes() == wide[keep, :4].tobytes()
+        assert out.dropped_points == 9 - len(keep)
+
     def test_metadata_preserved(self):
         out = validate_frame(make_frame([[1, 2, 3, 0]], timestamp=4.2, frame_id=9))
         assert out.timestamp == 4.2

@@ -335,6 +335,50 @@ class TestFrontHalf:
         assert first.dropped_points == second.dropped_points == 0
 
 
+def layouts(points):
+    """The same rows as a C-order array, an F-order array and a strided
+    view: columns 0-3 of an (n, 6) array."""
+    wide = np.full((len(points), 6), 7.0)
+    wide[:, :4] = points
+    return {"C": np.ascontiguousarray(points), "F": np.asfortranarray(points),
+            "strided": wide[:, :4]}
+
+
+class TestLayouts:
+    """A frame's memory layout changes no bit of the plane, the levelled
+    cloud or the obstacles."""
+
+    @pytest.mark.parametrize("nan_row", [False, True], ids=["finite", "nan-row"])
+    def test_routes_give_the_same_bits_for_every_layout(self, nan_row):
+        scene = replace(bench_scene(3), ground_slope=math.radians(2.0))
+        points = generate_frame(scene).frame.points
+        if nan_row:
+            points = np.vstack([points[:100], [[np.nan, 1.0, 2.0, 0.5]], points[100:]])
+        outputs = {}
+        for name, rows in layouts(points).items():
+            frame = PointCloudFrame(points=rows)
+            dropped, plane, levelled = pipeline.front_half(frame, PipelineConfig())
+            assert levelled.flags.f_contiguous
+            assert dropped == int(nan_row)
+            outputs[name] = [plane.normal.tobytes(), plane.offset, plane.inlier_count,
+                             levelled.tobytes()]
+            for route in ("geometric", "bev"):
+                result = run_pipeline(frame, replace(PipelineConfig(), pipeline=route))
+                assert result.plane.normal.tobytes() == plane.normal.tobytes()
+                outputs[name].append([asdict(o) for o in result.obstacles])
+        assert outputs["C"][-1] and outputs["C"][-2]  # both routes find the boxes
+        assert outputs["F"] == outputs["C"] and outputs["strided"] == outputs["C"]
+
+    def test_signed_distance_gives_the_same_bits_for_every_layout(self):
+        frame = generate_frame(van_scene(1)).frame
+        plane = pipeline.front_half(frame, PipelineConfig())[1]
+        a, b, c = plane.normal
+        x, y, z = frame.points[:, :3].T
+        want = (x * a + y * b + z * c + plane.offset).tobytes()
+        for rows in layouts(frame.points).values():
+            assert plane.signed_distance(rows).tobytes() == want
+
+
 class TestBench:
     def test_report_schema_and_throughput(self):
         report = bench(PipelineConfig(), n_frames=3, seed=1)
@@ -582,6 +626,39 @@ class TestCli:
     def test_no_subcommand_prints_help_and_exits_2(self, capsys):
         assert main([]) == 2
         assert capsys.readouterr().out.startswith("usage: lidargrid")
+
+    def test_parser_is_built_once(self, tmp_path):
+        assert main(["synth", "--frames", "1", "--out-dir", str(tmp_path)]) == 0
+        assert lidargrid.cli.build_parser() is lidargrid.cli.build_parser()
+
+    def test_command_is_looked_up_at_each_call(self, tmp_path, monkeypatch):
+        # the benchmark wraps cmd_* on the module after the parser exists
+        assert main(["detect", "--synth", "1", "--out-dir", str(tmp_path / "a")]) == 0
+        seen = []
+        monkeypatch.setattr(lidargrid.cli, "cmd_detect",
+                            lambda args, cfg, out: seen.append((args.synth, out)) or 7)
+        assert main(["detect", "--synth", "2", "--out-dir", str(tmp_path / "b")]) == 7
+        assert seen == [(2, tmp_path / "b")]
+
+    def test_parses_share_no_state(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(lidargrid.cli, "cmd_detect", lambda args, cfg, out: seen.append(
+            (args.synth, args.input, args.seed, args.pipeline, cfg.pipeline)) or 0)
+        out = ["--out-dir", str(tmp_path)]
+        assert main(["detect", "--synth", "2", "--seed", "5", "--pipeline", "bev"] + out) == 0
+        assert main(["detect", "--input", str(tmp_path)] + out) == 0
+        assert seen == [(2, None, 5, "bev", "bev"), (None, str(tmp_path), None, None, "geometric")]
+
+    def test_usage_error_leaves_the_next_call_working(self, tmp_path, capsys):
+        argv = ["eval", "--out-dir", str(tmp_path / "o")]
+        for name, p in self.eval_inputs(tmp_path).items():
+            argv += [name, str(p)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert "availability" in capsys.readouterr().out
 
     def test_dump_default_config(self, capsys):
         assert main(["--dump-default-config"]) == 0

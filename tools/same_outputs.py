@@ -26,11 +26,13 @@ Python process of its own, with that tree's ``src`` on the path:
   intensity planes show the normalization), compared as the CLI runs are.
 
 It prints one line per item: ``same``, or the first difference.  A
-drive-mix item that differs also says how many frames differ and the
-largest change, each with its frame: in the plane's normal and offset,
-or an obstacle's centre move and its change in length, width and
-height.  ``--all`` lists every differing frame.  The exit status
-is 1 when any item differs.  Both sides run on one host with one numpy,
+``.bev`` image that differs is described plane by plane: the count of
+differing cells and the largest change in float32 ulps.  A drive-mix
+item that differs also says how many frames differ and the largest
+change, each with its frame: in the plane's normal and offset, or an
+obstacle's centre move and its change in length, width and height.
+``--all`` lists every differing frame.  The exit status is 1 when any
+item differs.  Both sides run on one host with one numpy,
 so they compare bit for bit and no stored digest is needed.
 """
 
@@ -54,6 +56,9 @@ SCENES, SCENE_DRAW_SEED = 60, 6000
 CONFIGS = {"default": None, "pcd_replay": ROOT / "perfbench" / "pcd_replay.yaml"}
 ROUTES = ("geometric", "bev")
 OBSTACLE_FIELDS = ("center_x", "center_y", "length", "width", "height", "confidence")
+# a BEV v1 file's planes, in lidargrid.bev.PLANE_NAMES order
+BEV_PLANES = ("max_height", "mean_height", "max_intensity", "mean_intensity", "density",
+              "occupancy")
 NAN_ITEM, NAN_FRAMES = "nan-8bit", 3
 NAN_STEPS = [*(["detect", "--input", "frames", "--pipeline", route, "--out-dir", f"detect-{route}"]
                for route in ROUTES),
@@ -282,9 +287,29 @@ def first_file_difference(old: Path, new: Path):
                 if la != lb:
                     return f"{rel} line {k}: {la.decode()!r} -> {lb.decode()!r}"
             return f"{rel}: {len(a.splitlines())} -> {len(b.splitlines())} lines"
-        at = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-        return f"{rel}: first differing byte at offset {at} of {len(a)} -> {len(b)}"
+        return f"{rel}: {bev_difference(a, b)}"
     return None
+
+
+def bev_difference(a: bytes, b: bytes) -> str:
+    """Each plane in which two ``.bev`` files differ, with its count of
+    differing cells and the largest change in float32 ulps; the first
+    differing byte when the headers or sizes differ."""
+    import numpy as np
+
+    head = a.split(b"\n", 1)[0]
+    if head != b.split(b"\n", 1)[0] or len(a) != len(b):
+        at = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        return f"first differing byte at offset {at} of {len(a)} -> {len(b)}"
+    planes, h, w = map(int, head.split()[2:])
+    old, new = (np.frombuffer(x, "<i4", offset=len(head) + 1).reshape(planes, h * w)
+                .astype(np.int64) for x in (a, b))
+    # float32 bit patterns to integers in float order: a difference counts ulps
+    old, new = (np.where(x < 0, -(x & 0x7FFFFFFF), x) for x in (old, new))
+    ulps = np.abs(new - old)
+    return "; ".join(f"{name} differs in {np.count_nonzero(d)} of {h * w} cells, "
+                     f"largest change {d.max()} ulp of float32"
+                     for name, d in zip(BEV_PLANES, ulps) if d.any())
 
 
 def compare(old: Path, new: Path, show_all: bool):
